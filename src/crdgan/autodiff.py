@@ -10,7 +10,8 @@ adversarial losses built on top of them.
 Conventions:
   * float64 for gradient checks and metrics, float32 for training throughput
   * no general broadcasting -- binary ops take equal shapes, a python scalar,
-    or a 0-d tensor
+    or a 0-d tensor; a non-tensor operand takes the dtype of the tensor one, so
+    a float32 graph stays float32
   * tensors are immutable after creation except for ``grad`` (and leaf
     parameter updates between steps)
 """
@@ -25,9 +26,9 @@ import numpy as np
 __all__ = [
     "Tensor", "set_finite_checks",
     "add", "sub", "mul", "div", "neg",
-    "matmul", "reshape", "permute", "index_select",
+    "matmul", "reshape", "permute", "gather_sum",
     "relu", "leaky_relu", "tanh", "exp", "log", "softplus", "absolute",
-    "clamp_min", "reciprocal", "mul_rows", "sqrt_guarded",
+    "clamp_min", "reciprocal", "sqrt_guarded",
     "tsum", "tmean", "l2_norm", "huber",
     "pad2d", "upsample2x", "conv2d", "instance_norm",
     "detach", "backward", "finite_diff_grad", "max_rel_error", "gradcheck",
@@ -173,8 +174,14 @@ def _result(data: np.ndarray, op: str, parents: Sequence[Tensor],
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _as_tensor(x, like: Optional[Tensor] = None) -> Tensor:
+    """x as a tensor; a scalar or array constant takes ``like``'s dtype."""
+    return x if isinstance(x, Tensor) else Tensor(x, dtype=None if like is None else like.dtype)
+
+
+def _operands(a, b) -> tuple:
+    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
+    return a, _as_tensor(b, a)
 
 
 def _check_binary_shapes(op: str, a: Tensor, b: Tensor) -> None:
@@ -193,7 +200,7 @@ def _collapse(g: np.ndarray, shape: tuple) -> np.ndarray:
 # -- elementwise arithmetic ------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     _check_binary_shapes("add", a, b)
 
     def back(g):
@@ -206,7 +213,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     _check_binary_shapes("sub", a, b)
 
     def back(g):
@@ -219,7 +226,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     _check_binary_shapes("mul", a, b)
     ad, bd = a.data, b.data
 
@@ -233,7 +240,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     _check_binary_shapes("div", a, b)
     ad, bd = a.data, b.data
 
@@ -419,34 +426,22 @@ def tmean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     return _result(a.data.mean(axis=axes, keepdims=keepdims), "mean", (a,), back)
 
 
-def l2_norm(a: Tensor, axis: Optional[int] = None, eps: float = 1e-12) -> Tensor:
-    """Euclidean norm of the whole tensor (axis=None) or along one axis.
+def l2_norm(a: Tensor, eps: float = 1e-12) -> Tensor:
+    """Euclidean norm of the whole tensor.
 
     The gradient is x / max(||x||, eps), so a zero vector gets a zero
     gradient rather than NaN.
     """
     if a.size == 0:
         raise ValueError("l2_norm of an empty tensor")
-    if axis is None:
-        n = np.sqrt((a.data ** 2).sum())
-        denom = max(float(n), eps)
-
-        def back(g):
-            if a.requires_grad:
-                a._accumulate(np.asarray(g, dtype=a.data.dtype) * (a.data / denom))
-
-        return _result(np.asarray(n, dtype=a.data.dtype), "l2_norm", (a,), back)
-
-    ax = int(axis) % a.ndim
-    n = np.sqrt((a.data ** 2).sum(axis=ax))
-    denom = np.maximum(n, eps)
+    n = np.sqrt((a.data ** 2).sum())
+    denom = max(float(n), eps)
 
     def back(g):
         if a.requires_grad:
-            ge = np.expand_dims(g / denom, ax)
-            a._accumulate(ge * a.data)
+            a._accumulate(np.asarray(g, dtype=a.data.dtype) * (a.data / denom))
 
-    return _result(n, "l2_norm", (a,), back)
+    return _result(np.asarray(n, dtype=a.data.dtype), "l2_norm", (a,), back)
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -469,43 +464,29 @@ def permute(a: Tensor, axes: tuple) -> Tensor:
     return _result(np.ascontiguousarray(a.data.transpose(axes)), "permute", (a,), back)
 
 
-def index_select(a: Tensor, idx, axis: int = 0) -> Tensor:
-    """Gather rows along axis 0 (the only case the losses need)."""
-    if axis != 0:
-        raise ValueError("index_select supports axis 0 only")
+def gather_sum(a: Tensor, idx, weights) -> Tensor:
+    """Weighted sum of gathered entries of a flat tensor.
+
+    out[t] = sum_k weights[k] * a[idx[t, k]], the terms added left to right.
+    Backward scatters with one bincount, however often an entry is gathered.
+    """
+    if a.ndim != 1:
+        raise ValueError(f"gather_sum expects a flat tensor, got shape {a.shape}")
     idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("index_select expects a flat index array")
-
-    def back(g):
-        if not a.requires_grad:
-            return
-        # segment-sum scatter: stable argsort + reduceat beats np.add.at here
-        out = np.zeros(a.shape, dtype=a.data.dtype)
-        order = np.argsort(idx, kind="stable")
-        sidx = idx[order]
-        sg = g[order]
-        starts = np.flatnonzero(np.r_[True, sidx[1:] != sidx[:-1]])
-        sums = np.add.reduceat(sg, starts, axis=0)
-        out[sidx[starts]] = sums
-        a._accumulate(out)
-
-    return _result(a.data[idx], "index_select", (a,), back)
-
-
-def mul_rows(a: Tensor, s: Tensor) -> Tensor:
-    """Scale each row of a rank-2 tensor: out[i, :] = a[i, :] * s[i]."""
-    if a.ndim != 2 or s.ndim != 1 or a.shape[0] != s.shape[0]:
-        raise ValueError(f"mul_rows: incompatible shapes {a.shape} and {s.shape}")
-    ad, sd = a.data, s.data
+    w = np.asarray(weights, dtype=a.data.dtype)
+    if idx.ndim != 2 or w.shape != (idx.shape[1],):
+        raise ValueError(f"gather_sum: index shape {idx.shape} does not match {w.size} weights")
+    out = w[0] * a.data[idx[:, 0]]
+    for k in range(1, w.size):
+        out = out + w[k] * a.data[idx[:, k]]
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(g * sd[:, None])
-        if s.requires_grad:
-            s._accumulate((g * ad).sum(axis=1))
+            scattered = np.bincount(idx.reshape(-1), weights=(g[:, None] * w).reshape(-1),
+                                    minlength=a.size)
+            a._accumulate(scattered.astype(a.data.dtype))
 
-    return _result(ad * sd[:, None], "mul_rows", (a, s), back)
+    return _result(out, "gather_sum", (a,), back)
 
 
 # -- losses ------------------------------------------------------------------
@@ -516,7 +497,7 @@ def huber(a: Tensor, b: Tensor) -> Tensor:
     0.5*(a-b)^2 where |a-b| <= 1, otherwise |a-b| - 0.5.  Continuous at the
     branch point (both sides give 0.5) with gradient magnitude capped at 1.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     _check_binary_shapes("huber", a, b)
     d = a.data - b.data
     quad = np.abs(d) <= 1.0

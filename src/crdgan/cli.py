@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
     p_grad.add_argument("--tol", type=float, default=1e-4)
 
-    p_bench = sub.add_parser("bench", help="tuple sampling and loss evaluation throughput")
+    p_bench = sub.add_parser("bench", help="tuple sampling and loss forward/backward throughput")
     p_bench.add_argument("--size", type=int, default=32)
     p_bench.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
     p_bench.add_argument("--patch", type=int, default=8)
@@ -207,12 +207,20 @@ def _cmd_bench(args) -> int:
         crd_loss(teacher, student, n, m, cfg)
     loss_ms = (time.perf_counter() - t0) * 1000 / args.iters
 
+    trainable = Tensor(student.data, requires_grad=True)
+    t0 = time.perf_counter()
+    for _ in range(args.iters):
+        trainable.zero_grad()
+        backward(crd_loss(teacher, trainable, n, m, cfg))
+    loss_fwd_bwd_ms = (time.perf_counter() - t0) * 1000 / args.iters
+
     print(f"image_size,{s}")
     print(f"triplet_budget,{args.budget}")
     print(f"pairs_evaluated,{pairs_evaluated}")
     print(f"triples_evaluated,{triples_evaluated}")
     print(f"tuple_sampling_ms,{sample_ms:.3f}")
     print(f"crd_loss_ms,{loss_ms:.3f}")
+    print(f"crd_loss_fwd_bwd_ms,{loss_fwd_bwd_ms:.3f}")
     print(f"tuples_per_second,{(pairs_evaluated + triples_evaluated) / (loss_ms / 1000):.0f}")
     return 0
 

@@ -78,6 +78,12 @@ class TrainConfig:
                      "disc_base_width", "train_count", "val_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        size, (n, m) = self.image_size, self.patch
+        if size % 4 != 0:
+            raise ValueError(f"image_size must be a multiple of 4 (the generator "
+                             f"downsamples twice), got {size}")
+        if size % n != 0 or size % m != 0 or (size // n) * (size // m) < 2:
+            raise ValueError(f"image_size {size} does not split into >= 2 whole {n}x{m} patches")
         return self
 
 

@@ -146,11 +146,3 @@ def generate_dataset(task: SyntheticTask):
     val_b = _stack(lambda r, n: _shape_image(r, n, "square"), task.val_count, task.seed, 3, s)
     return UnpairedDataset(task, train_a, train_b, val_a, val_b)
 
-
-def batch_indices(count: int, batch_size: int, epochs: int, seed: int):
-    """Yield shuffled index batches, one epoch at a time, deterministically."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C4]))
-    for _ in range(epochs):
-        order = rng.permutation(count)
-        for start in range(0, count - batch_size + 1, batch_size):
-            yield order[start:start + batch_size]

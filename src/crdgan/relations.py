@@ -1,36 +1,40 @@
 """Relational distillation losses over content sets.
 
-Two structure functions drive everything here:
+Two structures: pairwise distance over its own set's mean distance
+(scale-invariant), and the triplet angle, the cosine between the residues
+x_i - x_j and x_j - x_k at the middle item (invariant to rotation,
+translation and positive scaling).  Teacher and student structures are
+compared tuple-by-tuple with a Huber penalty, averaged over the tuples and
+a batch's images, and summed over granularities.
 
-  * pairwise distance, normalized by the mean pairwise distance of its own
-    set, which makes the structure scale-invariant;
-  * triplet angle, the cosine between the two residue vectors meeting at the
-    middle element, which is invariant to rotation, translation and positive
-    scaling.
-
-Teacher and student structures are compared tuple-by-tuple with a Huber
-penalty, averaged over the selected tuples.  Content-level losses slice
-both images into columns, rows and patches and sum the per-granularity
-relational losses; tuples never cross granularities and relations never
-cross image boundaries.
+One pass per content set makes both.  X = [count, B*D] holds a batch's
+images side by side; the cached +-1 pair-incidence matrix A = [P, count]
+gives every i<j residual as R = A @ X, each row the exact x_i - x_j
+whatever the BLAS thread count.  Row sums of squares give d2 for every pair
+of every image, and each tuple op is a gather on that vector: the distance
+is sqrt(d2) over its image's mean, the angle at j is (d2_ik - d2_ij -
+d2_jk) / 2 over max(d_ij, eps) * max(d_jk, eps) (law of cosines).  The Gram
+form G_ij - G_ik - G_jj + G_jk would skip R but cancels catastrophically on
+repeated items (a flat background); exact residuals give exact zeros.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from math import comb
 from typing import Optional, Union
 
 import numpy as np
 
 from .autodiff import (
-    Tensor, clamp_min, huber, index_select, l2_norm, matmul, mul_rows,
-    permute, reciprocal, sqrt_guarded, tmean, tsum,
+    Tensor, clamp_min, gather_sum, huber, matmul, reciprocal, reshape,
+    sqrt_guarded, tmean, tsum,
 )
 from . import slicing
-from .slicing import COLUMN, PATCH, ROW, ContentSet
+from .slicing import COLUMN, GRANULARITIES, PATCH, ROW, ContentSet
 
 ItemsLike = Union[ContentSet, Tensor, np.ndarray]
 
@@ -106,33 +110,79 @@ def _triu_pairs(n: int):
     return pi, pj
 
 
+@functools.lru_cache(maxsize=64)
+def _incidence(count: int, dtype: np.dtype) -> Tensor:
+    """[P, count]: row p is +1 at i and -1 at j for the p-th pair i<j."""
+    eye = np.eye(count, dtype=dtype)
+    pi, pj = _triu_pairs(count)
+    a = eye[pi] - eye[pj]
+    a.setflags(write=False)
+    return Tensor(a)
+
+
+def _tuple_index(tuples: np.ndarray, count: int, batch: int) -> np.ndarray:
+    """d2 entries each tuple reads, one row per tuple and image: the pair
+    ranks of (i,j) for a pair, of (i,j), (i,k), (j,k) for a triple i<j<k."""
+    i, j = (tuples[:, [0]], tuples[:, [1]]) if tuples.shape[1] == 2 else \
+        (tuples[:, [0, 0, 1]], tuples[:, [1, 2, 2]])
+    rank = i * count - i * (i + 1) // 2 + j - i - 1
+    return (rank[:, None, :] * batch + np.arange(batch)[:, None]).reshape(-1, rank.shape[1])
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_index(count: int, arity: int, batch: int) -> np.ndarray:
+    index = _tuple_index(_tuple_pool(count, arity), count, batch)
+    index.setflags(write=False)
+    return index
+
+
+def _index(tuples: np.ndarray, count: int, batch: int) -> np.ndarray:
+    if len(tuples) == comb(count, tuples.shape[1]):      # the full pool: cached
+        return _pool_index(count, tuples.shape[1], batch)
+    return _tuple_index(tuples, count, batch)
+
+
 def _as_items(x: ItemsLike) -> Tensor:
     if isinstance(x, ContentSet):
         return x.items
-    if isinstance(x, Tensor):
-        t = x
-    else:
-        t = Tensor(np.asarray(x, dtype=np.float64))
+    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
     if t.ndim != 2:
         raise ValueError(f"expected a rank-2 item stack, got shape {t.shape}")
     return t
 
 
-def _pair_distances(items: Tensor, pair_i: np.ndarray, pair_j: np.ndarray,
-                    eps: float) -> Tensor:
-    """Distances for the given pairs via the Gram expansion.
+def _pair_sq(x: Tensor, batch: int) -> Tensor:
+    """d2 of every i<j pair of every image of X = [count, B*D], flat and
+    pair-major: entry p*B + b is image b's pair p."""
+    count, width = x.shape
+    r = matmul(_incidence(count, x.dtype), x)             # rows: exact x_i - x_j
+    return tsum(reshape(r * r, (-1, width // batch)), axes=1)
 
-    ||x_i - x_j||^2 = |x_i|^2 + |x_j|^2 - 2 <x_i, x_j>, clamped at zero
-    before the guarded square root so identical items contribute exact
-    zeros with zero gradient.
-    """
-    n = items.shape[0]
-    sq = tsum(items * items, axes=1)                      # [n]
-    gram = matmul(items, permute(items, (1, 0)))          # [n, n]
-    gram_flat = gram.reshape(n * n)
-    cross = index_select(gram_flat, pair_i * n + pair_j)
-    d2 = index_select(sq, pair_i) + index_select(sq, pair_j) - 2.0 * cross
-    return sqrt_guarded(clamp_min(d2, 0.0), eps)
+
+_ONE = (1.0,)
+_COSINE = (-0.5, 0.5, -0.5)      # (d2_ik - d2_ij - d2_jk) / 2 over columns (ij, ik, jk)
+
+
+def _compare(t_x: Tensor, s_x: Tensor, batch: int, pairs, triples, eps: float) -> tuple:
+    """Huber mismatch of the two sides' phi_d over the pairs and phi_a over
+    the triples, each averaged over its tuples and the images; None where no
+    tuples are given."""
+    pair_idx, triple_idx = (None if tuples is None else _index(tuples, t_x.shape[0], batch)
+                            for tuples in (pairs, triples))
+    phis = []
+    for x in (t_x, s_x):
+        sq = _pair_sq(x, batch)
+        d = sqrt_guarded(sq, eps)
+        phi_d = phi_a = None
+        if pair_idx is not None:
+            inv_mu = reciprocal(clamp_min(tmean(reshape(d, (-1, batch)), axes=0), eps))
+            phi_d = gather_sum(d, pair_idx, _ONE) * gather_sum(inv_mu, pair_idx % batch, _ONE)
+        if triple_idx is not None:
+            inv = reciprocal(clamp_min(d, eps))
+            phi_a = (gather_sum(sq, triple_idx, _COSINE) * gather_sum(inv, triple_idx[:, :1], _ONE)
+                     * gather_sum(inv, triple_idx[:, 2:], _ONE))
+        phis.append((phi_d, phi_a))
+    return tuple(None if t is None else tmean(huber(t, s)) for t, s in zip(*phis))
 
 
 def pairwise_distances(item_set: ItemsLike, epsilon: float = 1e-12) -> DistanceStructure:
@@ -142,12 +192,11 @@ def pairwise_distances(item_set: ItemsLike, epsilon: float = 1e-12) -> DistanceS
     if n < 2:
         raise ValueError(f"pairwise_distances needs >= 2 items, got {n}")
     pi, pj = _triu_pairs(n)
-    dvec = _pair_distances(items, pi, pj, epsilon)
-    mu = tmean(dvec)
+    dvec = sqrt_guarded(_pair_sq(items, 1), epsilon)
     mat = np.zeros((n, n), dtype=dvec.data.dtype)
     mat[pi, pj] = dvec.data
     mat[pj, pi] = dvec.data
-    return DistanceStructure(mat, mu, pi, pj, dvec, epsilon)
+    return DistanceStructure(mat, tmean(dvec), pi, pj, dvec, epsilon)
 
 
 def phi_d(structure: DistanceStructure, i: int, j: int) -> float:
@@ -159,17 +208,17 @@ def phi_d(structure: DistanceStructure, i: int, j: int) -> float:
 
 
 def phi_a(vi, vj, vk, epsilon: float = 1e-12) -> Tensor:
-    """Cosine of the angle at vj between residues vi-vj and vj-vk."""
+    """Cosine of the angle at vj between residues vi-vj and vj-vk, by the
+    law of cosines over the three exact residues."""
     vi, vj, vk = (t if isinstance(t, Tensor) else Tensor(np.asarray(t, dtype=np.float64))
                   for t in (vi, vj, vk))
     if not (vi.shape == vj.shape == vk.shape) or vi.ndim != 1:
         raise ValueError(f"phi_a needs three equal-length vectors, got "
                          f"{vi.shape}, {vj.shape}, {vk.shape}")
-    e1 = vi - vj
-    e2 = vj - vk
-    e1 = e1 * reciprocal(clamp_min(l2_norm(e1, eps=epsilon), epsilon))
-    e2 = e2 * reciprocal(clamp_min(l2_norm(e2, eps=epsilon), epsilon))
-    return tsum(e1 * e2)
+    sq_ij, sq_ik, sq_jk = (tsum(r * r) for r in (vi - vj, vi - vk, vj - vk))
+    inv_ij, inv_jk = (reciprocal(clamp_min(sqrt_guarded(sq, epsilon), epsilon))
+                      for sq in (sq_ij, sq_jk))
+    return (sq_ik - sq_ij - sq_jk) * 0.5 * inv_ij * inv_jk
 
 
 # -- tuple sampling -----------------------------------------------------------
@@ -223,18 +272,6 @@ def _check_sides(t: Tensor, s: Tensor, minimum: int) -> int:
     return n
 
 
-def _normalized_pair_values(items: Tensor, pairs: np.ndarray, eps: float) -> Tensor:
-    """phi_d over the selected pairs: distances over the set-wide mean."""
-    n = items.shape[0]
-    all_i, all_j = _triu_pairs(n)
-    d_all = _pair_distances(items, all_i, all_j, eps)
-    mu = clamp_min(tmean(d_all), eps)
-    # selected pairs index into the lexicographic pair vector
-    i, j = pairs[:, 0], pairs[:, 1]
-    ranks = i * n - (i * (i + 1)) // 2 + (j - i - 1)
-    return index_select(d_all, ranks) * reciprocal(mu)
-
-
 def rkd_distance_loss(teacher_items: ItemsLike, student_items: ItemsLike,
                       cfg: RelationConfig) -> Tensor:
     """Huber-penalized mismatch of mean-normalized pairwise distances.
@@ -244,24 +281,9 @@ def rkd_distance_loss(teacher_items: ItemsLike, student_items: ItemsLike,
     pairs, keeping the loss scale independent of the tuple count (and hence
     of image size and sampling budget).
     """
-    t = _as_items(teacher_items)
-    s = _as_items(student_items)
-    n = _check_sides(t, s, 2)
-    pairs = sample_tuples(n, 2, cfg.pair_budget, cfg.seed)
-    phi_t = _normalized_pair_values(t, pairs, cfg.epsilon)
-    phi_s = _normalized_pair_values(s, pairs, cfg.epsilon)
-    return tmean(huber(phi_t, phi_s))
-
-
-def _angle_values(items: Tensor, triples: np.ndarray, eps: float) -> Tensor:
-    vi = index_select(items, triples[:, 0])
-    vj = index_select(items, triples[:, 1])
-    vk = index_select(items, triples[:, 2])
-    e1 = vi - vj
-    e2 = vj - vk
-    inv1 = reciprocal(clamp_min(l2_norm(e1, axis=1, eps=eps), eps))
-    inv2 = reciprocal(clamp_min(l2_norm(e2, axis=1, eps=eps), eps))
-    return tsum(mul_rows(e1, inv1) * mul_rows(e2, inv2), axes=1)
+    t, s = _as_items(teacher_items), _as_items(student_items)
+    pairs = sample_tuples(_check_sides(t, s, 2), 2, cfg.pair_budget, cfg.seed)
+    return _compare(t, s, 1, pairs, None, cfg.epsilon)[0]
 
 
 def rkd_angle_loss(teacher_items: ItemsLike, student_items: ItemsLike,
@@ -272,73 +294,67 @@ def rkd_angle_loss(teacher_items: ItemsLike, student_items: ItemsLike,
     Unordered index sets {i,j,k} are enumerated once as i<j<k with j as the
     vertex, keeping teacher and student orientations aligned.
     """
-    t = _as_items(teacher_items)
-    s = _as_items(student_items)
-    n = _check_sides(t, s, 3)
-    triples = sample_tuples(n, 3, cfg.triplet_budget, cfg.seed)
-    phi_t = _angle_values(t, triples, cfg.epsilon)
-    phi_s = _angle_values(s, triples, cfg.epsilon)
-    return tmean(huber(phi_t, phi_s))
+    t, s = _as_items(teacher_items), _as_items(student_items)
+    triples = sample_tuples(_check_sides(t, s, 3), 3, cfg.triplet_budget, cfg.seed)
+    return _compare(t, s, 1, None, triples, cfg.epsilon)[1]
 
 
 # -- content-level losses -------------------------------------------------------
 
-GRANULARITY_IDS = {COLUMN: 0, ROW: 1, PATCH: 2}
-
-
+@functools.lru_cache(maxsize=256)
 def _granularity_seed(base: int, granularity: str, arity: int) -> int:
-    gid = GRANULARITY_IDS[granularity]
+    gid = GRANULARITIES.index(granularity)              # column 0, row 1, patch 2
     return int(np.random.SeedSequence([base & 0xFFFFFFFFFFFFFFFF, gid, arity]).generate_state(1)[0])
 
 
-def _per_image(img: Tensor):
-    if img.ndim == 3:
-        return [img]
-    if img.ndim == 4:
-        return [index_select(img.reshape((img.shape[0], -1)), np.array([b])).reshape(img.shape[1:])
-                for b in range(img.shape[0])]
-    raise ValueError(f"expected [c,h,w] or [b,c,h,w], got shape {img.shape}")
+def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
+              cfg: RelationConfig, distance: bool = True, angle: bool = True) -> tuple:
+    """(crd_d, crd_a) of a [c,h,w] image or [b,c,h,w] batch pair, in one pass.
 
-
-def _check_images(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
-                  cfg: RelationConfig, angle: bool) -> tuple:
+    Each term is summed over its enabled granularities and averaged over the
+    images; a term not asked for is None.  Each side is sliced once per
+    granularity, and that granularity's pairs and triples are drawn once,
+    from its own seed, for every image.
+    """
     if teacher_img.shape != student_img.shape:
         raise ValueError(f"teacher/student shapes differ: {teacher_img.shape} vs {student_img.shape}")
-    grans = cfg.enabled_granularities(angle)
-    if not grans:
+    d_grans = cfg.enabled_granularities() if distance else ()
+    a_grans = cfg.enabled_granularities(angle=True) if angle else ()
+    if (distance and not d_grans) or (angle and not a_grans):
         raise ValueError("no content granularity enabled: nothing to relate")
-    return grans
+    terms = []
+    for g in d_grans or a_grans:            # the angle granularities are a subset
+        t_set = slicing.split(teacher_img, g, (n, m) if g == PATCH else None)
+        s_set = slicing.split(student_img, g, (n, m) if g == PATCH else None)
+        pairs = triples = None
+        if g in d_grans:
+            pairs = sample_tuples(t_set.count, 2, cfg.pair_budget, _granularity_seed(cfg.seed, g, 2))
+        if g in a_grans:
+            triples = sample_tuples(t_set.count, 3, cfg.triplet_budget,
+                                    _granularity_seed(cfg.seed, g, 3))
+        # item-major stacks reshape for free to X = [count, B*D]
+        t_x, s_x = (reshape(c.items, (c.count, -1)) for c in (t_set, s_set))
+        terms.append(_compare(t_x, s_x, t_set.batch, pairs, triples, cfg.epsilon))
+    return tuple(_total(column) for column in zip(*terms))
 
 
-def _content_relation_loss(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
-                           cfg: RelationConfig, angle: bool) -> Tensor:
-    grans = _check_images(teacher_img, student_img, n, m, cfg, angle)
-    t_images = _per_image(teacher_img)
-    s_images = _per_image(student_img)
-    arity = 3 if angle else 2
-    loss_fn = rkd_angle_loss if angle else rkd_distance_loss
-    total = None
-    for t_img, s_img in zip(t_images, s_images):
-        for g in grans:
-            pd = (n, m) if g == PATCH else None
-            t_set = slicing.split(t_img, g, pd)
-            s_set = slicing.split(s_img, g, pd)
-            g_cfg = replace(cfg, seed=_granularity_seed(cfg.seed, g, arity))
-            term = loss_fn(t_set, s_set, g_cfg)
-            total = term if total is None else total + term
-    if len(t_images) > 1:
-        total = total * (1.0 / len(t_images))
-    return total
+def _total(terms) -> Optional[Tensor]:
+    """Left-to-right sum of the terms that exist; None if none does."""
+    present = [t for t in terms if t is not None]
+    return functools.reduce(operator.add, present) if present else None
+
+
+def crd_combine(crd_d: Tensor, crd_a: Optional[Tensor], cfg: RelationConfig) -> Tensor:
+    """The content-relationship loss: crd_d + lambda_a * crd_a (crd_d alone
+    when the angle term was not computed, as for lambda_a = 0)."""
+    return crd_d if crd_a is None else crd_d + cfg.lambda_a * crd_a
 
 
 def crd_distance_loss(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
                       cfg: RelationConfig) -> Tensor:
-    """Distance-structure loss summed over the enabled granularities.
-
-    Pairs stay within one granularity; batched inputs are sliced per image
-    and averaged.
-    """
-    return _content_relation_loss(teacher_img, student_img, n, m, cfg, angle=False)
+    """Distance-structure loss summed over the enabled granularities; a batch
+    is averaged over its images."""
+    return crd_terms(teacher_img, student_img, n, m, cfg, angle=False)[0]
 
 
 def crd_angle_loss(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
@@ -347,13 +363,11 @@ def crd_angle_loss(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
 
     With ``angle_patches_only`` both sides restrict to the patch granularity.
     """
-    return _content_relation_loss(teacher_img, student_img, n, m, cfg, angle=True)
+    return crd_terms(teacher_img, student_img, n, m, cfg, distance=False)[1]
 
 
 def crd_loss(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
              cfg: RelationConfig) -> Tensor:
-    """Distance loss plus lambda_a times the angle loss."""
-    total = crd_distance_loss(teacher_img, student_img, n, m, cfg)
-    if cfg.lambda_a != 0.0:
-        total = total + cfg.lambda_a * crd_angle_loss(teacher_img, student_img, n, m, cfg)
-    return total
+    """Distance loss plus lambda_a times the angle loss, in one pass."""
+    return crd_combine(*crd_terms(teacher_img, student_img, n, m, cfg,
+                                  angle=cfg.lambda_a != 0.0), cfg)

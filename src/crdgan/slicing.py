@@ -1,9 +1,11 @@
-"""Splitting a generated image into column strips, row strips and patches.
+"""Splitting generated images into column strips, row strips and patches.
 
 Each granularity covers every pixel exactly once, so summing all items and
 differentiating gives an all-ones gradient on the source image.  Item order
 is deterministic: columns left-to-right, rows top-to-bottom, patches in
 raster order.  Vectors are flattened channel-major, then spatial raster.
+A [b,c,h,w] batch is split in one pass into one item-major stack: every
+image's item 0, then every image's item 1, and so on.
 """
 
 from __future__ import annotations
@@ -23,19 +25,28 @@ GRANULARITIES = (COLUMN, ROW, PATCH)
 
 @dataclass
 class ContentSet:
-    """An ordered stack of flattened content vectors from one image.
+    """An ordered stack of flattened content vectors from one image or batch.
 
     ``items`` is a rank-2 tensor, one row per content vector; gradients flow
-    through it back to the source image.
+    through it back to the source.  A ``(b,c,h,w)`` source shape marks a
+    batch of ``count`` items per image; row ``i * b + k`` is image k's item i.
     """
 
     granularity: str
     items: Tensor
-    source_shape: Tuple[int, int, int]
+    source_shape: Tuple[int, ...]
     patch_dims: Optional[Tuple[int, int]] = None
 
     def __len__(self) -> int:
         return self.items.shape[0]
+
+    @property
+    def batch(self) -> int:
+        return self.source_shape[0] if len(self.source_shape) == 4 else 1
+
+    @property
+    def count(self) -> int:
+        return len(self) // self.batch
 
     @property
     def item_length(self) -> int:
@@ -45,33 +56,34 @@ class ContentSet:
         return self.items.data[i]
 
 
-def _check_rank3(img: Tensor) -> Tuple[int, int, int]:
-    if img.ndim != 3:
-        raise ValueError(f"expected a [c,h,w] image, got shape {img.shape}")
-    return img.shape
+def _dims(img: Tensor) -> Tuple[int, int, int, int]:
+    """(b, c, h, w), with b = 1 for a lone image."""
+    if img.ndim not in (3, 4):
+        raise ValueError(f"expected a [c,h,w] image or a [b,c,h,w] batch, got shape {img.shape}")
+    return (1,) * (4 - img.ndim) + img.shape
 
 
 def split_columns(img: Tensor) -> ContentSet:
-    """w items, each the flattened [c,h] column slab."""
-    c, h, w = _check_rank3(img)
+    """w items per image, each the flattened [c,h] column slab."""
+    b, c, h, w = _dims(img)
     if w < 2:
         raise ValueError(f"split_columns needs width >= 2, got {w} (no pairs possible)")
-    items = reshape(permute(img, (2, 0, 1)), (w, c * h))
-    return ContentSet(COLUMN, items, (c, h, w))
+    items = reshape(permute(reshape(img, (b, c, h, w)), (3, 0, 1, 2)), (w * b, c * h))
+    return ContentSet(COLUMN, items, img.shape)
 
 
 def split_rows(img: Tensor) -> ContentSet:
-    """h items, each the flattened [c,w] row slab."""
-    c, h, w = _check_rank3(img)
+    """h items per image, each the flattened [c,w] row slab."""
+    b, c, h, w = _dims(img)
     if h < 2:
         raise ValueError(f"split_rows needs height >= 2, got {h} (no pairs possible)")
-    items = reshape(permute(img, (1, 0, 2)), (h, c * w))
-    return ContentSet(ROW, items, (c, h, w))
+    items = reshape(permute(reshape(img, (b, c, h, w)), (2, 0, 1, 3)), (h * b, c * w))
+    return ContentSet(ROW, items, img.shape)
 
 
 def split_patches(img: Tensor, n: int, m: int) -> ContentSet:
-    """(h*w)/(n*m) non-overlapping [c,n,m] patches in raster order."""
-    c, h, w = _check_rank3(img)
+    """(h*w)/(n*m) non-overlapping [c,n,m] patches per image in raster order."""
+    b, c, h, w = _dims(img)
     if n <= 0 or m <= 0:
         raise ValueError(f"patch dims must be positive, got {n}x{m}")
     if h % n != 0:
@@ -81,9 +93,8 @@ def split_patches(img: Tensor, n: int, m: int) -> ContentSet:
     count = (h * w) // (n * m)
     if count < 2:
         raise ValueError(f"split_patches needs >= 2 patches, got {count}")
-    grid = reshape(img, (c, h // n, n, w // m, m))
-    items = reshape(permute(grid, (1, 3, 0, 2, 4)), (count, c * n * m))
-    return ContentSet(PATCH, items, (c, h, w), (n, m))
+    grid = permute(reshape(img, (b, c, h // n, n, w // m, m)), (2, 4, 0, 1, 3, 5))
+    return ContentSet(PATCH, reshape(grid, (count * b, c * n * m)), img.shape, (n, m))
 
 
 def split(img: Tensor, granularity: str, patch_dims: Optional[Tuple[int, int]] = None) -> ContentSet:
@@ -99,24 +110,15 @@ def split(img: Tensor, granularity: str, patch_dims: Optional[Tuple[int, int]] =
 
 
 def reassemble(cset: ContentSet) -> np.ndarray:
-    """Exact inverse of the corresponding split (values only, no gradient)."""
-    c, h, w = cset.source_shape
+    """Exact inverse of the corresponding split (values only, no gradient):
+    splitting the source's flat pixel indices says where each value goes."""
+    shape = cset.source_shape
+    where = split(Tensor(np.arange(np.prod(shape), dtype=np.float64).reshape(shape)),
+                  cset.granularity, cset.patch_dims).items.data
     items = cset.items.data
-    if items.ndim != 2:
-        raise ValueError("inconsistent item lengths: items must form a rank-2 stack")
-    if cset.granularity == COLUMN:
-        if items.shape != (w, c * h):
-            raise ValueError(f"column items of shape {items.shape} do not match source {cset.source_shape}")
-        return np.ascontiguousarray(items.reshape(w, c, h).transpose(1, 2, 0))
-    if cset.granularity == ROW:
-        if items.shape != (h, c * w):
-            raise ValueError(f"row items of shape {items.shape} do not match source {cset.source_shape}")
-        return np.ascontiguousarray(items.reshape(h, c, w).transpose(1, 0, 2))
-    if cset.granularity == PATCH:
-        n, m = cset.patch_dims
-        count = (h * w) // (n * m)
-        if items.shape != (count, c * n * m):
-            raise ValueError(f"patch items of shape {items.shape} do not match source {cset.source_shape}")
-        grid = items.reshape(h // n, w // m, c, n, m)
-        return np.ascontiguousarray(grid.transpose(2, 0, 3, 1, 4).reshape(c, h, w))
-    raise ValueError(f"unknown granularity {cset.granularity!r}")
+    if items.shape != where.shape:
+        raise ValueError(f"{cset.granularity} items of shape {items.shape} do not match "
+                         f"source {shape}")
+    out = np.empty(where.size, dtype=items.dtype)
+    out[where.astype(np.intp).reshape(-1)] = items.reshape(-1)
+    return out.reshape(shape)

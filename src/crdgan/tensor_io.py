@@ -33,10 +33,13 @@ def save_tensor(path, array) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
+    """Read a tensor file; a bad or truncated file raises a ValueError naming it."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    if len(raw) < 9 or len(raw) < 9 + 4 * struct.unpack_from("<I", raw, 5)[0]:
+        raise ValueError(f"{path}: truncated header ({len(raw)} bytes)")
     version = raw[4]
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
@@ -44,9 +47,9 @@ def load_tensor(path) -> np.ndarray:
     dims = struct.unpack_from(f"<{rank}I", raw, 9)
     offset = 9 + 4 * rank
     count = int(np.prod(dims)) if rank else 1
-    data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-    if data.size != count:
+    if len(raw) < offset + 4 * count:
         raise ValueError(f"{path}: truncated payload, expected {count} floats")
+    data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
     return np.ascontiguousarray(data.reshape(dims))
 
 

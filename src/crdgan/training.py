@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, absolute, backward, index_select, tmean
+from .autodiff import Tensor, absolute, backward, gather_sum, tmean
 from .config import TrainConfig, relation_for_step, write_config
 from .metrics import frechet_between, pixel_error
 from .models import (
@@ -33,7 +33,7 @@ from .models import (
     discriminator_loss, generator_adv_loss, save_checkpoint,
 )
 from .perceptual import FeatureExtractor, perceptual_loss
-from .relations import crd_angle_loss, crd_distance_loss
+from .relations import crd_combine, crd_terms
 from . import ppm
 
 CSV_HEADER = ("epoch,step,lr,d_loss_T,g_loss_T,adv_loss_S,crd_d,crd_a,"
@@ -184,16 +184,13 @@ class Trainer:
         n, m = cfg.patch
         crd_d = crd_a = per = None
         if cfg.lambda_crd > 0:
-            crd_d = crd_distance_loss(t_out, fake, n, m, rel)
-            if rel.lambda_a > 0:
-                crd_a = crd_angle_loss(t_out, fake, n, m, rel)
+            crd_d, crd_a = crd_terms(t_out, fake, n, m, rel, angle=rel.lambda_a > 0)
         if cfg.lambda_per > 0:
             per = self._batch_perceptual(t_out, fake)
 
         total = adv
         if crd_d is not None:
-            crd_term = crd_d if crd_a is None else crd_d + rel.lambda_a * crd_a
-            weighted = cfg.lambda_crd * crd_term
+            weighted = cfg.lambda_crd * crd_combine(crd_d, crd_a, rel)
             total = weighted if total is None else total + weighted
         if per is not None:
             weighted = cfg.lambda_per * per
@@ -233,12 +230,12 @@ class Trainer:
 
     def _batch_perceptual(self, t_out: Tensor, fake: Tensor) -> Tensor:
         bsz = fake.shape[0]
-        flat = fake.reshape((bsz, -1))
+        flat, size = fake.reshape((-1,)), fake.size // bsz
         total = None
         for b in range(bsz):
             t_img = Tensor(t_out.data[b])
-            s_img = index_select(flat, np.array([b])).reshape(fake.shape[1:])
-            term = perceptual_loss(t_img, s_img, self.extractor)
+            s_img = gather_sum(flat, np.arange(b * size, (b + 1) * size)[:, None], (1.0,))
+            term = perceptual_loss(t_img, s_img.reshape(fake.shape[1:]), self.extractor)
             total = term if total is None else total + term
         return total * (1.0 / bsz) if bsz > 1 else total
 
@@ -316,7 +313,9 @@ def _fmt(v: float) -> str:
 
 def train(cfg: TrainConfig, dataset, out_dir) -> dict:
     """Full training loop; writes config copy, metrics CSV, checkpoints and
-    sample grids into out_dir.  Deterministic given cfg.seed."""
+    sample grids into out_dir.  Deterministic given cfg.seed.  An invalid
+    config is rejected before anything is written."""
+    cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(cfg, out_dir / "config.cfg")

@@ -6,8 +6,8 @@ import pytest
 
 from crdgan.autodiff import (
     Tensor, absolute, backward, clamp_min, conv2d, detach, finite_diff_grad,
-    gradcheck, huber, index_select, instance_norm, l2_norm, leaky_relu,
-    matmul, mul, mul_rows, pad2d, permute, reshape,
+    gather_sum, gradcheck, huber, instance_norm, l2_norm,
+    leaky_relu, matmul, mul, pad2d, permute, reshape,
     softplus, sqrt_guarded, tanh, tmean, tsum, upsample2x,
 )
 from crdgan import tensor_io
@@ -28,6 +28,13 @@ class TestElementwise:
     def test_sub_self_is_zero(self):
         x = Tensor([1.0, -3.0, 7.0])
         np.testing.assert_array_equal((x - x).data, [0.0, 0.0, 0.0])
+
+    def test_scalar_operands_keep_float32(self):
+        x = Tensor(np.ones(3, dtype=np.float32))
+        for out in (x * 2.5, 2.5 * x, x + 1.0, 1.0 - x, x / 3.0, x - np.float64(1.0),
+                    huber(x, 0.0)):
+            assert out.dtype == np.float32
+        assert (Tensor(np.ones(3)) * np.float32(2.0)).dtype == np.float64
 
     def test_scalar_tensor_operand(self):
         x = Tensor([2.0, 4.0], requires_grad=True)
@@ -138,12 +145,6 @@ class TestL2Norm:
         want = np.sqrt(want)
         assert abs(l2_norm(Tensor(v)).item() - want) < 1e-12
 
-    def test_rowwise_axis(self):
-        rng = np.random.default_rng(6)
-        v = rng.normal(size=(5, 3))
-        got = l2_norm(Tensor(v), axis=1).data
-        np.testing.assert_allclose(got, np.linalg.norm(v, axis=1), atol=1e-12)
-
 
 class TestDetach:
     def test_single_path_derivative(self):
@@ -226,11 +227,34 @@ class TestSupportOps:
         backward(sqrt_guarded(x))
         assert x.grad is not None and np.isfinite(x.grad)
 
-    def test_index_select_scatter_accumulates(self):
-        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        idx = np.array([0, 0, 2])
-        backward(tsum(index_select(x, idx)))
-        np.testing.assert_array_equal(x.grad, [[2, 2], [0, 0], [1, 1]])
+    def test_gather_sum_against_loop_oracle(self):
+        rng = np.random.default_rng(11)
+        v = rng.normal(size=7)
+        idx = np.array([[0, 3, 3], [6, 1, 0], [2, 2, 2]])
+        w = (-0.5, 0.5, -0.5)
+        got = gather_sum(Tensor(v), idx, w).data
+        want = [sum(w[k] * v[row[k]] for k in range(3)) for row in idx]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_gather_sum_scatter_accumulates_repeats(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        backward(tsum(gather_sum(x, np.array([[0, 0], [3, 0]]), (1.0, -2.0))))
+        np.testing.assert_array_equal(x.grad, [-3.0, 0.0, 0.0, 1.0])
+
+    def test_gather_sum_grads_and_dtype(self):
+        rng = np.random.default_rng(12)
+        idx = rng.integers(0, 5, size=(9, 3))
+        gradcheck(lambda t: tsum(mul(gather_sum(t, idx, (1.0, -1.0, 0.5)),
+                                     gather_sum(t, idx[:, :1], (1.0,)))),
+                  Tensor(rng.normal(size=5)), tol=1e-7)
+        x = Tensor(np.ones(5, dtype=np.float32), requires_grad=True)
+        out = gather_sum(x, idx, (1.0, -1.0, 0.5))
+        backward(tsum(out))
+        assert out.dtype == np.float32 and x.grad.dtype == np.float32
+
+    def test_gather_sum_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="weights"):
+            gather_sum(Tensor(np.ones(3)), np.zeros((2, 2), dtype=int), (1.0,))
 
     def test_pad_upsample_permute_reshape_grads(self):
         rng = np.random.default_rng(8)
@@ -248,7 +272,7 @@ class TestSupportOps:
         x = rng.normal(size=(4, 3)) + 0.1
 
         def f(t):
-            a = mul_rows(t, Tensor(np.array([1.0, 2.0, 0.5, -1.0])))
+            a = mul(t, Tensor(np.array([1.0, 2.0, 0.5, -1.0])[:, None] * np.ones(3)))
             return tsum(absolute(a)) + tsum(clamp_min(matmul(t, permute(t, (1, 0))), 0.05))
 
         gradcheck(f, Tensor(x), tol=1e-5)
@@ -301,6 +325,16 @@ class TestTensorFile:
         assert int.from_bytes(raw[13:17], "little") == 2    # dim 1
         np.testing.assert_array_equal(
             np.frombuffer(raw[17:], dtype="<f4"), [1.0, 2.0])
+
+    def test_truncated_file_names_the_path_at_every_offset(self, tmp_path):
+        src = tmp_path / "full.crdt"
+        tensor_io.save_tensor(src, np.arange(6, dtype=np.float32).reshape(2, 3))
+        raw = src.read_bytes()
+        p = tmp_path / "cut.crdt"
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="cut.crdt"):
+                tensor_io.load_tensor(p)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.crdt"

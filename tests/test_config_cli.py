@@ -66,6 +66,23 @@ class TestParseConfig:
         assert parse_config(p) == cfg
 
 
+class TestValidate:
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(image_size=30, patch=(5, 5)), "multiple of 4"),
+        (dict(image_size=32, patch=(6, 8)), "2 whole 6x8 patches"),
+        (dict(image_size=8, patch=(8, 8)), "2 whole 8x8 patches"),
+    ])
+    def test_cross_field_checks(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**overrides).validate()
+
+    def test_config_file_error_is_a_config_error(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("image_size = 32\npatch = 3,3\n")
+        with pytest.raises(ConfigError, match="3x3 patches"):
+            parse_config(p)
+
+
 class TestDatasets:
     def test_invert_target_is_exact_negation(self):
         ds = generate_dataset(SyntheticTask("invert", 16, 5, 2, 0))

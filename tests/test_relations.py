@@ -7,11 +7,12 @@ explicitly; they share nothing with the vectorized path they check.
 import numpy as np
 import pytest
 
-from crdgan.autodiff import Tensor, backward, finite_diff_grad, max_rel_error
+from crdgan import slicing
+from crdgan.autodiff import Tensor, backward, finite_diff_grad, gradcheck, max_rel_error
 from crdgan.relations import (
-    RelationConfig, crd_angle_loss, crd_distance_loss, crd_loss, huber,
-    pairwise_distances, phi_a, phi_d, rkd_angle_loss, rkd_distance_loss,
-    sample_tuples,
+    RelationConfig, crd_angle_loss, crd_combine, crd_distance_loss, crd_loss,
+    crd_terms, huber, pairwise_distances, phi_a, phi_d, rkd_angle_loss,
+    rkd_distance_loss, sample_tuples,
 )
 
 CFG = RelationConfig(seed=0)
@@ -305,16 +306,17 @@ class TestCrdDistance:
 
     def test_granularity_toggles_drop_terms(self):
         rng = np.random.default_rng(15)
-        t = rng.uniform(-1, 1, (1, 4, 4))
-        s = rng.uniform(-1, 1, (1, 4, 4))
-        full = crd_distance_loss(Tensor(t), Tensor(s), 2, 2, CFG).item()
-        parts = 0.0
-        for toggles in [dict(use_rows=False, use_patches=False),
-                        dict(use_columns=False, use_patches=False),
-                        dict(use_columns=False, use_rows=False)]:
-            parts += crd_distance_loss(Tensor(t), Tensor(s), 2, 2,
-                                       RelationConfig(**toggles)).item()
-        assert full == pytest.approx(parts, rel=1e-10)
+        for shape in ((1, 4, 4), (2, 1, 4, 4)):
+            t = Tensor(rng.uniform(-1, 1, shape))
+            s = Tensor(rng.uniform(-1, 1, shape))
+            full = crd_terms(t, s, 2, 2, CFG)
+            parts = [crd_terms(t, s, 2, 2, RelationConfig(**toggles))
+                     for toggles in [dict(use_rows=False, use_patches=False),
+                                     dict(use_columns=False, use_patches=False),
+                                     dict(use_columns=False, use_rows=False)]]
+            for k in (0, 1):          # distance, then angle
+                assert full[k].item() == pytest.approx(sum(p[k].item() for p in parts),
+                                                       rel=1e-10)
 
 
 class TestCrdAngle:
@@ -344,6 +346,13 @@ class TestCrdAngle:
         got = crd_angle_loss(Tensor(t), Tensor(s), 2, 2, cfg).item()
         want = oracle_rkd_a(oracle_slice(t, "patch", 2, 2), oracle_slice(s, "patch", 2, 2))
         assert got == pytest.approx(want, rel=1e-8)
+        # in the one pass the distance term keeps every granularity
+        crd_d, crd_a = crd_terms(Tensor(t), Tensor(s), 2, 2, cfg)
+        assert crd_a.item() == got
+        assert crd_d.item() == crd_distance_loss(Tensor(t), Tensor(s), 2, 2, CFG).item()
+        with pytest.raises(ValueError, match="granularity"):
+            crd_terms(Tensor(t), Tensor(s), 2, 2, RelationConfig(angle_patches_only=True,
+                                                                 use_patches=False))
 
 
 class TestCrdCombined:
@@ -369,12 +378,13 @@ class TestCrdCombined:
 
     def test_batch_averages_per_image(self):
         rng = np.random.default_rng(23)
-        t = rng.uniform(-1, 1, (2, 1, 4, 4))
-        s = rng.uniform(-1, 1, (2, 1, 4, 4))
-        batched = crd_distance_loss(Tensor(t), Tensor(s), 2, 2, CFG).item()
-        singles = [crd_distance_loss(Tensor(t[b]), Tensor(s[b]), 2, 2, CFG).item()
-                   for b in range(2)]
-        assert batched == pytest.approx(np.mean(singles), rel=1e-10)
+        t = rng.uniform(-1, 1, (4, 2, 8, 8))
+        s = rng.uniform(-1, 1, (4, 2, 8, 8))
+        cfg = RelationConfig(pair_budget=20, triplet_budget=30, seed=9)
+        for fn in (crd_distance_loss, crd_angle_loss):
+            batched = fn(Tensor(t), Tensor(s), 4, 4, cfg).item()
+            singles = [fn(Tensor(t[b]), Tensor(s[b]), 4, 4, cfg).item() for b in range(4)]
+            assert batched == pytest.approx(np.mean(singles), rel=0, abs=1e-10)
 
     def test_non_negative_on_random_pairs(self):
         rng = np.random.default_rng(24)
@@ -383,6 +393,86 @@ class TestCrdCombined:
             s = Tensor(rng.uniform(-1, 1, (1, 4, 4)))
             assert crd_loss(t, s, 2, 2, CFG).item() >= 0.0
 
+
+def direct_difference_crd(t_img, s_img, n, m, angle):
+    """Full-enumeration loss from explicit float64 residuals; a zero residual
+    gives a zero cosine, as the program's epsilon guard does."""
+    def table(items):
+        items = np.asarray(items, dtype=np.float64)
+        count = len(items)
+        if not angle:
+            ds = np.array([np.linalg.norm(items[i] - items[j])
+                           for i in range(count) for j in range(i + 1, count)])
+            return ds / ds.mean() if ds.mean() > 0 else ds
+        out = []
+        for i in range(count):
+            for j in range(i + 1, count):
+                for k in range(j + 1, count):
+                    e1, e2 = items[i] - items[j], items[j] - items[k]
+                    n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
+                    out.append(0.0 if n1 == 0 or n2 == 0 else e1 @ e2 / (n1 * n2))
+        return np.array(out)
+
+    total = 0.0
+    for g in ("column", "row", "patch"):
+        d = table(oracle_slice(t_img, g, n, m)) - table(oracle_slice(s_img, g, n, m))
+        total += np.where(np.abs(d) <= 1, 0.5 * d * d, np.abs(d) - 0.5).mean()
+    return total
+
+
+def flat_background(rng, dtype):
+    """A 3x32x32 image whose columns all repeat one background column except
+    for three strokes, so many columns and patches are exact duplicates."""
+    img = np.repeat(rng.uniform(-1, 1, (3, 32, 1)), 32, axis=2)
+    img[:, :, 5] += 0.3
+    img[:, 10:20, 17] -= 0.5
+    img[:, :4, 25] *= -1.0
+    return img.astype(dtype)
+
+
+class TestOnePass:
+    FULL = RelationConfig(seed=0, pair_budget=None, triplet_budget=None)
+
+    def test_repeated_columns_float32_match_direct_difference_oracle(self):
+        rng = np.random.default_rng(30)
+        t = flat_background(rng, np.float32)
+        s = flat_background(rng, np.float32)
+        for angle, fn in ((False, crd_distance_loss), (True, crd_angle_loss)):
+            got = fn(Tensor(t), Tensor(s), 8, 8, self.FULL)
+            assert got.dtype == np.float32
+            want = direct_difference_crd(t, s, 8, 8, angle)
+            assert got.item() == pytest.approx(want, rel=1e-5)
+
+    def test_batched_gradcheck_with_sampled_budgets(self):
+        rng = np.random.default_rng(32)
+        t_img = Tensor(rng.uniform(-1, 1, (2, 1, 8, 8)))
+        cfg = RelationConfig(pair_budget=15, triplet_budget=25, seed=4)
+        gradcheck(lambda x: crd_loss(t_img, x, 4, 4, cfg),
+                  Tensor(rng.uniform(-1, 1, (2, 1, 8, 8))), tol=1e-4)
+
+    def test_wrappers_share_the_one_pass(self):
+        rng = np.random.default_rng(33)
+        t = Tensor(rng.uniform(-1, 1, (2, 3, 8, 8)))
+        s = Tensor(rng.uniform(-1, 1, (2, 3, 8, 8)))
+        cfg = RelationConfig(triplet_budget=40, seed=2)
+        crd_d, crd_a = crd_terms(t, s, 4, 4, cfg)
+        assert crd_d.item() == crd_distance_loss(t, s, 4, 4, cfg).item()
+        assert crd_a.item() == crd_angle_loss(t, s, 4, 4, cfg).item()
+        assert crd_loss(t, s, 4, 4, cfg).item() == crd_combine(crd_d, crd_a, cfg).item()
+        assert crd_terms(t, s, 4, 4, cfg, angle=False)[1] is None
+
+    def test_each_side_sliced_once_per_granularity(self, monkeypatch):
+        calls = []
+        real = slicing.split
+
+        def counting(img, granularity, patch_dims=None):
+            calls.append((img.shape, granularity))
+            return real(img, granularity, patch_dims)
+
+        monkeypatch.setattr(slicing, "split", counting)
+        img = Tensor(np.random.default_rng(34).uniform(-1, 1, (4, 1, 8, 8)))
+        crd_terms(img, img, 4, 4, RelationConfig(triplet_budget=16))
+        assert len(calls) == 6 and all(shape == (4, 1, 8, 8) for shape, _ in calls)
 
 class TestSampling:
     def test_small_budget_regime_is_exhaustive(self):

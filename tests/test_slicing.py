@@ -94,13 +94,31 @@ class TestRoundTrip:
         assert not np.array_equal(reassemble(swapped), img.data)
 
 
+class TestBatch:
+    def test_batch_interleaves_per_image_items(self):
+        rng = np.random.default_rng(6)
+        imgs = rng.normal(size=(3, 2, 4, 6))
+        for g, pd in [("column", None), ("row", None), ("patch", (2, 3))]:
+            batched = split(Tensor(imgs), g, pd)
+            singles = [split(Tensor(img), g, pd) for img in imgs]
+            assert batched.batch == 3 and batched.count == len(singles[0])
+            for k, single in enumerate(singles):      # item-major: row i*b + k
+                np.testing.assert_array_equal(batched.items.data[k::3], single.items.data)
+            assert np.array_equal(reassemble(batched), imgs)
+
+    def test_rank_two_rejected(self):
+        with pytest.raises(ValueError, match=r"\[b,c,h,w\]"):
+            split_columns(Tensor(np.zeros((4, 4))))
+
+
 class TestGradientFlow:
     def test_each_pixel_in_exactly_one_item(self):
         rng = np.random.default_rng(5)
         for g, pd in [("column", None), ("row", None), ("patch", (2, 2))]:
-            img = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=True)
-            backward(tsum(split(img, g, pd).items))
-            np.testing.assert_array_equal(img.grad, np.ones((3, 4, 4)))
+            for shape in ((3, 4, 4), (2, 3, 4, 4)):
+                img = Tensor(rng.normal(size=shape), requires_grad=True)
+                backward(tsum(split(img, g, pd).items))
+                np.testing.assert_array_equal(img.grad, np.ones(shape))
 
 
 class TestErrors:

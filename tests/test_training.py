@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from crdgan import autodiff
 from crdgan.autodiff import backward
 from crdgan.config import TrainConfig
 from crdgan.datasets import SyntheticTask, generate_dataset
@@ -243,7 +244,41 @@ class TestSnapshot:
                                      paired_l2_metric, 0)
 
 
+class TestDtype:
+    @pytest.mark.parametrize("kind, batch_size", [("invert", 1), ("shapes", 2)])
+    def test_float32_step_makes_no_float64_result(self, monkeypatch, kind, batch_size):
+        cfg = tiny_config(batch_size=batch_size)
+        ds = tiny_dataset(cfg, kind)
+        trainer = Trainer(cfg, ds)
+        batch = (ds.train_inputs, ds.train_targets) if ds.paired else (ds.train_a, ds.train_b)
+        batch = tuple(b[:batch_size] for b in batch)
+        results = []
+        real = autodiff._result
+
+        def recording(data, op, parents, backward_fn):
+            out = real(data, op, parents, backward_fn)
+            results.append((op, out.dtype))
+            return out
+
+        monkeypatch.setattr(autodiff, "_result", recording)
+        trainer.train_step_teacher(batch, 0)
+        trainer.train_step_student(batch, 0)
+        assert len(results) > 100
+        assert [op for op, dtype in results if dtype != np.float32] == []
+        assert all(p.grad.dtype == np.float32 for p in trainer.student.parameters()
+                   if p.grad is not None)
+
+
 class TestTrainLoop:
+    def test_invalid_config_writes_nothing(self, tmp_path):
+        cfg = tiny_config(image_size=30)
+        ds = tiny_dataset(tiny_config())
+        out = tmp_path / "run"
+        out.mkdir()
+        with pytest.raises(ValueError, match="image_size"):
+            train(cfg, ds, out)
+        assert list(out.iterdir()) == []
+
     def test_smoke_run_emits_all_artifacts(self, tmp_path):
         cfg = tiny_config()
         report = train(cfg, tiny_dataset(cfg), tmp_path / "run")
