@@ -102,7 +102,8 @@ class Tensor:
         if g.shape != self.data.shape:
             raise ValueError(f"gradient shape {g.shape} does not match tensor shape {self.shape}")
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            # a fresh C-ordered copy: g may be a view or shared, and grad += g must not alias it
+            self.grad = g.astype(self.data.dtype, order="C", copy=True)
         else:
             self.grad += g
 
@@ -406,7 +407,7 @@ def tsum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(_expand_reduced(g, a.shape, axes, keepdims).astype(a.data.dtype))
+            a._accumulate(_expand_reduced(g, a.shape, axes, keepdims))
 
     return _result(a.data.sum(axis=axes, keepdims=keepdims), "sum", (a,), back)
 
@@ -421,7 +422,7 @@ def tmean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(_expand_reduced(g, a.shape, axes, keepdims).astype(a.data.dtype) / count)
+            a._accumulate(_expand_reduced(g / count, a.shape, axes, keepdims))
 
     return _result(a.data.mean(axis=axes, keepdims=keepdims), "mean", (a,), back)
 
@@ -515,20 +516,26 @@ def huber(a: Tensor, b: Tensor) -> Tensor:
 
 # -- structured ops for conv nets ---------------------------------------------
 
+def _pad(a: np.ndarray, top: int, left: int, bottom: int, right: int) -> np.ndarray:
+    """a with zero rows and columns added around its last two axes."""
+    if not (top or left or bottom or right):
+        return a
+    h, w = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (top + h + bottom, left + w + right), dtype=a.dtype)
+    out[..., top:top + h, left:left + w] = a
+    return out
+
+
 def pad2d(a: Tensor, padding: int) -> Tensor:
     if padding == 0:
         return a
     p = int(padding)
-    padded_shape = a.shape[:-2] + (a.shape[-2] + 2 * p, a.shape[-1] + 2 * p)
-    padded = np.zeros(padded_shape, dtype=a.data.dtype)
-    inner = tuple([slice(None)] * (a.ndim - 2) + [slice(p, -p), slice(p, -p)])
-    padded[inner] = a.data
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(np.ascontiguousarray(g[inner]))
+            a._accumulate(g[..., p:-p, p:-p])
 
-    return _result(padded, "pad2d", (a,), back)
+    return _result(_pad(a.data, p, p, p, p), "pad2d", (a,), back)
 
 
 def upsample2x(a: Tensor) -> Tensor:
@@ -545,11 +552,12 @@ def upsample2x(a: Tensor) -> Tensor:
     return _result(y, "upsample2x", (a,), back)
 
 
-def _conv_windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """View of all kernel windows, shape [B, C, kh, kw, Hout, Wout]."""
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]          # [B, C, Hout, Wout, kh, kw]
-    return win.transpose(0, 1, 4, 5, 2, 3)
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Every kh x kw window of a [B,C,H,W] array as a [C*kh*kw, B*Ho*Wo] matrix."""
+    c = xp.shape[1]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]                           # [B,C,Ho,Wo,kh,kw]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
@@ -558,6 +566,18 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
     width).  Gradients are defined for the input, the kernel and the bias.
+
+    Layout: one column matrix ``cols`` [Cin*kh*kw, B*Ho*Wo] of the padded
+    input, the batch folded into the columns.  The forward is one GEMM with
+    the kernel as [Cout, Cin*kh*kw]; the kernel gradient is ``g2 @ cols.T``,
+    ``g2`` the output gradient as [Cout, B*Ho*Wo].  The input gradient is a
+    transposed conv in one GEMM at any stride s: the kernel, zero-extended to
+    ka*s x kb*s (ka = ceil(kh/s)), splits into s*s flipped ka x kb phase
+    kernels stacked as [s*s*Cin, Cout*ka*kb]; times the columns of the output
+    gradient padded by ka-1, kb-1, they give each phase's rows and columns of
+    the padded-input gradient, which a depth-to-space interleave assembles
+    before the padding is cropped.  At stride 1 this is the conv of the
+    padded gradient with the flipped, transposed kernel.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects rank-4 input and kernel, got {x.shape} and {w.shape}")
@@ -573,47 +593,39 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     if kh > hp or kw > wp:
         raise ValueError(
             f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-    hout = (hp - kh) // stride + 1
-    wout = (wp - kw) // stride + 1
+    if b is not None and b.shape != (cout,):
+        raise ValueError(f"conv2d: bias shape {b.shape} does not match Cout={cout}")
+    s = stride
+    hout = (hp - kh) // s + 1
+    wout = (wp - kw) // s + 1
 
-    if padding:
-        xp = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
-        xp[:, :, padding:-padding, padding:-padding] = x.data
-    else:
-        xp = x.data
-    cols = _conv_windows(xp, kh, kw, stride)                      # [B,Cin,kh,kw,Ho,Wo]
-    cols_mat = np.ascontiguousarray(cols).reshape(bsz, cin * kh * kw, hout * wout)
-    w_mat = w.data.reshape(cout, cin * kh * kw)
-    out = np.matmul(w_mat, cols_mat).reshape(bsz, cout, hout, wout)
+    cols = _im2col(_pad(x.data, padding, padding, padding, padding), kh, kw, s)
+    out = w.data.reshape(cout, -1) @ cols                          # [Cout, B*Ho*Wo]
     if b is not None:
-        if b.shape != (cout,):
-            raise ValueError(f"conv2d: bias shape {b.shape} does not match Cout={cout}")
-        out = out + b.data[None, :, None, None]
-
-    parents = (x, w) if b is None else (x, w, b)
+        out += b.data[:, None]
+    out = np.ascontiguousarray(out.reshape(cout, bsz, hout, wout).transpose(1, 0, 2, 3))
 
     def back(g):
-        g_mat = g.reshape(bsz, cout, hout * wout)
         if w.requires_grad:
-            g2 = g_mat.transpose(1, 0, 2).reshape(cout, bsz * hout * wout)
-            c2 = cols_mat.transpose(1, 0, 2).reshape(cin * kh * kw, bsz * hout * wout)
-            w._accumulate((g2 @ c2.T).reshape(w.shape))
+            g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
+            # g2 @ cols.T, multiplied in the order BLAS runs fastest for thin g2
+            w._accumulate((cols @ g2.T).T.reshape(w.shape))
         if x.requires_grad:
-            gcols = np.matmul(w_mat.T, g_mat)                     # [B, Cin*kh*kw, Ho*Wo]
-            gcols = gcols.reshape(bsz, cin, kh, kw, hout, wout)
-            gx = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
-            for ki in range(kh):
-                hi = ki + stride * hout
-                for kj in range(kw):
-                    wj = kj + stride * wout
-                    gx[:, :, ki:hi:stride, kj:wj:stride] += gcols[:, :, ki, kj]
-            if padding:
-                gx = gx[:, :, padding:-padding, padding:-padding]
-            x._accumulate(np.ascontiguousarray(gx))
+            ka, kb = -(-kh // s), -(-kw // s)
+            # rows per phase: one per gradient window, and zero rows for input past the last window
+            hy = max(hout + ka - 1, -(-(padding + h) // s))
+            wy = max(wout + kb - 1, -(-(padding + wd) // s))
+            wz = _pad(w.data, 0, 0, ka * s - kh, kb * s - kw).reshape(cout, cin, ka, s, kb, s)
+            # [s*s*Cin, Cout*ka*kb], copied as its transpose: Cin innermost copies faster
+            phases = wz[:, :, ::-1, :, ::-1].transpose(0, 2, 4, 3, 5, 1).reshape(-1, s * s * cin).T
+            gcols = _im2col(_pad(g, ka - 1, kb - 1, hy - hout, wy - wout), ka, kb, 1)
+            gx = (phases @ gcols).reshape(s, s, cin, bsz, hy, wy).transpose(3, 2, 4, 0, 5, 1)
+            gx = gx.reshape(bsz, cin, hy * s, wy * s)
+            x._accumulate(gx[:, :, padding:padding + h, padding:padding + wd])
         if b is not None and b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
 
-    return _result(out, "conv2d", parents, back)
+    return _result(out, "conv2d", (x, w) if b is None else (x, w, b), back)
 
 
 def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:

@@ -8,18 +8,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from math import comb
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, finite_diff_grad, max_rel_error
+from .autodiff import Tensor, backward, finite_diff_grad, max_rel_error, tmean
 from .config import ConfigError, parse_config
 from .datasets import TASK_KINDS, SyntheticTask, generate_dataset
 from .metrics import frechet_between, pixel_error
-from .models import DiscriminatorSpec, GeneratorSpec, build_discriminator, \
-    build_generator, load_checkpoint
+from .models import GeneratorSpec, build_generator, load_checkpoint
 from .perceptual import FeatureExtractor
 from .relations import RelationConfig, crd_loss, sample_tuples
 from . import slicing, tensor_io, training
@@ -54,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
     p_grad.add_argument("--tol", type=float, default=1e-4)
 
-    p_bench = sub.add_parser("bench", help="tuple sampling and loss forward/backward throughput")
+    p_bench = sub.add_parser("bench", help="tuple sampling, loss and generator "
+                                           "forward/backward throughput")
     p_bench.add_argument("--size", type=int, default=32)
     p_bench.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
     p_bench.add_argument("--patch", type=int, default=8)
@@ -91,18 +90,8 @@ def _cmd_eval(args) -> int:
     task = SyntheticTask(args.task, cfg.image_size, cfg.train_count, cfg.val_count, cfg.seed)
     dataset = generate_dataset(task)
 
-    gen_spec = GeneratorSpec(base_width=cfg.base_width, width_factor=1.0,
-                             num_res_blocks=cfg.num_res_blocks)
-    teacher = build_generator(gen_spec, 0)
-    student = build_generator(replace(gen_spec, width_factor=cfg.width_factor), 0)
-    best = build_generator(gen_spec, 0)
-    disc = build_discriminator(DiscriminatorSpec(cfg.disc_layers, cfg.disc_base_width), 0)
-    load_checkpoint(run_dir / "checkpoints", {
-        "teacher_generator": teacher,
-        "teacher_discriminator": disc,
-        "student_generator": student,
-        "best_snapshot": best,
-    })
+    nets = training.build_models(cfg)
+    load_checkpoint(run_dir / "checkpoints", nets)
     extractor = FeatureExtractor.fixed_random(cfg.extractor_seed, dtype=np.float32)
 
     if dataset.paired:
@@ -111,7 +100,8 @@ def _cmd_eval(args) -> int:
         inputs, targets = dataset.val_a, dataset.val_b
 
     lines = []
-    for name, model in (("teacher", best), ("student", student)):
+    for name, model in (("teacher", nets["best_snapshot"]),
+                        ("student", nets["student_generator"])):
         outs = [model(Tensor(x), frozen=True).data for x in inputs]
         if dataset.paired:
             l2 = float(np.mean([pixel_error(o, t, "L2") for o, t in zip(outs, targets)]))
@@ -214,6 +204,15 @@ def _cmd_bench(args) -> int:
         backward(crd_loss(teacher, trainable, n, m, cfg))
     loss_fwd_bwd_ms = (time.perf_counter() - t0) * 1000 / args.iters
 
+    # the headline teacher generator, forward plus backward on one image
+    generator = build_generator(GeneratorSpec(base_width=16, num_res_blocks=2), args.seed)
+    image = Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float32))
+    t0 = time.perf_counter()
+    for _ in range(args.iters):
+        generator.zero_grad()
+        backward(tmean(generator(image)))
+    generator_fwd_bwd_ms = (time.perf_counter() - t0) * 1000 / args.iters
+
     print(f"image_size,{s}")
     print(f"triplet_budget,{args.budget}")
     print(f"pairs_evaluated,{pairs_evaluated}")
@@ -222,6 +221,7 @@ def _cmd_bench(args) -> int:
     print(f"crd_loss_ms,{loss_ms:.3f}")
     print(f"crd_loss_fwd_bwd_ms,{loss_fwd_bwd_ms:.3f}")
     print(f"tuples_per_second,{(pairs_evaluated + triples_evaluated) / (loss_ms / 1000):.0f}")
+    print(f"generator_fwd_bwd_ms,{generator_fwd_bwd_ms:.3f}")
     return 0
 
 

@@ -92,6 +92,26 @@ def make_frechet_metric(extractor: FeatureExtractor) -> Callable:
     return metric
 
 
+def run_seeds(seed: int) -> tuple:
+    """(teacher, student, discriminator, batch order) seeds derived from a run seed."""
+    return tuple(int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(4))
+
+
+def build_models(cfg: TrainConfig, dtype=np.float32) -> dict:
+    """A run's four networks by checkpoint role, initialised from cfg.seed."""
+    t_seed, s_seed, d_seed, _ = run_seeds(cfg.seed)
+    gen_spec = GeneratorSpec(base_width=cfg.base_width, width_factor=1.0,
+                             num_res_blocks=cfg.num_res_blocks)
+    disc_spec = DiscriminatorSpec(num_layers=cfg.disc_layers, base_width=cfg.disc_base_width)
+    return {
+        "teacher_generator": build_generator(gen_spec, t_seed, dtype),
+        "teacher_discriminator": build_discriminator(disc_spec, d_seed, dtype),
+        "student_generator": build_generator(replace(gen_spec, width_factor=cfg.width_factor),
+                                             s_seed, dtype),
+        "best_snapshot": build_generator(gen_spec, t_seed, dtype),
+    }
+
+
 class Trainer:
     """Owns the models, optimizers and the step logic for one run."""
 
@@ -100,25 +120,25 @@ class Trainer:
         self.cfg = cfg
         self.dataset = dataset
         self.dtype = dtype
-        ss = np.random.SeedSequence(cfg.seed)
-        t_seed, s_seed, d_seed, self._order_seed = (int(c.generate_state(1)[0])
-                                                    for c in ss.spawn(4))
-        gen_spec = GeneratorSpec(base_width=cfg.base_width, width_factor=1.0,
-                                 num_res_blocks=cfg.num_res_blocks)
-        stu_spec = replace(gen_spec, width_factor=cfg.width_factor)
-        disc_spec = DiscriminatorSpec(num_layers=cfg.disc_layers,
-                                      base_width=cfg.disc_base_width)
-        teacher = build_generator(gen_spec, t_seed, dtype)
-        best = build_generator(gen_spec, t_seed, dtype)
+        self._order_seed = run_seeds(cfg.seed)[3]
+        nets = build_models(cfg, dtype)
+        teacher, best = nets["teacher_generator"], nets["best_snapshot"]
         for p in best.parameters():
             p.requires_grad = False
-        self.state = TeacherState(teacher, build_discriminator(disc_spec, d_seed, dtype), best)
-        self.student = build_generator(stu_spec, s_seed, dtype)
+        self.state = TeacherState(teacher, nets["teacher_discriminator"], best)
+        self.student = nets["student_generator"]
         self.extractor = FeatureExtractor.fixed_random(cfg.extractor_seed, dtype=dtype)
         self.opt_teacher = Adam(teacher.parameters(), cfg.lr0)
         self.opt_disc = Adam(self.state.discriminator.parameters(), cfg.lr0)
         self.opt_student = Adam(self.student.parameters(), cfg.lr0)
         self._pretraining = False
+
+    def modules(self) -> dict:
+        """The run's networks by checkpoint role (the keys of build_models)."""
+        return {"teacher_generator": self.state.generator,
+                "teacher_discriminator": self.state.discriminator,
+                "student_generator": self.student,
+                "best_snapshot": self.state.best_generator}
 
     # -- phases -----------------------------------------------------------
 
@@ -172,7 +192,8 @@ class Trainer:
         x = Tensor(batch[0])
         disc = self.state.discriminator
 
-        t_out = self._distill_target(x)
+        # the target forward is a full teacher pass: skip it when no term reads it
+        t_out = self._distill_target(x) if cfg.lambda_crd > 0 or cfg.lambda_per > 0 else None
         fake = self.student(x)
 
         if cfg.discriminator_mode == "online_no_discriminator":
@@ -355,13 +376,7 @@ def train(cfg: TrainConfig, dataset, out_dir) -> dict:
             step += 1
 
     _write_samples(trainer, dataset, samples_dir / "final.ppm")
-    ckpt_dir = out_dir / "checkpoints"
-    save_checkpoint(ckpt_dir, {
-        "teacher_generator": trainer.state.generator,
-        "teacher_discriminator": trainer.state.discriminator,
-        "student_generator": trainer.student,
-        "best_snapshot": trainer.state.best_generator,
-    })
+    save_checkpoint(out_dir / "checkpoints", trainer.modules())
 
     student_score = float(metric(trainer.student_generate, val_set))
     report = {
@@ -387,14 +402,12 @@ def _pretrain_discriminator(trainer: Trainer, dataset) -> None:
         step += 1
     trainer._pretraining = False
     # restart: same initial generator weights as a fresh Trainer would use
-    ss = np.random.SeedSequence(cfg.seed)
-    t_seed, s_seed, _, _ = (int(c.generate_state(1)[0]) for c in ss.spawn(4))
-    fresh_teacher = build_generator(trainer.state.generator.spec, t_seed, trainer.dtype)
-    trainer.state.generator.load_param_arrays(fresh_teacher.param_arrays())
-    trainer.state.best_generator.load_param_arrays(fresh_teacher.param_arrays())
+    fresh = build_models(cfg, trainer.dtype)
+    teacher_init = fresh["teacher_generator"].param_arrays(copy=False)
+    trainer.state.generator.load_param_arrays(teacher_init)
+    trainer.state.best_generator.load_param_arrays(teacher_init)
     trainer.state.best_score = math.inf
-    fresh_student = build_generator(trainer.student.spec, s_seed, trainer.dtype)
-    trainer.student.load_param_arrays(fresh_student.param_arrays())
+    trainer.student.load_param_arrays(fresh["student_generator"].param_arrays(copy=False))
     trainer.opt_teacher = Adam(trainer.state.generator.parameters(), cfg.lr0)
     trainer.opt_disc = Adam(trainer.state.discriminator.parameters(), cfg.lr0)
     trainer.opt_student = Adam(trainer.student.parameters(), cfg.lr0)

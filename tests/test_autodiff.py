@@ -69,6 +69,27 @@ class TestConv2d:
             got = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
             want = _conv_oracle(x, w, stride, padding)
             np.testing.assert_allclose(got, want, atol=1e-10)
+        for x_shape, w_shape, stride, padding in _CONV_CASES:
+            x = rng.normal(size=x_shape)
+            w = rng.normal(size=w_shape)
+            b = rng.normal(size=w_shape[0])
+            xt = Tensor(x, requires_grad=True)
+            out = conv2d(xt, Tensor(w), Tensor(b), stride, padding)
+            want = _conv_oracle(x, w, stride, padding) + b[None, :, None, None]
+            np.testing.assert_allclose(out.data, want, atol=1e-10)
+            g = rng.normal(size=out.shape)
+            backward(tsum(mul(out, Tensor(g))))
+            want_gx = _conv_input_grad_oracle(g, w, x.shape, stride, padding)
+            np.testing.assert_allclose(xt.grad, want_gx, atol=1e-10)
+            # float32 in, float32 out: values, and every gradient's dtype and layout
+            f32 = [Tensor(a.astype(np.float32), requires_grad=True) for a in (x, w, b)]
+            out = conv2d(*f32, stride, padding)
+            assert out.dtype == np.float32 and out.data.flags["C_CONTIGUOUS"]
+            np.testing.assert_allclose(out.data, want, rtol=1e-4, atol=1e-4)
+            backward(tsum(mul(out, Tensor(g.astype(np.float32)))))
+            np.testing.assert_allclose(f32[0].grad, want_gx, rtol=1e-4, atol=1e-4)
+            for t in f32:
+                assert t.grad.dtype == np.float32 and t.grad.flags["C_CONTIGUOUS"]
 
     def test_output_size_formula(self):
         out = conv2d(Tensor(np.zeros((2, 3, 9, 7))), Tensor(np.zeros((4, 3, 3, 3))),
@@ -98,6 +119,20 @@ class TestConv2d:
                   Tensor(w0), tol=1e-6)
         gradcheck(lambda t: sq_sum(conv2d(Tensor(x), Tensor(w0), t, 1, 0)),
                   Tensor(b0), tol=1e-6)
+        for x_shape, w_shape, stride, padding in _CONV_CASES:
+            x = rng.normal(size=(max(2, x_shape[0]),) + x_shape[1:])
+            w0 = rng.normal(size=w_shape)
+            b0 = rng.normal(size=w_shape[0])
+            g = Tensor(rng.normal(size=conv2d(Tensor(x), Tensor(w0), None, stride,
+                                              padding).shape))
+            leaves = (x, w0, b0)
+            for i in range(3):
+                def f(t, i=i):
+                    args = [Tensor(a) for a in leaves]
+                    args[i] = t
+                    return tsum(mul(conv2d(*args, stride, padding), g))
+
+                gradcheck(f, Tensor(leaves[i]), tol=1e-6)
 
 
 class TestReductions:
@@ -341,6 +376,38 @@ class TestTensorFile:
         p.write_bytes(b"NOPE" + bytes(16))
         with pytest.raises(ValueError, match="magic"):
             tensor_io.load_tensor(p)
+
+
+# (input shape, kernel shape, stride, padding): batch 3, stride 3, a 3x2
+# kernel, H != W, a kernel that is not a multiple of its stride, an input
+# whose last rows no window reaches, and every layer shape of the models
+_CONV_CASES = [
+    ((3, 2, 5, 5), (2, 2, 3, 3), 1, 1),
+    ((2, 2, 7, 8), (3, 2, 3, 3), 3, 1),
+    ((2, 3, 6, 5), (2, 3, 3, 2), 1, 0),
+    ((2, 2, 6, 9), (3, 2, 3, 2), 2, 1),
+    ((2, 2, 7, 7), (2, 2, 3, 3), 2, 1),
+    ((1, 2, 5, 6), (2, 2, 2, 2), 2, 0),
+    ((2, 3, 8, 8), (2, 3, 7, 7), 1, 3),
+    ((2, 2, 8, 8), (3, 2, 3, 3), 2, 1),
+    ((2, 2, 8, 8), (3, 2, 4, 4), 2, 1),
+    ((2, 3, 4, 4), (2, 3, 3, 3), 1, 1),
+]
+
+
+def _conv_input_grad_oracle(g, w, x_shape, stride, padding):
+    """Input gradient of conv2d by scattering every kernel tap (col2im)."""
+    bsz, cin, h, wd = x_shape
+    cout, _, kh, kw = w.shape
+    hout, wout = g.shape[2:]
+    gcols = np.einsum("oikl,bopq->biklpq", w, g)       # [B, Cin, kh, kw, Ho, Wo]
+    gx = np.zeros((bsz, cin, h + 2 * padding, wd + 2 * padding))
+    for ki in range(kh):
+        hi = ki + stride * hout
+        for kj in range(kw):
+            wj = kj + stride * wout
+            gx[:, :, ki:hi:stride, kj:wj:stride] += gcols[:, :, ki, kj]
+    return gx[:, :, padding:padding + h, padding:padding + wd]
 
 
 def _conv_oracle(x, w, stride, padding):

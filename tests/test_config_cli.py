@@ -228,3 +228,4 @@ class TestCliBench:
                     return int(line.split(",")[1])
 
         assert triples(budgeted) < triples(full)
+        assert float(full.splitlines()[-1].removeprefix("generator_fwd_bwd_ms,")) > 0

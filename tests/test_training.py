@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from crdgan import autodiff
-from crdgan.autodiff import backward
+from crdgan.autodiff import Tensor, backward
 from crdgan.config import TrainConfig
 from crdgan.datasets import SyntheticTask, generate_dataset
 from crdgan.metrics import pixel_error
+from crdgan.models import ResnetGenerator, generator_adv_loss
 from crdgan.relations import RelationConfig
 from crdgan.training import Trainer, lr_at, paired_l2_metric, train
 
@@ -153,6 +154,26 @@ class TestStudentStep:
         assert parts["total_S"] == 0.0
         for a, p in zip(before, tr.student.parameters()):
             assert np.array_equal(a, p.data)
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_zero_weights_skip_the_distillation_target(self, monkeypatch, live):
+        cfg = tiny_config(lambda_crd=0.0, lambda_per=0.0, distill_from_live=live)
+        tr = Trainer(cfg, tiny_dataset(cfg))
+        batch = first_batch(tr.dataset)
+        adv = generator_adv_loss(tr.state.discriminator(tr.student(Tensor(batch[0])),
+                                                        frozen=True), cfg.gan_mode).item()
+        callers = []
+        forward = ResnetGenerator.__call__
+
+        def traced(self, x, frozen=False):
+            callers.append(self)
+            return forward(self, x, frozen)
+
+        monkeypatch.setattr(ResnetGenerator, "__call__", traced)
+        parts = tr.train_step_student(batch, 0)
+        assert callers == [tr.student]
+        assert parts == {"adv_loss_S": adv, "crd_d": 0.0, "crd_a": 0.0, "per_loss": 0.0,
+                         "total_S": adv}
 
     def test_loss_composition(self):
         # float64 so the composition identity holds to tight absolute tolerance
