@@ -647,17 +647,21 @@ def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """[m,k] @ [k,n], or a stack of them: [b,m,k] @ [b,k,n] -> [b,m,n]."""
+    if a.ndim != b.ndim or a.ndim not in (2, 3):
+        raise ValueError(f"matmul expects two rank-2 or two rank-3 operands, "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"matmul: batch dims differ, {a.shape} vs {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(g @ bd.T)
+            a._accumulate(g @ bd.swapaxes(-1, -2))
         if b.requires_grad:
-            b._accumulate(ad.T @ g)
+            b._accumulate(ad.swapaxes(-1, -2) @ g)
 
     return _result(ad @ bd, "matmul", (a, b), back)
 

@@ -18,7 +18,7 @@ from .config import ConfigError, parse_config
 from .datasets import TASK_KINDS, SyntheticTask, generate_dataset
 from .metrics import frechet_between, pixel_error
 from .models import GeneratorSpec, build_generator, load_checkpoint
-from .perceptual import FeatureExtractor
+from .perceptual import FeatureExtractor, perceptual_loss
 from .relations import RelationConfig, crd_loss, sample_tuples
 from . import slicing, tensor_io, training
 
@@ -52,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
     p_grad.add_argument("--tol", type=float, default=1e-4)
 
-    p_bench = sub.add_parser("bench", help="tuple sampling, loss and generator "
-                                           "forward/backward throughput")
+    p_bench = sub.add_parser("bench", help="tuple sampling, loss, generator and "
+                                           "perceptual forward/backward throughput")
     p_bench.add_argument("--size", type=int, default=32)
     p_bench.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
     p_bench.add_argument("--patch", type=int, default=8)
@@ -102,11 +102,10 @@ def _cmd_eval(args) -> int:
     lines = []
     for name, model in (("teacher", nets["best_snapshot"]),
                         ("student", nets["student_generator"])):
-        outs = [model(Tensor(x), frozen=True).data for x in inputs]
+        outs = training.generate(model, inputs, cfg.batch_size)
         if dataset.paired:
-            l2 = float(np.mean([pixel_error(o, t, "L2") for o, t in zip(outs, targets)]))
-            lines.append((f"{name}_val_l2", l2))
-        fd = frechet_between(outs, list(targets), extractor)
+            lines.append((f"{name}_val_l2", pixel_error(outs, targets, "L2")))
+        fd = frechet_between(outs, targets, extractor)
         lines.append((f"{name}_frechet", fd))
 
     eval_csv = run_dir / "eval.csv"
@@ -213,6 +212,16 @@ def _cmd_bench(args) -> int:
         backward(tmean(generator(image)))
     generator_fwd_bwd_ms = (time.perf_counter() - t0) * 1000 / args.iters
 
+    # the perceptual term on a batch of 4 images with the default extractor widths
+    extractor = FeatureExtractor.fixed_random(args.seed, dtype=np.float32)
+    t_batch = Tensor(rng.uniform(-1, 1, (4, 3, s, s)).astype(np.float32))
+    s_batch = Tensor(rng.uniform(-1, 1, (4, 3, s, s)).astype(np.float32), requires_grad=True)
+    t0 = time.perf_counter()
+    for _ in range(args.iters):
+        s_batch.zero_grad()
+        backward(perceptual_loss(t_batch, s_batch, extractor))
+    perceptual_fwd_bwd_ms = (time.perf_counter() - t0) * 1000 / args.iters
+
     print(f"image_size,{s}")
     print(f"triplet_budget,{args.budget}")
     print(f"pairs_evaluated,{pairs_evaluated}")
@@ -222,6 +231,7 @@ def _cmd_bench(args) -> int:
     print(f"crd_loss_fwd_bwd_ms,{loss_fwd_bwd_ms:.3f}")
     print(f"tuples_per_second,{(pairs_evaluated + triples_evaluated) / (loss_ms / 1000):.0f}")
     print(f"generator_fwd_bwd_ms,{generator_fwd_bwd_ms:.3f}")
+    print(f"perceptual_fwd_bwd_ms,{perceptual_fwd_bwd_ms:.3f}")
     return 0
 
 

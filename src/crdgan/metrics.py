@@ -87,13 +87,15 @@ def pixel_error(a, b, norm: str = "L2") -> float:
 
 
 def pooled_features(images, extractor: FeatureExtractor) -> np.ndarray:
-    """Global-average-pooled final-tap features, one row per [c,h,w] image."""
-    rows = []
-    for img in images:
-        t = img if isinstance(img, Tensor) else Tensor(np.asarray(img))
-        act = extract(t, extractor)[-1]
-        rows.append(act.data.mean(axis=(1, 2)))
-    return np.asarray(rows, dtype=np.float64)
+    """Global-average-pooled final-tap features, one row per [c,h,w] image.
+
+    ``images`` is a [n,c,h,w] stack or a sequence of [c,h,w] images; the
+    extractor runs once over the whole stack.
+    """
+    stack = np.stack([img.data if isinstance(img, Tensor) else np.asarray(img)
+                      for img in images])
+    act = extract(Tensor(stack), extractor)[-1]
+    return act.data.mean(axis=(2, 3)).astype(np.float64)
 
 
 def frechet_between(images_a, images_b, extractor: FeatureExtractor) -> float:

@@ -91,29 +91,35 @@ def extract(x: Tensor, extractor: FeatureExtractor,
             taps: Optional[Sequence[int]] = None) -> list:
     """Activations at the requested tap layers (default: all of them).
 
-    No gradient flows into the extractor parameters; the input keeps its
-    gradient path.
+    A [c,h,w] image gives [C_j,H_j,W_j] activations; a [b,c,h,w] batch runs
+    through every layer at once and gives [b,C_j,H_j,W_j] ones.  No gradient
+    flows into the extractor parameters; the input keeps its gradient path.
     """
-    if x.ndim != 3:
-        raise ValueError(f"extract expects a [c,h,w] image, got shape {x.shape}")
+    if x.ndim not in (3, 4):
+        raise ValueError(f"extract expects a [c,h,w] image or a [b,c,h,w] batch, "
+                         f"got shape {x.shape}")
+    single = x.ndim == 3
     acts = []
-    h = x.reshape((1,) + x.shape)
+    h = x.reshape((1,) + x.shape) if single else x
     for w, s in extractor.layers:
         k = w.shape[2]
         h = leaky_relu(conv2d(h, w, stride=s, padding=k // 2), extractor.alpha)
-        acts.append(h.reshape(h.shape[1:]))
+        acts.append(h.reshape(h.shape[1:]) if single else h)
     if taps is None:
         return acts
     return [acts[t] for t in taps]
 
 
 def gram(act: Tensor) -> Tensor:
-    """Channel Gram matrix F F^T / (C*H*W) of a [C,H,W] activation."""
-    if act.ndim != 3:
-        raise ValueError(f"gram expects a [C,H,W] activation, got shape {act.shape}")
-    c, h, w = act.shape
-    flat = act.reshape((c, h * w))
-    return matmul(flat, flat.transpose((1, 0))) * (1.0 / (c * h * w))
+    """Channel Gram matrix F F^T / (C*H*W) of a [C,H,W] activation, or the
+    [b,C,C] stack of them for a [b,C,H,W] batch."""
+    if act.ndim not in (3, 4):
+        raise ValueError(f"gram expects a [C,H,W] or [b,C,H,W] activation, "
+                         f"got shape {act.shape}")
+    lead, (c, h, w) = act.shape[:-3], act.shape[-3:]
+    flat = act.reshape(lead + (c, h * w))
+    turn = (1, 0) if not lead else (0, 2, 1)
+    return matmul(flat, flat.transpose(turn)) * (1.0 / (c * h * w))
 
 
 def perceptual_loss(teacher_out: Tensor, student_out: Tensor,
@@ -121,7 +127,8 @@ def perceptual_loss(teacher_out: Tensor, student_out: Tensor,
                     taps: Optional[Sequence[int]] = None) -> Tensor:
     """Summed per-tap activation L1 (scaled by 1/(C*H*W)) plus Gram L1.
 
-    Only the student path carries gradient; the teacher output is detached.
+    A [b,c,h,w] batch gives the mean of its images' losses.  Only the
+    student path carries gradient; the teacher output is detached.
     """
     if teacher_out.shape != student_out.shape:
         raise ValueError(f"shape mismatch: {teacher_out.shape} vs {student_out.shape}")
@@ -129,9 +136,10 @@ def perceptual_loss(teacher_out: Tensor, student_out: Tensor,
     s_acts = extract(student_out, extractor, taps)
     total = None
     for t_act, s_act in zip(t_acts, s_acts):
-        c, h, w = t_act.shape
+        c, h, w = t_act.shape[-3:]
         feat = tsum(absolute(t_act - s_act)) * (1.0 / (c * h * w))
         style = tsum(absolute(gram(t_act) - gram(s_act)))
         term = feat + style
         total = term if total is None else total + term
-    return total
+    bsz = student_out.shape[0] if student_out.ndim == 4 else 1
+    return total * (1.0 / bsz) if bsz > 1 else total

@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .autodiff import Tensor, absolute, backward, gather_sum, tmean
+from .autodiff import Tensor, absolute, backward, tmean
 from .config import TrainConfig, relation_for_step, write_config
 from .metrics import frechet_between, pixel_error
 from .models import (
@@ -72,13 +72,23 @@ def _check_finite(step: int, **losses) -> None:
             raise FloatingPointError(f"non-finite {name}={v} at step {step}; aborting")
 
 
+def generate(generator, images, batch_size: int, dtype=np.float32) -> np.ndarray:
+    """Frozen generator outputs for a [c,h,w] image or a [n,c,h,w] stack.
+
+    A stack runs in chunks of at most batch_size images, so evaluation never
+    holds larger activations (or conv column matrices) than a training step.
+    """
+    x = np.asarray(images, dtype=dtype)
+    if x.ndim == 3:
+        return generator(Tensor(x), frozen=True).data
+    return np.concatenate([generator(Tensor(x[i:i + batch_size]), frozen=True).data
+                           for i in range(0, len(x), batch_size)])
+
+
 def paired_l2_metric(generate_fn: Callable, val_set) -> float:
     """Mean squared pixel error of generated outputs against targets."""
     inputs, targets = val_set
-    total = 0.0
-    for x, y in zip(inputs, targets):
-        total += pixel_error(generate_fn(x), y, "L2")
-    return total / len(inputs)
+    return pixel_error(generate_fn(inputs), targets, "L2")
 
 
 def make_frechet_metric(extractor: FeatureExtractor) -> Callable:
@@ -86,8 +96,7 @@ def make_frechet_metric(extractor: FeatureExtractor) -> Callable:
 
     def metric(generate_fn: Callable, val_set) -> float:
         inputs, target_pool = val_set
-        generated = [generate_fn(x) for x in inputs]
-        return frechet_between(generated, list(target_pool), extractor)
+        return frechet_between(generate_fn(inputs), target_pool, extractor)
 
     return metric
 
@@ -186,15 +195,20 @@ class Trainer:
             return Tensor(self.state.generator(x, frozen=True).data)
         return Tensor(self.state.best_generator(x, frozen=True).data)
 
-    def student_losses(self, batch, step: int = 0):
-        """Student total loss tensor and its reported components (no update)."""
+    def student_losses(self, batch, step: int = 0, fake: Optional[Tensor] = None):
+        """Student total loss tensor and its reported components (no update).
+
+        ``fake`` is the student's output on ``batch[0]`` when the caller has
+        already run that forward with the current parameters.
+        """
         cfg = self.cfg
         x = Tensor(batch[0])
         disc = self.state.discriminator
 
         # the target forward is a full teacher pass: skip it when no term reads it
         t_out = self._distill_target(x) if cfg.lambda_crd > 0 or cfg.lambda_per > 0 else None
-        fake = self.student(x)
+        if fake is None:
+            fake = self.student(x)
 
         if cfg.discriminator_mode == "online_no_discriminator":
             adv = None
@@ -207,7 +221,7 @@ class Trainer:
         if cfg.lambda_crd > 0:
             crd_d, crd_a = crd_terms(t_out, fake, n, m, rel, angle=rel.lambda_a > 0)
         if cfg.lambda_per > 0:
-            per = self._batch_perceptual(t_out, fake)
+            per = perceptual_loss(t_out, fake, self.extractor)
 
         total = adv
         if crd_d is not None:
@@ -232,16 +246,18 @@ class Trainer:
         cfg = self.cfg
         disc = self.state.discriminator
 
+        fake = None
         if cfg.discriminator_mode == "online_always_updating":
-            x = Tensor(batch[0])
-            fake = self.student(x)
+            # the D update reads the fake only through detach, so the student
+            # loss reuses this forward
+            fake = self.student(Tensor(batch[0]))
             d_loss = discriminator_loss(disc(Tensor(batch[1])), disc(fake.detach()),
                                         cfg.gan_mode)
             self.opt_disc.zero_grad()
             backward(d_loss)
             self.opt_disc.step()
 
-        total, parts = self.student_losses(batch, step)
+        total, parts = self.student_losses(batch, step, fake)
         if total is not None:
             self.opt_student.zero_grad()
             backward(total)
@@ -249,29 +265,16 @@ class Trainer:
         _check_finite(step, **parts)
         return parts
 
-    def _batch_perceptual(self, t_out: Tensor, fake: Tensor) -> Tensor:
-        bsz = fake.shape[0]
-        flat, size = fake.reshape((-1,)), fake.size // bsz
-        total = None
-        for b in range(bsz):
-            t_img = Tensor(t_out.data[b])
-            s_img = gather_sum(flat, np.arange(b * size, (b + 1) * size)[:, None], (1.0,))
-            term = perceptual_loss(t_img, s_img.reshape(fake.shape[1:]), self.extractor)
-            total = term if total is None else total + term
-        return total * (1.0 / bsz) if bsz > 1 else total
-
     def teacher_generate(self, x_np: np.ndarray) -> np.ndarray:
-        """Live teacher output for one [c,h,w] image (evaluation only)."""
-        return self.state.generator(Tensor(np.asarray(x_np, dtype=self.dtype)),
-                                    frozen=True).data
+        """Live teacher output for a [c,h,w] image or a [n,c,h,w] stack
+        (evaluation only; see :func:`generate`)."""
+        return generate(self.state.generator, x_np, self.cfg.batch_size, self.dtype)
 
     def best_generate(self, x_np: np.ndarray) -> np.ndarray:
-        return self.state.best_generator(Tensor(np.asarray(x_np, dtype=self.dtype)),
-                                         frozen=True).data
+        return generate(self.state.best_generator, x_np, self.cfg.batch_size, self.dtype)
 
     def student_generate(self, x_np: np.ndarray) -> np.ndarray:
-        return self.student(Tensor(np.asarray(x_np, dtype=self.dtype)),
-                            frozen=True).data
+        return generate(self.student, x_np, self.cfg.batch_size, self.dtype)
 
     def maybe_update_snapshot(self, val_set, metric: Callable, step: int) -> bool:
         """Evaluate the live teacher every interval steps; keep it if better.
@@ -320,9 +323,8 @@ def _write_samples(trainer: Trainer, dataset, path) -> None:
     val = _val_sets(dataset)
     take = min(4, len(val[0]))
     inputs = val[0][:take]
-    rows = [list(inputs),
-            [trainer.best_generate(x) for x in inputs],
-            [trainer.student_generate(x) for x in inputs]]
+    rows = [list(inputs), list(trainer.best_generate(inputs)),
+            list(trainer.student_generate(inputs))]
     if dataset.paired:
         rows.append(list(val[1][:take]))
     ppm.write_ppm(path, ppm.image_grid(rows))
@@ -335,9 +337,14 @@ def _fmt(v: float) -> str:
 def train(cfg: TrainConfig, dataset, out_dir) -> dict:
     """Full training loop; writes config copy, metrics CSV, checkpoints and
     sample grids into out_dir.  Deterministic given cfg.seed.  An invalid
-    config is rejected before anything is written."""
+    config, or an out_dir that already holds a run, is rejected before
+    anything is written."""
     cfg.validate()
     out_dir = Path(out_dir)
+    for name in ("metrics.csv", "config.cfg"):
+        if (out_dir / name).exists():
+            raise FileExistsError(f"{out_dir} already holds a run ({name}); "
+                                  f"train into a fresh directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(cfg, out_dir / "config.cfg")
 

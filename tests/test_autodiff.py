@@ -312,6 +312,27 @@ class TestSupportOps:
 
         gradcheck(f, Tensor(x), tol=1e-5)
 
+    def test_stacked_matmul_values_and_grads(self):
+        rng = np.random.default_rng(10)
+        a, b = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 2, 5))
+        got = matmul(Tensor(a), Tensor(b)).data
+        np.testing.assert_allclose(got, np.stack([a[i] @ b[i] for i in range(3)]),
+                                   rtol=0, atol=1e-14)
+        w = rng.normal(size=(3, 4, 5))
+        gradcheck(lambda t: tsum(mul(matmul(t, Tensor(b)), Tensor(w))), Tensor(a), tol=1e-6)
+        gradcheck(lambda t: tsum(mul(matmul(Tensor(a), t), Tensor(w))), Tensor(b), tol=1e-6)
+        # both operands one tensor, as in a Gram matrix
+        wg = Tensor(rng.normal(size=(3, 4, 4)))
+        gradcheck(lambda t: tsum(mul(matmul(t, permute(t, (0, 2, 1))), wg)), Tensor(a), tol=1e-6)
+
+    @pytest.mark.parametrize("sa, sb, message", [
+        ((2, 3), (2, 3, 4), "rank"), ((2, 3, 4), (4, 5), "rank"),
+        ((3,), (3,), "rank"), ((1, 2, 3, 4), (1, 2, 4, 3), "rank"),
+        ((2, 3, 4), (3, 4, 5), "batch"), ((2, 3, 4), (2, 3, 5), "inner")])
+    def test_matmul_shape_mismatch_rejected(self, sa, sb, message):
+        with pytest.raises(ValueError, match=message):
+            matmul(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
+
 
 class TestFiniteChecks:
     def test_debug_mode_flags_nonfinite_results(self):

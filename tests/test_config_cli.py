@@ -6,7 +6,8 @@ import pytest
 from crdgan.cli import main
 from crdgan.config import ConfigError, TrainConfig, parse_config, write_config
 from crdgan.datasets import SyntheticTask, generate_dataset
-from crdgan import tensor_io
+from crdgan.models import ResnetGenerator, save_checkpoint
+from crdgan import tensor_io, training
 
 
 class TestParseConfig:
@@ -175,6 +176,35 @@ class TestCliTrainEval:
                 "teacher_frechet", "student_frechet"} <= keys
         assert (out / "eval.csv").is_file()
 
+    def test_train_refuses_a_used_run_directory(self, tiny_cfg_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "metrics.csv").write_text("epoch,step\n")
+        assert main(["train", "--config", str(tiny_cfg_file),
+                     "--task", "invert", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert (out / "metrics.csv").read_text() == "epoch,step\n"
+        assert [p.name for p in out.iterdir()] == ["metrics.csv"]
+
+    def test_eval_runs_the_generators_in_batch_size_chunks(self, tmp_path, monkeypatch, capsys):
+        cfg = TrainConfig(batch_size=2, val_count=5, image_size=16, patch=(4, 4),
+                          base_width=4, num_res_blocks=1, disc_layers=2, disc_base_width=4)
+        run = tmp_path / "run"
+        run.mkdir()
+        write_config(cfg, run / "config.cfg")
+        save_checkpoint(run / "checkpoints", training.build_models(cfg))
+        sizes = []
+        forward = ResnetGenerator.__call__
+
+        def traced(self, x, frozen=False):
+            sizes.append(x.shape[0] if x.ndim == 4 else 1)
+            return forward(self, x, frozen)
+
+        monkeypatch.setattr(ResnetGenerator, "__call__", traced)
+        assert main(["eval", "--run", str(run), "--task", "invert"]) == 0
+        assert sizes == [2, 2, 1, 2, 2, 1]     # best snapshot, then student
+        assert "student_val_l2," in capsys.readouterr().out
+
 
 class TestCliSlice:
     def test_slice_writes_items_and_manifest(self, tmp_path):
@@ -222,10 +252,12 @@ class TestCliBench:
         assert main(["bench", "--size", "16", "--budget", "64", "--iters", "1"]) == 0
         budgeted = capsys.readouterr().out
 
-        def triples(text):
+        def value(text, key):
             for line in text.splitlines():
-                if line.startswith("triples_evaluated,"):
-                    return int(line.split(",")[1])
+                if line.startswith(key + ","):
+                    return float(line.split(",")[1])
 
-        assert triples(budgeted) < triples(full)
-        assert float(full.splitlines()[-1].removeprefix("generator_fwd_bwd_ms,")) > 0
+        assert value(budgeted, "triples_evaluated") < value(full, "triples_evaluated")
+        assert value(full, "generator_fwd_bwd_ms") > 0
+        last = full.splitlines()[-1]
+        assert last.startswith("perceptual_fwd_bwd_ms,") and float(last.split(",")[1]) > 0

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from crdgan.autodiff import Tensor
 from crdgan.metrics import (
-    GaussianStats, fit_gaussian, frechet_distance, pixel_error, sqrtm_psd,
+    GaussianStats, fit_gaussian, frechet_distance, pixel_error, pooled_features, sqrtm_psd,
 )
+from crdgan.perceptual import FeatureExtractor, extract
 
 
 class TestFitGaussian:
@@ -142,3 +144,16 @@ class TestPixelError:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             pixel_error(np.zeros((1, 2)), np.zeros((2, 1)))
+
+
+class TestPooledFeatures:
+    def test_one_pass_equals_per_image_rows(self):
+        extractor = FeatureExtractor.fixed_random(seed=3)
+        rng = np.random.default_rng(21)
+        images = [rng.uniform(-1, 1, (3, 16, 16)) for _ in range(5)]
+        want = np.stack([extract(Tensor(img), extractor)[-1].data.mean(axis=(1, 2))
+                         for img in images])
+        for pool in (images, [Tensor(img) for img in images], np.stack(images)):
+            got = pooled_features(pool, extractor)
+            assert got.shape == (5, 64) and got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

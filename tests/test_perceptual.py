@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crdgan.autodiff import Tensor, backward, finite_diff_grad, max_rel_error
+from crdgan.autodiff import Tensor, backward, finite_diff_grad, gradcheck, max_rel_error
 from crdgan.perceptual import FeatureExtractor, extract, gram, perceptual_loss
 
 
@@ -46,6 +46,20 @@ class TestExtract:
         with pytest.raises(ValueError, match="channels"):
             extract(Tensor(np.zeros((2, 16, 16))), extractor)
 
+    @pytest.mark.parametrize("shape", [(16, 16), (1, 1, 3, 16, 16)])
+    def test_wrong_rank_rejected(self, extractor, shape):
+        with pytest.raises(ValueError, match="batch"):
+            extract(Tensor(np.zeros(shape)), extractor)
+
+    def test_batch_equals_stacked_images(self, extractor):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-1, 1, (3, 3, 16, 16))
+        batched = extract(Tensor(x), extractor)
+        singles = [extract(Tensor(img), extractor) for img in x]
+        for j, act in enumerate(batched):
+            want = np.stack([acts[j].data for acts in singles])
+            np.testing.assert_allclose(act.data, want, rtol=0, atol=1e-12)
+
 
 class TestGram:
     def test_identical_channels_rank_one(self):
@@ -79,6 +93,14 @@ class TestGram:
         g = gram(Tensor(rng.normal(size=(5, 3, 3)))).data
         np.testing.assert_allclose(g, g.T, atol=1e-12)
         assert np.all(np.diag(g) >= -1e-12)
+
+    def test_batch_equals_stacked_grams(self):
+        rng = np.random.default_rng(12)
+        acts = rng.normal(size=(4, 5, 3, 2))
+        got = gram(Tensor(acts)).data
+        assert got.shape == (4, 5, 5)
+        want = np.stack([gram(Tensor(a)).data for a in acts])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 class TestPerceptualLoss:
@@ -133,6 +155,27 @@ class TestPerceptualLoss:
         backward(f(s))
         numeric = finite_diff_grad(f, s, 1e-6).data
         assert max_rel_error(s.grad, numeric) <= 1e-4
+
+    def test_batch_is_mean_of_image_losses(self, extractor):
+        rng = np.random.default_rng(13)
+        t = rng.uniform(-1, 1, (3, 3, 16, 16))
+        s = rng.uniform(-1, 1, (3, 3, 16, 16))
+        got = perceptual_loss(Tensor(t), Tensor(s), extractor).item()
+        want = np.mean([perceptual_loss(Tensor(a), Tensor(b), extractor).item()
+                        for a, b in zip(t, s)])
+        assert abs(got - want) <= 1e-12
+
+    def test_batch_of_one_keeps_image_arithmetic(self, extractor):
+        rng = np.random.default_rng(14)
+        t, s = rng.uniform(-1, 1, (2, 3, 8, 8))
+        one = perceptual_loss(Tensor(t[None]), Tensor(s[None]), extractor).item()
+        assert one == perceptual_loss(Tensor(t), Tensor(s), extractor).item()
+
+    def test_batch_gradient_matches_finite_differences(self, extractor):
+        rng = np.random.default_rng(15)
+        t = Tensor(rng.uniform(-1, 1, (2, 3, 8, 8)))
+        gradcheck(lambda x: perceptual_loss(t, x, extractor),
+                  Tensor(rng.uniform(-1, 1, (2, 3, 8, 8))), tol=1e-5)
 
 
 class TestWeightIO:

@@ -10,9 +10,9 @@ from crdgan.autodiff import Tensor, backward
 from crdgan.config import TrainConfig
 from crdgan.datasets import SyntheticTask, generate_dataset
 from crdgan.metrics import pixel_error
-from crdgan.models import ResnetGenerator, generator_adv_loss
+from crdgan.models import ResnetGenerator, discriminator_loss, generator_adv_loss
 from crdgan.relations import RelationConfig
-from crdgan.training import Trainer, lr_at, paired_l2_metric, train
+from crdgan.training import Trainer, lr_at, make_frechet_metric, paired_l2_metric, train
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -134,6 +134,37 @@ class TestStudentStep:
         tr.train_step_student(batch, 0)
         assert any(not np.array_equal(a, p.data) for a, p in
                    zip(d_before, tr.state.discriminator.parameters()))
+
+    def test_always_updating_runs_one_student_forward(self, monkeypatch):
+        cfg = tiny_config(discriminator_mode="online_always_updating")
+        ref, tr = Trainer(cfg, tiny_dataset(cfg)), Trainer(cfg, tiny_dataset(cfg))
+        batch = first_batch(tr.dataset)
+        # the reference runs a second student forward for the loss, as the
+        # discriminator update and the student loss once did separately
+        disc = ref.state.discriminator
+        fake = ref.student(Tensor(batch[0]))
+        ref.opt_disc.zero_grad()
+        backward(discriminator_loss(disc(Tensor(batch[1])), disc(fake.detach()), cfg.gan_mode))
+        ref.opt_disc.step()
+        total, want = ref.student_losses(batch, 0)
+        ref.opt_student.zero_grad()
+        backward(total)
+        ref.opt_student.step()
+
+        callers = []
+        forward = ResnetGenerator.__call__
+
+        def traced(self, x, frozen=False):
+            callers.append(self)
+            return forward(self, x, frozen)
+
+        monkeypatch.setattr(ResnetGenerator, "__call__", traced)
+        parts = tr.train_step_student(batch, 0)
+        assert callers.count(tr.student) == 1
+        assert parts == want
+        for net in ("student_generator", "teacher_discriminator"):
+            for a, b in zip(ref.modules()[net].parameters(), tr.modules()[net].parameters()):
+                assert a.data.tobytes() == b.data.tobytes()
 
     def test_no_discriminator_mode_has_no_adv_term(self):
         cfg = tiny_config(discriminator_mode="online_no_discriminator")
@@ -257,6 +288,30 @@ class TestSnapshot:
             tr.maybe_update_snapshot(val, metric, step)
         assert len(calls) == 2     # steps 0 and 5
 
+    @pytest.mark.parametrize("kind", ["invert", "shapes"])
+    def test_scoring_runs_the_generator_in_batch_size_chunks(self, monkeypatch, kind):
+        cfg = tiny_config(batch_size=2, val_count=5, teacher_eval_interval=1)
+        ds = tiny_dataset(cfg, kind)
+        tr = Trainer(cfg, ds)
+        if ds.paired:
+            val, metric = (ds.val_inputs, ds.val_targets), paired_l2_metric
+        else:
+            val, metric = (ds.val_a, ds.val_b), make_frechet_metric(tr.extractor)
+        sizes = []
+        forward = ResnetGenerator.__call__
+
+        def traced(self, x, frozen=False):
+            sizes.append(x.shape[0] if x.ndim == 4 else 1)
+            return forward(self, x, frozen)
+
+        monkeypatch.setattr(ResnetGenerator, "__call__", traced)
+        tr.maybe_update_snapshot(val, metric, 0)
+        assert sizes == [2, 2, 1]
+        # one image at a time scores the same up to summation order
+        monkeypatch.setattr(ResnetGenerator, "__call__", forward)
+        want = metric(lambda xs: np.stack([tr.teacher_generate(x) for x in xs]), val)
+        assert tr.state.best_score == pytest.approx(want, rel=1e-5)
+
     def test_empty_val_set_rejected(self):
         cfg = tiny_config(teacher_eval_interval=1)
         tr = Trainer(cfg, tiny_dataset(cfg))
@@ -299,6 +354,17 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="image_size"):
             train(cfg, ds, out)
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["metrics.csv", "config.cfg"])
+    def test_existing_run_directory_rejected(self, tmp_path, name):
+        cfg = tiny_config()
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / name).write_bytes(b"an earlier run\n")
+        with pytest.raises(FileExistsError, match=name):
+            train(cfg, tiny_dataset(cfg), out)
+        assert [p.name for p in out.iterdir()] == [name]
+        assert (out / name).read_bytes() == b"an earlier run\n"
 
     def test_smoke_run_emits_all_artifacts(self, tmp_path):
         cfg = tiny_config()
