@@ -27,7 +27,7 @@ __all__ = [
     "Tensor", "set_finite_checks",
     "add", "sub", "mul", "div", "neg",
     "matmul", "reshape", "permute", "gather_sum",
-    "relu", "leaky_relu", "tanh", "exp", "log", "softplus", "absolute",
+    "relu", "leaky_relu", "tanh", "softplus", "absolute",
     "clamp_min", "reciprocal", "sqrt_guarded",
     "tsum", "tmean", "l2_norm", "huber",
     "pad2d", "upsample2x", "conv2d", "instance_norm",
@@ -297,24 +297,6 @@ def tanh(a: Tensor) -> Tensor:
     return _result(y, "tanh", (a,), back)
 
 
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(g * y)
-
-    return _result(y, "exp", (a,), back)
-
-
-def log(a: Tensor) -> Tensor:
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _result(np.log(a.data), "log", (a,), back)
-
-
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), the stable building block for the vanilla GAN losses."""
     y = np.logaddexp(0.0, a.data)
@@ -553,11 +535,19 @@ def upsample2x(a: Tensor) -> Tensor:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Every kh x kw window of a [B,C,H,W] array as a [C*kh*kw, B*Ho*Wo] matrix."""
-    c = xp.shape[1]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]                           # [B,C,Ho,Wo,kh,kw]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1)
+    """Every kh x kw window of a [B,C,H,W] array as a [C*kh*kw, B*Ho*Wo] matrix.
+
+    One read-only strided view [C, kh, kw, B, Ho, Wo] with the stride folded
+    in, then the one reshape copy.  It reads xp through its own strides, so a
+    broadcast (zero-stride) gradient works as well as a contiguous array.
+    """
+    bsz, c, h, w = xp.shape
+    ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sb, sc, sh, sw = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (c, kh, kw, bsz, ho, wo), (sc, sh, sw, sb, sh * stride, sw * stride),
+        writeable=False)
+    return win.reshape(c * kh * kw, bsz * ho * wo)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
@@ -632,10 +622,9 @@ def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-sample, per-channel normalization over the spatial axes (no affine)."""
     if x.ndim != 4:
         raise ValueError(f"instance_norm expects rank-4, got {x.shape}")
-    m = x.data.mean(axis=(2, 3), keepdims=True)
-    var = x.data.var(axis=(2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - m) * inv
+    xc = x.data - x.data.mean(axis=(2, 3), keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=(2, 3), keepdims=True) + eps)
+    y = xc * inv
 
     def back(g):
         if x.requires_grad:

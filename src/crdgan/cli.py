@@ -211,6 +211,8 @@ def _cmd_bench(args) -> int:
         generator.zero_grad()
         backward(tmean(generator(image)))
     generator_fwd_bwd_ms = (time.perf_counter() - t0) * 1000 / args.iters
+    # nominally three GEMMs of 2*MACs flops each: forward, input and kernel gradient
+    generator_gflops = 6 * generator.mac_count(s, s) / (generator_fwd_bwd_ms * 1e6)
 
     # the perceptual term on a batch of 4 images with the default extractor widths
     extractor = FeatureExtractor.fixed_random(args.seed, dtype=np.float32)
@@ -231,6 +233,7 @@ def _cmd_bench(args) -> int:
     print(f"crd_loss_fwd_bwd_ms,{loss_fwd_bwd_ms:.3f}")
     print(f"tuples_per_second,{(pairs_evaluated + triples_evaluated) / (loss_ms / 1000):.0f}")
     print(f"generator_fwd_bwd_ms,{generator_fwd_bwd_ms:.3f}")
+    print(f"generator_gflops,{generator_gflops:.3f}")
     print(f"perceptual_fwd_bwd_ms,{perceptual_fwd_bwd_ms:.3f}")
     return 0
 

@@ -52,14 +52,20 @@ class DiscriminatorSpec:
 
 
 class _ConvLayer:
-    def __init__(self, rng, cin, cout, k, stride, padding, bias=True, dtype=np.float32):
+    """One conv2d with its parameters; with ``upsample`` set, its input is upsampled 2x first."""
+
+    def __init__(self, rng, cin, cout, k, stride, padding, bias=True, dtype=np.float32,
+                 upsample=False):
         self.weight = Tensor(rng.normal(0.0, INIT_STD, (cout, cin, k, k)).astype(dtype),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True) if bias else None
         self.stride = stride
         self.padding = padding
+        self.upsample = upsample
 
     def __call__(self, x, frozen=False):
+        if self.upsample:
+            x = upsample2x(x)
         w = detach(self.weight) if frozen else self.weight
         b = None if self.bias is None else (detach(self.bias) if frozen else self.bias)
         return conv2d(x, w, b, stride=self.stride, padding=self.padding)
@@ -94,6 +100,22 @@ class _Module:
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
+
+    def mac_count(self, h: int, w: int) -> int:
+        """Multiply-accumulates of the conv layers in one forward of a [c,h,w] input.
+
+        Derived from the layer shapes, without a forward: the layers run as a
+        chain, each taking the previous one's output size.
+        """
+        macs = 0
+        for layer in self._layers:
+            if layer.upsample:
+                h, w = 2 * h, 2 * w
+            _, _, kh, kw = layer.weight.shape
+            p, s = layer.padding, layer.stride
+            h, w = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
+            macs += layer.weight.size * h * w
+        return macs
 
     def param_arrays(self, copy: bool = True) -> list:
         return [p.data.copy() if copy else p.data for p in self.parameters()]
@@ -133,8 +155,8 @@ class ResnetGenerator(_Module):
             c1 = self._add(_ConvLayer(rng, w4, w4, 3, 1, 1, dtype=dt))
             c2 = self._add(_ConvLayer(rng, w4, w4, 3, 1, 1, dtype=dt))
             self.res.append((c1, c2))
-        self.up1 = self._add(_ConvLayer(rng, w4, w2, 3, 1, 1, dtype=dt))
-        self.up2 = self._add(_ConvLayer(rng, w2, w1, 3, 1, 1, dtype=dt))
+        self.up1 = self._add(_ConvLayer(rng, w4, w2, 3, 1, 1, dtype=dt, upsample=True))
+        self.up2 = self._add(_ConvLayer(rng, w2, w1, 3, 1, 1, dtype=dt, upsample=True))
         self.head = self._add(_ConvLayer(rng, w1, spec.out_channels, 7, 1, 3, dtype=dt))
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
@@ -148,8 +170,8 @@ class ResnetGenerator(_Module):
             r = relu(instance_norm(c1(h, frozen)))
             r = instance_norm(c2(r, frozen))
             h = h + r
-        h = relu(instance_norm(self.up1(upsample2x(h), frozen)))
-        h = relu(instance_norm(self.up2(upsample2x(h), frozen)))
+        h = relu(instance_norm(self.up1(h, frozen)))
+        h = relu(instance_norm(self.up2(h, frozen)))
         out = tanh(self.head(h, frozen))
         return out.reshape(out.shape[1:]) if squeeze else out
 

@@ -294,9 +294,10 @@ def test_criterion_08_width_economics(announce):
     ratio = student.parameter_count() / (teacher.parameter_count() / 16.0)
     assert abs(ratio - 1.0) <= 0.10
     elapsed = done()
+    macs = teacher.mac_count(32, 32) / student.mac_count(32, 32)
     announce(f"ACCEPTANCE 08 width economics: PASS "
-             f"(student/teacher = 1/{teacher.parameter_count() / student.parameter_count():.2f}, "
-             f"{elapsed:.2f}s)")
+             f"(student/teacher = 1/{teacher.parameter_count() / student.parameter_count():.2f} "
+             f"parameters, 1/{macs:.2f} MACs at 32x32, {elapsed:.2f}s)")
 
 
 def test_criterion_09_frechet_checks(announce):

@@ -11,6 +11,7 @@ from crdgan.autodiff import (
     softplus, sqrt_guarded, tanh, tmean, tsum, upsample2x,
 )
 from crdgan import tensor_io
+from crdgan.autodiff import _im2col
 
 
 class TestElementwise:
@@ -90,6 +91,35 @@ class TestConv2d:
             np.testing.assert_allclose(f32[0].grad, want_gx, rtol=1e-4, atol=1e-4)
             for t in f32:
                 assert t.grad.dtype == np.float32 and t.grad.flags["C_CONTIGUOUS"]
+
+    def test_im2col_matches_window_oracle(self):
+        rng = np.random.default_rng(3)
+        cases = [(x_shape, w_shape[2:], stride, padding)
+                 for x_shape, w_shape, stride, padding in _CONV_CASES]
+        cases += [((3, 2, 7, 8), (3, 3), 3, 0),     # batch 3, stride 3, last rows unreached
+                  ((2, 4, 5, 6), (1, 1), 1, 0)]     # 1x1 kernel at padding 0
+        for x_shape, (kh, kw), stride, padding in cases:
+            pads = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+            xp = np.pad(rng.normal(size=x_shape), pads)
+            # contiguous, float32, zero-stride broadcast, and a strided slice
+            for a in (xp, xp.astype(np.float32), np.broadcast_to(xp[:1, :, :1], xp.shape),
+                      np.repeat(xp, 2, axis=3)[..., ::2]):
+                got = _im2col(a, kh, kw, stride)
+                want = _im2col_oracle(a, kh, kw, stride)
+                assert got.dtype == a.dtype and np.array_equal(got, want)
+
+    def test_input_gradient_through_mean(self):
+        # conv2d straight into tmean, whose backward broadcasts one value;
+        # the kernels need no padding of the output gradient (ka = kb = 1)
+        rng = np.random.default_rng(4)
+        for w_shape, stride in [((3, 2, 1, 1), 1), ((3, 2, 2, 2), 2)]:
+            x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
+            w = rng.normal(size=w_shape)
+            out = conv2d(x, Tensor(w), stride=stride)
+            backward(tmean(out))
+            g = np.full(out.shape, 1.0 / out.size)
+            want = _conv_input_grad_oracle(g, w, x.shape, stride, 0)
+            np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-15)
 
     def test_output_size_formula(self):
         out = conv2d(Tensor(np.zeros((2, 3, 9, 7))), Tensor(np.zeros((4, 3, 3, 3))),
@@ -414,6 +444,14 @@ _CONV_CASES = [
     ((2, 2, 8, 8), (3, 2, 4, 4), 2, 1),
     ((2, 3, 4, 4), (2, 3, 3, 3), 1, 1),
 ]
+
+
+def _im2col_oracle(xp, kh, kw, stride):
+    """Column matrix [C*kh*kw, B*Ho*Wo] from numpy's sliding window view."""
+    c = xp.shape[1]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]                           # [B,C,Ho,Wo,kh,kw]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1)
 
 
 def _conv_input_grad_oracle(g, w, x_shape, stride, padding):

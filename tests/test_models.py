@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from crdgan.autodiff import Tensor, backward, finite_diff_grad, max_rel_error
+from crdgan import models
+from crdgan.autodiff import Tensor, backward, conv2d, finite_diff_grad, max_rel_error
 from crdgan.models import (
     Adam, DiscriminatorSpec, GeneratorSpec, adversarial_losses,
     build_discriminator, build_generator, discriminator_loss,
@@ -45,6 +46,40 @@ class TestGenerator:
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             build_generator(GeneratorSpec(base_width=1, width_factor=0.25), 0)
+
+
+class TestMacCount:
+    @staticmethod
+    def _counted_macs(module, shape, monkeypatch):
+        """MACs of one real forward, counted from every conv2d call's shapes."""
+        total = []
+
+        def counting_conv2d(x, w, *args, **kwargs):
+            out = conv2d(x, w, *args, **kwargs)
+            cout, cin, kh, kw = w.shape
+            total.append(cout * cin * kh * kw * out.shape[2] * out.shape[3])
+            return out
+
+        monkeypatch.setattr(models, "conv2d", counting_conv2d)
+        module(Tensor(np.zeros(shape, dtype=np.float32)))
+        monkeypatch.undo()
+        assert len(total) == len(module._layers)
+        return sum(total)
+
+    def test_matches_a_counted_forward(self, monkeypatch):
+        headline = build_generator(GeneratorSpec(base_width=16, num_res_blocks=2), 0)
+        teacher = build_generator(GeneratorSpec(base_width=32, width_factor=1.0), 0)
+        student = build_generator(GeneratorSpec(base_width=32, width_factor=0.25), 0)
+        disc = build_discriminator(DiscriminatorSpec(num_layers=3, base_width=16), 0)
+        for module in (headline, teacher, student, disc):
+            for h, w in [(32, 32), (16, 24)]:
+                assert module.mac_count(h, w) == self._counted_macs(module, (3, h, w),
+                                                                    monkeypatch)
+        # criterion 08's pair: the 3-channel stem and head do not shrink with the width squared
+        mac_ratio = teacher.mac_count(32, 32) / student.mac_count(32, 32)
+        param_ratio = teacher.parameter_count() / student.parameter_count()
+        assert 1.0 < mac_ratio < param_ratio <= 16.0, (
+            f"teacher/student: {mac_ratio:.2f}x MACs, {param_ratio:.2f}x parameters")
 
 
 class TestDiscriminator:
