@@ -568,6 +568,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     the padded-input gradient, which a depth-to-space interleave assembles
     before the padding is cropped.  At stride 1 this is the conv of the
     padded gradient with the flipped, transposed kernel.
+
+    Which gradients the backward computes is fixed by the flags when the op
+    runs, so a module frozen for one forward gets none from it.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects rank-4 input and kernel, got {x.shape} and {w.shape}")
@@ -594,13 +597,14 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     if b is not None:
         out += b.data[:, None]
     out = np.ascontiguousarray(out.reshape(cout, bsz, hout, wout).transpose(1, 0, 2, 3))
+    x_grad, w_grad, b_grad = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
 
     def back(g):
-        if w.requires_grad:
+        if w_grad:
             g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
             # g2 @ cols.T, multiplied in the order BLAS runs fastest for thin g2
             w._accumulate((cols @ g2.T).T.reshape(w.shape))
-        if x.requires_grad:
+        if x_grad:
             ka, kb = -(-kh // s), -(-kw // s)
             # rows per phase: one per gradient window, and zero rows for input past the last window
             hy = max(hout + ka - 1, -(-(padding + h) // s))
@@ -612,7 +616,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
             gx = (phases @ gcols).reshape(s, s, cin, bsz, hy, wy).transpose(3, 2, 4, 0, 5, 1)
             gx = gx.reshape(bsz, cin, hy * s, wy * s)
             x._accumulate(gx[:, :, padding:padding + h, padding:padding + wd])
-        if b is not None and b.requires_grad:
+        if b_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
 
     return _result(out, "conv2d", (x, w) if b is None else (x, w, b), back)

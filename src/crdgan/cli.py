@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, backward, finite_diff_grad, max_rel_error, tmean
-from .config import ConfigError, parse_config
+from .config import ConfigError, parse_config, parse_patch
 from .datasets import TASK_KINDS, SyntheticTask, generate_dataset
 from .metrics import frechet_between, pixel_error
 from .models import GeneratorSpec, build_generator, load_checkpoint
@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_slice.add_argument("--out", required=True)
     p_slice.add_argument("--granularity", default="all",
                          choices=("all",) + slicing.GRANULARITIES)
-    p_slice.add_argument("--patch", default="8,8", help="patch dims n,m")
+    p_slice.add_argument("--patch", default="8,8", help="patch dims: n, n,m or nxm")
 
     p_grad = sub.add_parser("gradcheck", help="check loss gradients against finite differences")
     p_grad.add_argument("--size", type=int, default=8)
@@ -60,16 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--iters", type=int, default=5)
     p_bench.add_argument("--seed", type=int, default=0)
     return parser
-
-
-def _parse_patch(text: str):
-    parts = text.replace("x", ",").split(",")
-    vals = [int(p) for p in parts if p]
-    if len(vals) == 1:
-        return vals[0], vals[0]
-    if len(vals) == 2:
-        return vals[0], vals[1]
-    raise ValueError(f"bad patch spec {text!r}")
 
 
 def _cmd_train(args) -> int:
@@ -94,11 +84,7 @@ def _cmd_eval(args) -> int:
     load_checkpoint(run_dir / "checkpoints", nets)
     extractor = FeatureExtractor.fixed_random(cfg.extractor_seed, dtype=np.float32)
 
-    if dataset.paired:
-        inputs, targets = dataset.val_inputs, dataset.val_targets
-    else:
-        inputs, targets = dataset.val_a, dataset.val_b
-
+    inputs, targets = training._val_sets(dataset)
     lines = []
     for name, model in (("teacher", nets["best_snapshot"]),
                         ("student", nets["student_generator"])):
@@ -120,7 +106,7 @@ def _cmd_slice(args) -> int:
     img = tensor_io.load_tensor(args.input)
     if img.ndim != 3:
         raise ValueError(f"slice needs a [c,h,w] tensor file, got shape {img.shape}")
-    n, m = _parse_patch(args.patch)
+    n, m = parse_patch(args.patch)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     grans = slicing.GRANULARITIES if args.granularity == "all" else (args.granularity,)

@@ -87,6 +87,16 @@ class TrainConfig:
         return self
 
 
+def parse_patch(text: str) -> Tuple[int, int]:
+    """Patch dims from "n", "n,m" or "nxm": the ``patch`` key and ``crdgan slice --patch``."""
+    parts = text.replace("x", ",").split(",")
+    try:
+        n, m = (int(parts[0]),) * 2 if len(parts) == 1 else map(int, parts)
+    except ValueError:
+        raise ValueError(f"bad patch spec {text!r}") from None
+    return n, m
+
+
 _RELATION_KEYS = {
     "lambda_a": float,
     "pair_budget": "budget",
@@ -105,7 +115,7 @@ _CONFIG_KEYS = {
     "batch_size": int,
     "lambda_crd": float,
     "lambda_per": float,
-    "patch": "patch",
+    "patch": parse_patch,
     "teacher_eval_interval": int,
     "gan_mode": str,
     "seed": int,
@@ -139,25 +149,12 @@ def _parse_value(key: str, kind, raw: str, lineno: int):
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
         if kind == "budget":
             v = int(raw)
             return None if v == 0 else v
-        if kind == "patch":
-            parts = raw.replace("x", ",").split(",")
-            if len(parts) == 1:
-                return (int(parts[0]), int(parts[0]))
-            if len(parts) == 2:
-                return (int(parts[0]), int(parts[1]))
-            raise ValueError(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: bad value {raw!r} for key {key!r}") from None
-    raise AssertionError(f"unhandled kind {kind}")
 
 
 def parse_config(path) -> TrainConfig:

@@ -10,6 +10,10 @@ near 1/16 of the teacher's parameter count.
 The discriminator is a strided conv stack with LeakyReLU(0.2) emitting a raw
 patch score map; the sigmoid is folded into a softplus-form loss for
 stability.
+
+Both networks take a [c,h,w] image or a [b,c,h,w] batch.  ``frozen=True``
+turns the parameters' ``requires_grad`` off for that one forward: gradients
+reach the input but no parameter.
 """
 
 from __future__ import annotations
@@ -63,15 +67,10 @@ class _ConvLayer:
         self.padding = padding
         self.upsample = upsample
 
-    def __call__(self, x, frozen=False):
+    def __call__(self, x):
         if self.upsample:
             x = upsample2x(x)
-        w = detach(self.weight) if frozen else self.weight
-        b = None if self.bias is None else (detach(self.bias) if frozen else self.bias)
-        return conv2d(x, w, b, stride=self.stride, padding=self.padding)
-
-    def params(self):
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
+        return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class _Module:
@@ -85,10 +84,8 @@ class _Module:
         return layer
 
     def parameters(self) -> list[Tensor]:
-        out = []
-        for layer in self._layers:
-            out.extend(layer.params())
-        return out
+        """Parameters in named_parameters order, which checkpoints, Adam and snapshots rely on."""
+        return [p for _, p in self.named_parameters()]
 
     def named_parameters(self) -> list:
         out = []
@@ -135,6 +132,22 @@ class _Module:
         for p in self.parameters():
             p.grad = None
 
+    def _run(self, x: Tensor, frozen: bool, forward: Callable[[Tensor], Tensor]) -> Tensor:
+        """forward on x as a batch (a [c,h,w] image as a batch of one); with frozen,
+        every requires_grad is off while it runs and restored after, even if it raises."""
+        params = self.parameters() if frozen else []
+        flags = [p.requires_grad for p in params]
+        for p in params:
+            p.requires_grad = False
+        try:
+            if x.ndim != 3:
+                return forward(x)
+            out = forward(x.reshape((1,) + x.shape))
+            return out.reshape(out.shape[1:])
+        finally:
+            for p, flag in zip(params, flags):
+                p.requires_grad = flag
+
 
 class ResnetGenerator(_Module):
     """[c,h,w] -> [c,h,w] image translator; tanh-bounded output."""
@@ -160,20 +173,19 @@ class ResnetGenerator(_Module):
         self.head = self._add(_ConvLayer(rng, w1, spec.out_channels, 7, 1, 3, dtype=dt))
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
-        squeeze = x.ndim == 3
-        if squeeze:
-            x = x.reshape((1,) + x.shape)
-        h = relu(instance_norm(self.stem(x, frozen)))
-        h = relu(instance_norm(self.down1(h, frozen)))
-        h = relu(instance_norm(self.down2(h, frozen)))
+        return self._run(x, frozen, self._forward)
+
+    def _forward(self, x: Tensor) -> Tensor:
+        h = relu(instance_norm(self.stem(x)))
+        h = relu(instance_norm(self.down1(h)))
+        h = relu(instance_norm(self.down2(h)))
         for c1, c2 in self.res:
-            r = relu(instance_norm(c1(h, frozen)))
-            r = instance_norm(c2(r, frozen))
+            r = relu(instance_norm(c1(h)))
+            r = instance_norm(c2(r))
             h = h + r
-        h = relu(instance_norm(self.up1(h, frozen)))
-        h = relu(instance_norm(self.up2(h, frozen)))
-        out = tanh(self.head(h, frozen))
-        return out.reshape(out.shape[1:]) if squeeze else out
+        h = relu(instance_norm(self.up1(h)))
+        h = relu(instance_norm(self.up2(h)))
+        return tanh(self.head(h))
 
 
 class PatchDiscriminator(_Module):
@@ -193,17 +205,15 @@ class PatchDiscriminator(_Module):
         self.head = self._add(_ConvLayer(rng, cin, 1, 3, 1, 1, dtype=dtype))
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
-        squeeze = x.ndim == 3
-        if squeeze:
-            x = x.reshape((1,) + x.shape)
-        h = x
+        return self._run(x, frozen, self._forward)
+
+    def _forward(self, h: Tensor) -> Tensor:
         for i, layer in enumerate(self.body):
-            h = layer(h, frozen)
+            h = layer(h)
             if i > 0:
                 h = instance_norm(h)
             h = leaky_relu(h, 0.2)
-        out = self.head(h, frozen)
-        return out.reshape(out.shape[1:]) if squeeze else out
+        return self.head(h)
 
 
 def build_generator(spec: GeneratorSpec, seed: int, dtype=np.float32) -> ResnetGenerator:

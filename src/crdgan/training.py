@@ -7,6 +7,10 @@ discriminator plus content-relationship and perceptual terms), then a
 snapshot check.  Distillation targets come from the best teacher snapshot
 seen so far; the live teacher is only the thing being snapshotted.
 
+Every discriminator loss, updating or report-only, goes through
+``Trainer._disc_step``.  The pretrained modes take D from a throwaway
+teacher-phase run with the same seed.
+
 Discriminator modes:
   online_updating_freezing  D updates with the teacher, frozen for the student
   online_always_updating    D also updates during the student phase
@@ -140,7 +144,6 @@ class Trainer:
         self.opt_teacher = Adam(teacher.parameters(), cfg.lr0)
         self.opt_disc = Adam(self.state.discriminator.parameters(), cfg.lr0)
         self.opt_student = Adam(self.student.parameters(), cfg.lr0)
-        self._pretraining = False
 
     def modules(self) -> dict:
         """The run's networks by checkpoint role (the keys of build_models)."""
@@ -156,10 +159,17 @@ class Trainer:
         self.opt_disc.lr = lr
         self.opt_student.lr = lr
 
-    def _disc_updates_with_teacher(self) -> bool:
-        if self._pretraining:
-            return True
-        return self.cfg.discriminator_mode != "pretrained_frozen"
+    def _disc_step(self, real: Tensor, fake: Tensor, update: bool) -> Tensor:
+        """Discriminator loss on real images and detached fakes; with update,
+        one discriminator step on it, otherwise the loss is only reported."""
+        disc = self.state.discriminator
+        d_loss = discriminator_loss(disc(real, not update), disc(fake.detach(), not update),
+                                    self.cfg.gan_mode)
+        if update:
+            self.opt_disc.zero_grad()
+            backward(d_loss)
+            self.opt_disc.step()
+        return d_loss
 
     def train_step_teacher(self, batch, step: int = 0) -> dict:
         """Alternating update: discriminator step, then teacher-generator step."""
@@ -170,15 +180,7 @@ class Trainer:
         teacher, disc = self.state.generator, self.state.discriminator
 
         fake = teacher(x)
-        if self._disc_updates_with_teacher():
-            d_loss = discriminator_loss(disc(y), disc(fake.detach()), cfg.gan_mode)
-            self.opt_disc.zero_grad()
-            backward(d_loss)
-            self.opt_disc.step()
-        else:
-            d_loss = discriminator_loss(disc(y, frozen=True),
-                                        disc(Tensor(fake.data), frozen=True), cfg.gan_mode)
-
+        d_loss = self._disc_step(y, fake, update=cfg.discriminator_mode != "pretrained_frozen")
         g_loss = generator_adv_loss(disc(fake, frozen=True), cfg.gan_mode)
         if self.dataset.paired and cfg.recon_weight > 0:
             g_loss = g_loss + cfg.recon_weight * tmean(absolute(fake - y))
@@ -191,9 +193,8 @@ class Trainer:
         return out
 
     def _distill_target(self, x: Tensor) -> Tensor:
-        if self.cfg.distill_from_live:
-            return Tensor(self.state.generator(x, frozen=True).data)
-        return Tensor(self.state.best_generator(x, frozen=True).data)
+        target = self.state.generator if self.cfg.distill_from_live else self.state.best_generator
+        return target(x, frozen=True)
 
     def student_losses(self, batch, step: int = 0, fake: Optional[Tensor] = None):
         """Student total loss tensor and its reported components (no update).
@@ -243,19 +244,12 @@ class Trainer:
     def train_step_student(self, batch, step: int = 0) -> dict:
         """One student update; teacher parameters stay byte-identical except
         in online_always_updating mode, where the discriminator trains here too."""
-        cfg = self.cfg
-        disc = self.state.discriminator
-
         fake = None
-        if cfg.discriminator_mode == "online_always_updating":
+        if self.cfg.discriminator_mode == "online_always_updating":
             # the D update reads the fake only through detach, so the student
             # loss reuses this forward
             fake = self.student(Tensor(batch[0]))
-            d_loss = discriminator_loss(disc(Tensor(batch[1])), disc(fake.detach()),
-                                        cfg.gan_mode)
-            self.opt_disc.zero_grad()
-            backward(d_loss)
-            self.opt_disc.step()
+            self._disc_step(Tensor(batch[1]), fake, update=True)
 
         total, parts = self.student_losses(batch, step, fake)
         if total is not None:
@@ -397,24 +391,12 @@ def train(cfg: TrainConfig, dataset, out_dir) -> dict:
 
 
 def _pretrain_discriminator(trainer: Trainer, dataset) -> None:
-    """Train a throwaway (teacher, D) pair over the full schedule, keep D,
-    then reset both generators and all optimizer state for the real run."""
+    """Train a throwaway (teacher, D) pair over the full schedule and give
+    its D to trainer; trainer's generators and optimizers stay fresh."""
     cfg = trainer.cfg
+    pre = Trainer(replace(cfg, discriminator_mode="pretrained_updating"), dataset, trainer.dtype)
     steps_per_epoch = max(1, len(dataset) // cfg.batch_size)
-    step = 0
-    trainer._pretraining = True
-    for batch in _batches(dataset, cfg, trainer._order_seed ^ 0x5EED):
-        trainer.set_lr(lr_at(step / steps_per_epoch, cfg))
-        trainer.train_step_teacher(batch, step)
-        step += 1
-    trainer._pretraining = False
-    # restart: same initial generator weights as a fresh Trainer would use
-    fresh = build_models(cfg, trainer.dtype)
-    teacher_init = fresh["teacher_generator"].param_arrays(copy=False)
-    trainer.state.generator.load_param_arrays(teacher_init)
-    trainer.state.best_generator.load_param_arrays(teacher_init)
-    trainer.state.best_score = math.inf
-    trainer.student.load_param_arrays(fresh["student_generator"].param_arrays(copy=False))
-    trainer.opt_teacher = Adam(trainer.state.generator.parameters(), cfg.lr0)
-    trainer.opt_disc = Adam(trainer.state.discriminator.parameters(), cfg.lr0)
-    trainer.opt_student = Adam(trainer.student.parameters(), cfg.lr0)
+    for step, batch in enumerate(_batches(dataset, cfg, pre._order_seed ^ 0x5EED)):
+        pre.set_lr(lr_at(step / steps_per_epoch, cfg))
+        pre.train_step_teacher(batch, step)
+    trainer.state.discriminator.load_param_arrays(pre.state.discriminator.param_arrays(copy=False))

@@ -121,6 +121,25 @@ class TestConv2d:
             want = _conv_input_grad_oracle(g, w, x.shape, stride, 0)
             np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-15)
 
+    def test_gradient_set_fixed_when_the_op_runs(self):
+        # a frozen module switches its flags off for the forward only: turning
+        # them back on before backward must not make the parameters trainable,
+        # and turning one off after the forward must not drop its gradient
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        b = Tensor(rng.normal(size=3))
+        out = conv2d(x, w, b, 1, 1)
+        w.requires_grad = b.requires_grad = True
+        backward(tsum(out))
+        assert x.grad is not None and w.grad is None and b.grad is None
+
+        x.zero_grad()
+        out = conv2d(x, w, b, 1, 1)
+        w.requires_grad = False
+        backward(tsum(out))
+        assert x.grad is not None and w.grad is not None and b.grad is not None
+
     def test_output_size_formula(self):
         out = conv2d(Tensor(np.zeros((2, 3, 9, 7))), Tensor(np.zeros((4, 3, 3, 3))),
                      stride=2, padding=1)

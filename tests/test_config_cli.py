@@ -205,6 +205,27 @@ class TestCliTrainEval:
         assert sizes == [2, 2, 1, 2, 2, 1]     # best snapshot, then student
         assert "student_val_l2," in capsys.readouterr().out
 
+    def test_eval_scores_the_training_validation_split(self, tmp_path, monkeypatch, capsys):
+        cfg = TrainConfig(val_count=3, image_size=16, patch=(4, 4), base_width=4,
+                          num_res_blocks=1, disc_layers=2, disc_base_width=4)
+        run = tmp_path / "run"
+        run.mkdir()
+        write_config(cfg, run / "config.cfg")
+        save_checkpoint(run / "checkpoints", training.build_models(cfg))
+        splits = []
+        val_sets = training._val_sets
+
+        def spy(dataset):
+            splits.append(val_sets(dataset))
+            return splits[-1]
+
+        monkeypatch.setattr(training, "_val_sets", spy)
+        assert main(["eval", "--run", str(run), "--task", "shapes"]) == 0
+        (inputs, pool), = splits
+        assert inputs.shape == pool.shape == (3, 3, 16, 16)
+        keys = [ln.split(",")[0] for ln in capsys.readouterr().out.strip().splitlines()]
+        assert keys == ["teacher_frechet", "student_frechet"]     # unpaired: no pixel L2
+
 
 class TestCliSlice:
     def test_slice_writes_items_and_manifest(self, tmp_path):
@@ -222,6 +243,31 @@ class TestCliSlice:
         assert manifest[-1] == f"patch,3,{3 * 4 * 4}"
         item = tensor_io.load_tensor(out / "column_0000.crdt")
         np.testing.assert_allclose(item, img[:, :, 0].ravel(), atol=1e-7)
+
+    def test_patch_spec_parses_like_the_config_key(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("image_size = 16\npatch = 4x2\n")
+        assert parse_config(cfg_file).patch == (4, 2)
+        img = np.zeros((1, 8, 8), dtype=np.float32)
+        src = tmp_path / "img.crdt"
+        tensor_io.save_tensor(src, img)
+        out = tmp_path / "patches"
+        assert main(["slice", "--input", str(src), "--out", str(out),
+                     "--granularity", "patch", "--patch", "4x2"]) == 0
+        lines = (out / "manifest.txt").read_text().strip().splitlines()
+        assert lines == [f"patch,{i},8" for i in range(8)]
+
+    @pytest.mark.parametrize("spec", ["4x2x1", "4,", "four"])
+    def test_bad_patch_spec_exits_1(self, tmp_path, capsys, spec):
+        src = tmp_path / "img.crdt"
+        tensor_io.save_tensor(src, np.zeros((1, 8, 8), dtype=np.float32))
+        assert main(["slice", "--input", str(src), "--out", str(tmp_path / "s"),
+                     "--patch", spec]) == 1
+        assert capsys.readouterr().err.startswith(f"error: bad patch spec {spec!r}")
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"patch = {spec}\n")
+        with pytest.raises(ConfigError, match="line 1.*patch"):
+            parse_config(cfg_file)
 
     def test_granularity_filter(self, tmp_path):
         img = np.zeros((1, 4, 4), dtype=np.float32)

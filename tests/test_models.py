@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from crdgan import models
-from crdgan.autodiff import Tensor, backward, conv2d, finite_diff_grad, max_rel_error
+from crdgan.autodiff import (
+    Tensor, backward, conv2d, finite_diff_grad, max_rel_error, tmean,
+)
 from crdgan.models import (
     Adam, DiscriminatorSpec, GeneratorSpec, adversarial_losses,
     build_discriminator, build_generator, discriminator_loss,
@@ -103,6 +105,37 @@ class TestDiscriminator:
         disc = build_discriminator(DiscriminatorSpec(num_layers=3, base_width=8), 0)
         with pytest.raises(ValueError, match="kernel"):
             disc(Tensor(np.zeros((3, 2, 2), dtype=np.float32)))
+
+
+class TestFrozenForward:
+    def test_frozen_discriminator_gets_no_gradient_and_keeps_its_flags(self):
+        disc = build_discriminator(DiscriminatorSpec(num_layers=2, base_width=4), 2)
+        params = disc.parameters()
+        params[1].requires_grad = False          # a flag that was already off stays off
+        flags = [p.requires_grad for p in params]
+        x = Tensor(np.random.default_rng(0).uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32),
+                   requires_grad=True)
+        backward(tmean(disc(x, frozen=True)))
+        assert x.grad is not None and np.any(x.grad)
+        assert all(p.grad is None for p in params)
+        assert [p.requires_grad for p in params] == flags
+
+    def test_flags_restored_when_the_forward_raises(self):
+        disc = build_discriminator(DiscriminatorSpec(num_layers=2, base_width=4), 2)
+        gen = build_generator(GeneratorSpec(base_width=4, num_res_blocks=1), 0)
+        for net in (disc, gen):
+            with pytest.raises(ValueError, match="channels"):
+                net(Tensor(np.zeros((5, 8, 8), dtype=np.float32)), frozen=True)
+            assert all(p.requires_grad for p in net.parameters())
+
+    def test_frozen_generator_on_a_constant_input_builds_no_graph(self):
+        gen = build_generator(GeneratorSpec(base_width=4, num_res_blocks=1), 0)
+        x = Tensor(np.zeros((3, 8, 8), dtype=np.float32))
+        out = gen(x, frozen=True)
+        assert out.shape == (3, 8, 8)
+        assert not out.requires_grad and out._parents == ()
+        # unfrozen, the same call records the graph back to the parameters
+        assert gen(x)._parents
 
 
 class _StubModel:

@@ -12,7 +12,9 @@ from crdgan.datasets import SyntheticTask, generate_dataset
 from crdgan.metrics import pixel_error
 from crdgan.models import ResnetGenerator, discriminator_loss, generator_adv_loss
 from crdgan.relations import RelationConfig
-from crdgan.training import Trainer, lr_at, make_frechet_metric, paired_l2_metric, train
+from crdgan.training import (
+    Trainer, build_models, lr_at, make_frechet_metric, paired_l2_metric, train,
+)
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -438,9 +440,15 @@ class TestTrainLoop:
             from crdgan.training import _pretrain_discriminator
             d_init = tr.state.discriminator.param_arrays()
             _pretrain_discriminator(tr, ds)
-            # pretraining moved the discriminator, generators were reset
+            # pretraining moved the discriminator; the generators and optimizers stay fresh
             assert any(not np.array_equal(a, p.data) for a, p in
                        zip(d_init, tr.state.discriminator.parameters()))
+            fresh = build_models(cfg)
+            for role in ("teacher_generator", "student_generator", "best_snapshot"):
+                for a, p in zip(fresh[role].parameters(), tr.modules()[role].parameters()):
+                    assert a.data.tobytes() == p.data.tobytes(), role
+            assert tr.state.best_score == math.inf
+            assert [opt.t for opt in (tr.opt_teacher, tr.opt_disc, tr.opt_student)] == [0, 0, 0]
             d_after = [p.data.tobytes() for p in tr.state.discriminator.parameters()]
             tr.train_step_teacher(first_batch(ds), 0)
             changed = [p.data.tobytes() != b for p, b in
