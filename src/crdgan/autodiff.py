@@ -538,15 +538,17 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """Every kh x kw window of a [B,C,H,W] array as a [C*kh*kw, B*Ho*Wo] matrix.
 
     One read-only strided view [C, kh, kw, B, Ho, Wo] with the stride folded
-    in, then the one reshape copy.  It reads xp through its own strides, so a
-    broadcast (zero-stride) gradient works as well as a contiguous array.
+    in, then the one reshape copy.  The view is built on a C-contiguous xp
+    (a broadcast or strided input is copied first) by the plain ndarray
+    constructor, which skips as_strided's per-call Python set-up.
     """
+    xp = np.ascontiguousarray(xp)
     bsz, c, h, w = xp.shape
     ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
     sb, sc, sh, sw = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (c, kh, kw, bsz, ho, wo), (sc, sh, sw, sb, sh * stride, sw * stride),
-        writeable=False)
+    win = np.ndarray((c, kh, kw, bsz, ho, wo), xp.dtype, xp, 0,
+                     (sc, sh, sw, sb, sh * stride, sw * stride))
+    win.flags.writeable = False
     return win.reshape(c * kh * kw, bsz * ho * wo)
 
 
@@ -626,15 +628,19 @@ def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-sample, per-channel normalization over the spatial axes (no affine)."""
     if x.ndim != 4:
         raise ValueError(f"instance_norm expects rank-4, got {x.shape}")
-    xc = x.data - x.data.mean(axis=(2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=(2, 3), keepdims=True) + eps)
+    n = x.shape[2] * x.shape[3]
+
+    def mean(a):
+        # the bytes of a.mean(axis=(2, 3), keepdims=True) without np.mean's Python wrapper
+        return np.add.reduce(a, axis=(2, 3), keepdims=True) / n
+
+    xc = x.data - mean(x.data)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
     y = xc * inv
 
     def back(g):
         if x.requires_grad:
-            gm = g.mean(axis=(2, 3), keepdims=True)
-            gym = (g * y).mean(axis=(2, 3), keepdims=True)
-            x._accumulate(inv * (g - gm - y * gym))
+            x._accumulate(inv * (g - mean(g) - y * mean(g * y)))
 
     return _result(y, "instance_norm", (x,), back)
 

@@ -74,7 +74,16 @@ class _ConvLayer:
 
 
 class _Module:
-    """Shared parameter bookkeeping for the generator and discriminator."""
+    """Shared parameter bookkeeping for the generator and discriminator.
+
+    A subclass adds its layers with ``_add`` and then calls ``_pack``, which
+    moves every parameter into ``flat``: one contiguous vector of the module's
+    dtype, in ``named_parameters`` order, with each parameter's ``data`` a
+    C-contiguous view into it.  Nothing rebinds ``data`` afterwards: Adam,
+    checkpoint loads and snapshot copies write into the views, so a whole
+    module's values are ``flat`` and copying one module into another of the
+    same spec is ``dst.flat[...] = src.flat``.
+    """
 
     def __init__(self):
         self._layers: list[_ConvLayer] = []
@@ -83,20 +92,31 @@ class _Module:
         self._layers.append(layer)
         return layer
 
+    def _pack(self) -> None:
+        named = []
+        for i, layer in enumerate(self._layers):
+            named.append((f"layer{i:02d}.weight", layer.weight))
+            if layer.bias is not None:
+                named.append((f"layer{i:02d}.bias", layer.bias))
+        self._named = named
+        self._params = [p for _, p in named]
+        self.flat = np.empty(sum(p.size for p in self._params), dtype=self._params[0].dtype)
+        start = 0
+        for p in self._params:
+            view = self.flat[start:start + p.size].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            start += p.size
+
     def parameters(self) -> list[Tensor]:
         """Parameters in named_parameters order, which checkpoints, Adam and snapshots rely on."""
-        return [p for _, p in self.named_parameters()]
+        return list(self._params)
 
     def named_parameters(self) -> list:
-        out = []
-        for i, layer in enumerate(self._layers):
-            out.append((f"layer{i:02d}.weight", layer.weight))
-            if layer.bias is not None:
-                out.append((f"layer{i:02d}.bias", layer.bias))
-        return out
+        return list(self._named)
 
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.flat.size
 
     def mac_count(self, h: int, w: int) -> int:
         """Multiply-accumulates of the conv layers in one forward of a [c,h,w] input.
@@ -114,28 +134,39 @@ class _Module:
             macs += layer.weight.size * h * w
         return macs
 
-    def param_arrays(self, copy: bool = True) -> list:
-        return [p.data.copy() if copy else p.data for p in self.parameters()]
+    def param_arrays(self) -> list:
+        """A copy of every parameter array, in named_parameters order."""
+        return [p.data.copy() for p in self._params]
 
-    def load_param_arrays(self, arrays) -> None:
-        params = self.parameters()
-        if len(arrays) != len(params):
-            raise ValueError(f"expected {len(params)} arrays, got {len(arrays)}")
-        for p, arr in zip(params, arrays):
-            arr = np.asarray(arr, dtype=p.data.dtype)
-            if arr.shape != p.data.shape:
+    def _checked_arrays(self, arrays) -> list:
+        """arrays cast to the parameters' dtype, once their count and every shape match."""
+        if len(arrays) != len(self._params):
+            raise ValueError(f"expected {len(self._params)} arrays, got {len(arrays)}")
+        out = []
+        for p, arr in zip(self._params, arrays):
+            arr = np.asarray(arr, dtype=p.dtype)
+            if arr.shape != p.shape:
                 raise ValueError(f"array shape {arr.shape} does not match parameter {p.shape}")
-            p.data = arr.copy()
+            out.append(arr)
+        return out
+
+    def _write_arrays(self, arrays) -> None:
+        for p, arr in zip(self._params, arrays):
+            p.data[...] = arr
             p.grad = None
 
+    def load_param_arrays(self, arrays) -> None:
+        """Write arrays into the parameters; on a count or shape mismatch nothing is written."""
+        self._write_arrays(self._checked_arrays(arrays))
+
     def zero_grad(self) -> None:
-        for p in self.parameters():
+        for p in self._params:
             p.grad = None
 
     def _run(self, x: Tensor, frozen: bool, forward: Callable[[Tensor], Tensor]) -> Tensor:
         """forward on x as a batch (a [c,h,w] image as a batch of one); with frozen,
         every requires_grad is off while it runs and restored after, even if it raises."""
-        params = self.parameters() if frozen else []
+        params = self._params if frozen else []
         flags = [p.requires_grad for p in params]
         for p in params:
             p.requires_grad = False
@@ -171,6 +202,7 @@ class ResnetGenerator(_Module):
         self.up1 = self._add(_ConvLayer(rng, w4, w2, 3, 1, 1, dtype=dt, upsample=True))
         self.up2 = self._add(_ConvLayer(rng, w2, w1, 3, 1, 1, dtype=dt, upsample=True))
         self.head = self._add(_ConvLayer(rng, w1, spec.out_channels, 7, 1, 3, dtype=dt))
+        self._pack()
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
         return self._run(x, frozen, self._forward)
@@ -203,6 +235,7 @@ class PatchDiscriminator(_Module):
             self.body.append(self._add(_ConvLayer(rng, cin, cout, 4, 2, 1, dtype=dtype)))
             cin = cout
         self.head = self._add(_ConvLayer(rng, cin, 1, 3, 1, 1, dtype=dtype))
+        self._pack()
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
         return self._run(x, frozen, self._forward)
@@ -264,16 +297,36 @@ def adversarial_losses(D: Callable, G: Callable, real: Tensor, inp: Tensor,
 # -- optimizer -------------------------------------------------------------------
 
 class Adam:
-    """Adaptive moment estimation with the GAN-standard betas (0.5, 0.999)."""
+    """Adaptive moment estimation with the GAN-standard betas (0.5, 0.999).
+
+    params must be one module's parameters in order: views that tile its
+    ``flat`` vector.  The moments ``m`` and ``v`` are flat vectors of the
+    same layout, so a step is one elementwise update of the whole vector,
+    after the gradients are gathered into one flat gradient.  A parameter
+    whose grad is None is not updated, and neither are its moments: the
+    same update then runs on the slices of the parameters that have one.
+    """
 
     def __init__(self, params, lr: float, betas=(0.5, 0.999), eps: float = 1e-8):
         self.params = list(params)
+        self._spans, start = [], 0
+        for p in self.params:
+            self._spans.append(slice(start, start + p.size))
+            start += p.size
+        flat = self.params[0].data.base if self.params else None
+        if not (isinstance(flat, np.ndarray) and start == flat.size and all(
+                p.data.base is flat and p.data.flags.c_contiguous
+                and p.data.ctypes.data == flat[span].ctypes.data
+                for p, span in zip(self.params, self._spans))):
+            raise ValueError("Adam needs all of one module's parameters, in order, "
+                             "as the views that tile its flat vector")
+        self.flat = flat
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -284,17 +337,33 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.b1 ** self.t
         b2t = 1.0 - self.b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            p.data = p.data - np.asarray(self.lr * update, dtype=p.data.dtype)
+        if all(p.grad is not None for p in self.params):
+            g = np.concatenate([p.grad.reshape(-1) for p in self.params])
+            self._update(self.flat, self.m, self.v, g, b1t, b2t)
+        else:
+            for p, span in zip(self.params, self._spans):
+                if p.grad is not None:
+                    self._update(self.flat[span], self.m[span], self.v[span],
+                                 p.grad.reshape(-1).copy(), b1t, b2t)
+        for p in self.params:
             p.grad = None
+
+    def _update(self, data, m, v, g, b1t: float, b2t: float) -> None:
+        """data -= lr * (m / b1t) / (sqrt(v / b2t) + eps) after the moment updates,
+        all in place; g is overwritten."""
+        m *= self.b1
+        m += (1.0 - self.b1) * g
+        v *= self.b2
+        g *= g
+        g *= 1.0 - self.b2
+        v += g
+        update = m / b1t
+        np.divide(v, b2t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        update /= g
+        update *= self.lr
+        data -= update
 
 
 # -- checkpoints ------------------------------------------------------------------
@@ -309,6 +378,9 @@ def save_checkpoint(dirpath, modules: dict) -> None:
 
 
 def load_checkpoint(dirpath, modules: dict) -> None:
+    """Load every role into its module; if any role, name or shape does not
+    match, raise before any module is written."""
+    staged = []
     for role, module in modules.items():
         named = tensor_io.load_named_tensors(dirpath, role)
         if not named:
@@ -317,4 +389,6 @@ def load_checkpoint(dirpath, modules: dict) -> None:
         got = [name for name, _ in named]
         if expected != got:
             raise ValueError(f"checkpoint layer names {got} do not match model {expected}")
-        module.load_param_arrays([arr for _, arr in named])
+        staged.append((module, module._checked_arrays([arr for _, arr in named])))
+    for module, arrays in staged:
+        module._write_arrays(arrays)

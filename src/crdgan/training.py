@@ -21,6 +21,7 @@ Discriminator modes:
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -125,11 +126,36 @@ def build_models(cfg: TrainConfig, dtype=np.float32) -> dict:
     }
 
 
+def _keep_freed_heap() -> None:
+    """Stop glibc malloc from handing the heap's free top back to the kernel.
+
+    Every training step allocates and frees the same few MB of activations,
+    column matrices and gradients, and allocates nothing that outlives it
+    (parameters and Adam moments are updated in place).  So the heap's top is
+    free at the end of each step; above glibc's trim threshold it goes back to
+    the kernel, and the next step takes one page fault per 4 KiB to map it
+    again, hundreds per batch-1 headline step.  Setting the trim threshold
+    freezes the mmap threshold too (glibc stops adjusting it), so that is set
+    to glibc's own dynamic maximum.  Peak RSS does not rise: the memory kept
+    mapped is what the next step allocates again.  Without glibc's mallopt
+    this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)     # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)    # M_TRIM_THRESHOLD
+
+
 class Trainer:
     """Owns the models, optimizers and the step logic for one run."""
 
     def __init__(self, cfg: TrainConfig, dataset, dtype=np.float32):
         cfg.validate()
+        _keep_freed_heap()
         self.cfg = cfg
         self.dataset = dataset
         self.dtype = dtype
@@ -284,8 +310,7 @@ class Trainer:
         score = float(metric(self.teacher_generate, val_set))
         if score < self.state.best_score:
             self.state.best_score = score
-            self.state.best_generator.load_param_arrays(
-                self.state.generator.param_arrays(copy=True))
+            self.state.best_generator.flat[...] = self.state.generator.flat
             return True
         return False
 
@@ -399,4 +424,4 @@ def _pretrain_discriminator(trainer: Trainer, dataset) -> None:
     for step, batch in enumerate(_batches(dataset, cfg, pre._order_seed ^ 0x5EED)):
         pre.set_lr(lr_at(step / steps_per_epoch, cfg))
         pre.train_step_teacher(batch, step)
-    trainer.state.discriminator.load_param_arrays(pre.state.discriminator.param_arrays(copy=False))
+    trainer.state.discriminator.flat[...] = pre.state.discriminator.flat

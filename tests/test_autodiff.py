@@ -108,6 +108,15 @@ class TestConv2d:
                 want = _im2col_oracle(a, kh, kw, stride)
                 assert got.dtype == a.dtype and np.array_equal(got, want)
 
+    def test_im2col_view_is_read_only(self):
+        # a 1x1 kernel at stride 1 on one image: the reshape keeps the window a view
+        xp = np.arange(24, dtype=np.float32).reshape(1, 2, 3, 4)
+        cols = _im2col(xp, 1, 1, 1)
+        assert np.shares_memory(cols, xp) and not cols.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cols[0, 0] = 1.0
+        assert xp.flags.writeable
+
     def test_input_gradient_through_mean(self):
         # conv2d straight into tmean, whose backward broadcasts one value;
         # the kernels need no padding of the output gradient (ka = kb = 1)
@@ -182,6 +191,32 @@ class TestConv2d:
                     return tsum(mul(conv2d(*args, stride, padding), g))
 
                 gradcheck(f, Tensor(leaves[i]), tol=1e-6)
+
+
+def _instance_norm_mean_oracle(x, g, eps=1e-5):
+    """instance_norm's forward and input gradient written with np.mean."""
+    xc = x - x.mean(axis=(2, 3), keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=(2, 3), keepdims=True) + eps)
+    y = xc * inv
+    gm = g.mean(axis=(2, 3), keepdims=True)
+    gym = (g * y).mean(axis=(2, 3), keepdims=True)
+    return y, inv * (g - gm - y * gym)
+
+
+class TestInstanceNorm:
+    def test_bytes_match_the_np_mean_formula(self):
+        rng = np.random.default_rng(8)
+        for dtype in (np.float32, np.float64):
+            for bsz in (1, 4):
+                x = Tensor(rng.normal(1.0, 3.0, (bsz, 3, 8, 6)).astype(dtype), requires_grad=True)
+                g = rng.normal(size=x.shape).astype(dtype)
+                y = instance_norm(x)
+                # d(sum(y * g))/dy is g exactly, so x.grad is the backward of g
+                backward(tsum(mul(y, Tensor(g))))
+                want_y, want_gx = _instance_norm_mean_oracle(x.data, g)
+                assert y.dtype == x.grad.dtype == dtype
+                assert np.array_equal(y.data, want_y), (dtype, bsz)
+                assert np.array_equal(x.grad, want_gx), (dtype, bsz)
 
 
 class TestReductions:

@@ -219,6 +219,120 @@ class TestAdversarialLosses:
             assert max_rel_error(s.grad, numeric) <= 1e-4
 
 
+def _assert_flat_views(module):
+    """Every parameter is a C-contiguous view of module.flat, laid out in order."""
+    params = module.parameters()
+    assert all(p.data.base is module.flat and p.data.flags.c_contiguous for p in params)
+    assert np.array_equal(np.concatenate([p.data.ravel() for p in params]), module.flat)
+    assert np.shares_memory(params[-1].data, module.flat[-1:])
+
+
+class TestFlatLayout:
+    def test_parameters_are_views_of_one_flat_vector(self):
+        for dtype in (np.float32, np.float64):
+            gen = build_generator(GeneratorSpec(base_width=4, num_res_blocks=1), 0, dtype)
+            disc = build_discriminator(DiscriminatorSpec(num_layers=2, base_width=4), 1, dtype)
+            for module in (gen, disc):
+                _assert_flat_views(module)
+                assert module.flat.dtype == dtype
+                assert module.flat.size == module.parameter_count()
+
+    def test_load_param_arrays_writes_into_the_views(self):
+        disc = build_discriminator(DiscriminatorSpec(num_layers=2, base_width=4), 1)
+        other = build_discriminator(DiscriminatorSpec(num_layers=2, base_width=4), 2)
+        disc.load_param_arrays(other.param_arrays())
+        _assert_flat_views(disc)
+        assert np.array_equal(disc.flat, other.flat)
+
+    def test_bad_last_array_writes_nothing(self):
+        disc = build_discriminator(DiscriminatorSpec(num_layers=2, base_width=4), 1)
+        before = disc.flat.copy()
+        arrays = [np.ones_like(a) for a in disc.param_arrays()]
+        arrays[-1] = np.ones(arrays[-1].size + 1, dtype=np.float32)
+        with pytest.raises(ValueError, match="shape"):
+            disc.load_param_arrays(arrays)
+        assert disc.flat.tobytes() == before.tobytes()
+
+
+def _adam_oracle_step(data, ms, vs, grads, t, lr, b1=0.5, b2=0.999, eps=1e-8):
+    """The per-tensor Adam update, one array at a time; None grads are skipped."""
+    b1t = 1.0 - b1 ** t
+    b2t = 1.0 - b2 ** t
+    for i, g in enumerate(grads):
+        if g is None:
+            continue
+        ms[i] = ms[i] * b1 + (1.0 - b1) * g
+        vs[i] = vs[i] * b2 + (1.0 - b2) * (g * g)
+        update = (ms[i] / b1t) / (np.sqrt(vs[i] / b2t) + eps)
+        data[i] = data[i] - lr * update
+
+
+class TestFusedAdam:
+    @staticmethod
+    def _nets():
+        return (build_generator(GeneratorSpec(base_width=4, num_res_blocks=1), 0),
+                build_discriminator(DiscriminatorSpec(num_layers=2, base_width=4), 1))
+
+    @staticmethod
+    def _backward(net, rng):
+        y = net(Tensor(rng.uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32)))
+        net.zero_grad()
+        backward(tmean(y * y))
+
+    def test_bit_equal_to_the_per_tensor_formula(self):
+        rng = np.random.default_rng(9)
+        for net in self._nets():
+            opt = Adam(net.parameters(), 2e-3)
+            data = net.param_arrays()
+            ms = [np.zeros_like(a) for a in data]
+            vs = [np.zeros_like(a) for a in data]
+            for t in range(1, 6):
+                self._backward(net, rng)
+                _adam_oracle_step(data, ms, vs, [p.grad.copy() for p in net.parameters()],
+                                  t, opt.lr)
+                opt.step()
+                assert all(p.grad is None for p in net.parameters())
+                for want, p in zip(data, net.parameters()):
+                    assert want.tobytes() == p.data.tobytes()
+                assert opt.m.tobytes() == np.concatenate([m.ravel() for m in ms]).tobytes()
+                assert opt.v.tobytes() == np.concatenate([v.ravel() for v in vs]).tobytes()
+            _assert_flat_views(net)
+
+    def test_parameter_without_grad_keeps_data_and_moments(self):
+        rng = np.random.default_rng(10)
+        for net in self._nets():
+            opt = Adam(net.parameters(), 2e-3)
+            self._backward(net, rng)
+            opt.step()
+            params = net.parameters()
+            ends = np.cumsum([p.size for p in params])
+            spans = [slice(end - p.size, end) for p, end in zip(params, ends)]
+            skip = 1
+            span = spans[skip]
+            kept = (params[skip].data.tobytes(), opt.m[span].tobytes(), opt.v[span].tobytes())
+            data = net.param_arrays()
+            ms = [opt.m[s].reshape(p.shape).copy() for p, s in zip(params, spans)]
+            vs = [opt.v[s].reshape(p.shape).copy() for p, s in zip(params, spans)]
+            self._backward(net, rng)
+            params[skip].grad = None
+            grads = [None if p.grad is None else p.grad.copy() for p in params]
+            _adam_oracle_step(data, ms, vs, grads, 2, opt.lr)
+            opt.step()
+            assert (params[skip].data.tobytes(), opt.m[span].tobytes(),
+                    opt.v[span].tobytes()) == kept
+            for want, p in zip(data, params):
+                assert want.tobytes() == p.data.tobytes()
+
+    def test_rejects_parameters_that_are_not_one_modules_flat_views(self):
+        gen, disc = self._nets()
+        params = gen.parameters()
+        for bad in ([], [Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)],
+                    params[1:], params[:-1], params[::-1], params + disc.parameters(),
+                    [Tensor(p.data.copy()) for p in params]):
+            with pytest.raises(ValueError, match="flat vector"):
+                Adam(bad, 2e-4)
+
+
 class TestAdamStability:
     def test_parameters_finite_after_100_steps(self):
         gen = build_generator(GeneratorSpec(base_width=4, num_res_blocks=1), 0)
@@ -255,6 +369,26 @@ class TestCheckpoints:
                           gen2.parameters() + disc2.parameters()):
             assert np.array_equal(pa.data, pb.data)
             assert pa.data.dtype == pb.data.dtype == np.float32
+        _assert_flat_views(gen2)
+        _assert_flat_views(disc2)
+
+    def test_bad_role_loads_no_module(self, tmp_path):
+        spec = GeneratorSpec(base_width=8, num_res_blocks=1)
+        saved = {"teacher_generator": build_generator(spec, 1),
+                 "teacher_discriminator": build_discriminator(DiscriminatorSpec(2, 8), 2),
+                 "student_generator": build_generator(spec, 3),
+                 "best_snapshot": build_generator(spec, 4)}
+        save_checkpoint(tmp_path, saved)
+        # same layer names, but the student's shapes do not match the saved ones
+        target = {"teacher_generator": build_generator(spec, 11),
+                  "teacher_discriminator": build_discriminator(DiscriminatorSpec(2, 8), 12),
+                  "student_generator": build_generator(
+                      GeneratorSpec(base_width=8, width_factor=0.5, num_res_blocks=1), 13),
+                  "best_snapshot": build_generator(spec, 14)}
+        before = {role: m.flat.tobytes() for role, m in target.items()}
+        with pytest.raises(ValueError, match="shape"):
+            load_checkpoint(tmp_path, target)
+        assert {role: m.flat.tobytes() for role, m in target.items()} == before
 
     def test_missing_role_rejected(self, tmp_path):
         gen = build_generator(GeneratorSpec(base_width=8), 0)

@@ -322,6 +322,20 @@ class TestSnapshot:
                                      paired_l2_metric, 0)
 
 
+    def test_snapshot_and_pretraining_keep_every_parameter_a_flat_view(self):
+        from crdgan.training import _pretrain_discriminator
+        cfg = tiny_config(teacher_eval_interval=1, discriminator_mode="pretrained_updating")
+        ds = tiny_dataset(cfg)
+        tr = Trainer(cfg, ds)
+        _pretrain_discriminator(tr, ds)
+        tr.train_step_teacher(first_batch(ds), 0)
+        tr.train_step_student(first_batch(ds), 0)
+        assert tr.maybe_update_snapshot((ds.val_inputs, ds.val_targets), paired_l2_metric, 0)
+        assert tr.state.best_generator.flat.tobytes() == tr.state.generator.flat.tobytes()
+        for role, module in tr.modules().items():
+            assert all(p.data.base is module.flat for p in module.parameters()), role
+
+
 class TestDtype:
     @pytest.mark.parametrize("kind, batch_size", [("invert", 1), ("shapes", 2)])
     def test_float32_step_makes_no_float64_result(self, monkeypatch, kind, batch_size):
