@@ -6,11 +6,11 @@ matched between a teacher and a quarter-width student, trained adversarially
 against an online updating-freezing teacher discriminator.
 """
 
-from .autodiff import Tensor, backward, detach, finite_diff_grad, gradcheck
+from .autodiff import Tensor, backward, detach, finite_diff_grad, gradcheck, huber
 from .slicing import ContentSet, reassemble, split_columns, split_patches, split_rows
 from .relations import (
     DistanceStructure, RelationConfig, crd_angle_loss, crd_distance_loss,
-    crd_loss, huber, pairwise_distances, phi_a, phi_d, rkd_angle_loss,
+    crd_loss, pairwise_distances, phi_a, phi_d, rkd_angle_loss,
     rkd_distance_loss, sample_tuples,
 )
 from .perceptual import FeatureExtractor, extract, gram, perceptual_loss

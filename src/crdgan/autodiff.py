@@ -459,17 +459,26 @@ def gather_sum(a: Tensor, idx, weights) -> Tensor:
     w = np.asarray(weights, dtype=a.data.dtype)
     if idx.ndim != 2 or w.shape != (idx.shape[1],):
         raise ValueError(f"gather_sum: index shape {idx.shape} does not match {w.size} weights")
-    out = w[0] * a.data[idx[:, 0]]
-    for k in range(1, w.size):
-        out = out + w[k] * a.data[idx[:, k]]
 
     def back(g):
         if a.requires_grad:
-            scattered = np.bincount(idx.reshape(-1), weights=(g[:, None] * w).reshape(-1),
-                                    minlength=a.size)
-            a._accumulate(scattered.astype(a.data.dtype))
+            a._accumulate(_scatter(g, idx, w, a.size))
 
-    return _result(out, "gather_sum", (a,), back)
+    return _result(_gather(a.data, idx, w), "gather_sum", (a,), back)
+
+
+def _gather(a: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """gather_sum's values: sum_k w[k] * a[idx[:, k]], added left to right."""
+    out = w[0] * a[idx[:, 0]]
+    for k in range(1, w.size):
+        out = out + w[k] * a[idx[:, k]]
+    return out
+
+
+def _scatter(g: np.ndarray, idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
+    """gather_sum's adjoint: one float64 bincount, then cast to g's dtype."""
+    return np.bincount(idx.reshape(-1), weights=(g[:, None] * w).reshape(-1),
+                       minlength=size).astype(g.dtype)
 
 
 # -- losses ------------------------------------------------------------------
@@ -529,7 +538,11 @@ def upsample2x(a: Tensor) -> Tensor:
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(g.reshape(b_, c_, h_, 2, w_, 2).sum(axis=(3, 5)))
+            # each 2x2 block as (top pair) + (bottom pair): the bytes of
+            # .sum(axis=(3, 5)) in two strided adds instead of a reduction
+            v = g.reshape(b_, c_, h_, 2, w_, 2)
+            p = v[..., 0] + v[..., 1]
+            a._accumulate(p[:, :, :, 0] + p[:, :, :, 1])
 
     return _result(y, "upsample2x", (a,), back)
 

@@ -16,6 +16,16 @@ is sqrt(d2) over its image's mean, the angle at j is (d2_ik - d2_ij -
 d2_jk) / 2 over max(d_ij, eps) * max(d_jk, eps) (law of cosines).  The Gram
 form G_ij - G_ik - G_jj + G_jk would skip R but cancels catastrophically on
 repeated items (a flat background); exact residuals give exact zeros.
+
+The whole computation is one autodiff node (``_relate``), run as plain
+numpy; each term is a 0-d pick of its output vector.  Its backward replays
+the adjoints that the same steps would have as separate autodiff ops
+(matmul, r*r, sum, sqrt_guarded, mean, clamp_min, reciprocal, gather_sum,
+products, huber): in the same order, with gather scatters as float64
+bincounts cast back, and with the sources' gradients added per content set
+from the last to the first, student before teacher.  So values, gradients
+and run bytes are those of the composed graph, which the tests keep as the
+oracle, at a fraction of its per-op bookkeeping.
 """
 
 from __future__ import annotations
@@ -30,8 +40,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .autodiff import (
-    Tensor, clamp_min, gather_sum, huber, matmul, reciprocal, reshape,
-    sqrt_guarded, tmean, tsum,
+    Tensor, _gather, _result, _scatter, clamp_min, matmul, reciprocal, reshape, sqrt_guarded, tmean,
+    tsum,
 )
 from . import slicing
 from .slicing import COLUMN, GRANULARITIES, PATCH, ROW, ContentSet
@@ -163,26 +173,159 @@ _ONE = (1.0,)
 _COSINE = (-0.5, 0.5, -0.5)      # (d2_ik - d2_ij - d2_jk) / 2 over columns (ij, ik, jk)
 
 
-def _compare(t_x: Tensor, s_x: Tensor, batch: int, pairs, triples, eps: float) -> tuple:
-    """Huber mismatch of the two sides' phi_d over the pairs and phi_a over
-    the triples, each averaged over its tuples and the images; None where no
-    tuples are given."""
-    pair_idx, triple_idx = (None if tuples is None else _index(tuples, t_x.shape[0], batch)
-                            for tuples in (pairs, triples))
-    phis = []
-    for x in (t_x, s_x):
-        sq = _pair_sq(x, batch)
-        d = sqrt_guarded(sq, eps)
-        phi_d = phi_a = None
-        if pair_idx is not None:
-            inv_mu = reciprocal(clamp_min(tmean(reshape(d, (-1, batch)), axes=0), eps))
-            phi_d = gather_sum(d, pair_idx, _ONE) * gather_sum(inv_mu, pair_idx % batch, _ONE)
-        if triple_idx is not None:
-            inv = reciprocal(clamp_min(d, eps))
-            phi_a = (gather_sum(sq, triple_idx, _COSINE) * gather_sum(inv, triple_idx[:, :1], _ONE)
-                     * gather_sum(inv, triple_idx[:, 2:], _ONE))
-        phis.append((phi_d, phi_a))
-    return tuple(None if t is None else tmean(huber(t, s)) for t, s in zip(*phis))
+class _Side:
+    """One side's structures over one content set, and their adjoints.
+
+    The forward keeps the values its backward reads.  ``grad`` replays the
+    adjoints of the composed graph (matmul, r*r, sum, sqrt, mean, clamps,
+    reciprocals, gathers and products) in its reverse creation order, so
+    every sum is added in the same order and the bytes match.
+    """
+
+    def __init__(self, x: np.ndarray, batch: int, pairs, triples, eps: float):
+        self.a = _incidence(x.shape[0], x.dtype).data
+        self.batch, self.pairs, self.triples, self.eps = batch, pairs, triples, eps
+        self.r = r = self.a @ x                             # rows: exact x_i - x_j
+        self.width = x.shape[1] // batch
+        sq = (r * r).reshape(-1, self.width).sum(axis=(1,))
+        self.d = d = np.sqrt(np.maximum(sq, 0.0))
+        self.phi = [None, None]                             # phi_d, phi_a
+        if pairs is not None:
+            self.mean = _mean(d.reshape(-1, batch))
+            self.inv_mu = 1.0 / np.maximum(self.mean, eps)
+            # a unit-weight gather is plain indexing: 1.0 * v is v, bit for bit
+            self.g1, self.g2 = d[pairs[0]], self.inv_mu[pairs[1]]
+            self.phi[0] = self.g1 * self.g2
+        if triples is not None:
+            self.inv = 1.0 / np.maximum(d, eps)
+            self.cosine = np.asarray(_COSINE, dtype=x.dtype)
+            self.gs = _gather(sq, triples, self.cosine)
+            self.gi, self.gk = self.inv[triples[:, 0]], self.inv[triples[:, 2]]
+            self.m1 = self.gs * self.gi
+            self.phi[1] = self.m1 * self.gk
+
+    def grad(self, g_phi_d: Optional[np.ndarray], g_phi_a: Optional[np.ndarray]) -> np.ndarray:
+        """The gradient of X = [count, B*D] from those of phi_d and phi_a
+        (None: that term's graph was not reached)."""
+        d, eps, size = self.d, self.eps, self.d.size
+        one = np.asarray(_ONE, dtype=d.dtype)
+        # terms are added in the composed graph's reverse creation order: into
+        # d the angle's clamp, the pair gather, then the mean; into sq the
+        # cosine gather, then the sqrt
+        g_d = g_sq = None
+        if g_phi_a is not None:
+            triples = self.triples
+            g_m1 = g_phi_a * self.gk
+            g_inv = _scatter(g_phi_a * self.m1, triples[:, 2], one, size)
+            g_inv += _scatter(g_m1 * self.gs, triples[:, 0], one, size)
+            g_sq = _scatter(g_m1 * self.gi, triples, self.cosine, size)
+            g_d = -g_inv * self.inv * self.inv * (d >= eps)
+        if g_phi_d is not None:
+            pairs, batch = self.pairs, self.batch
+            g_inv_mu = _scatter(g_phi_d * self.g1, pairs[1], one, batch)
+            g_pair = _scatter(g_phi_d * self.g2, pairs[0], one, size)
+            g_d = g_pair if g_d is None else g_d + g_pair
+            g_mean = -g_inv_mu * self.inv_mu * self.inv_mu * (self.mean >= eps)
+            g_d = (g_d.reshape(-1, batch) + g_mean / (size // batch)).reshape(-1)
+        g_root = g_d / (2.0 * np.maximum(d, eps))
+        g_sq = g_root if g_sq is None else g_sq + g_root
+        g_r = (g_sq[:, None] * self.r.reshape(-1, self.width)).reshape(self.r.shape)
+        g_r = g_r + g_r                                     # r * r: g*r to each operand
+        return self.a.swapaxes(-1, -2) @ g_r
+
+
+def _mean(a: np.ndarray):
+    """a.mean(axis=0) without np.mean's Python wrapper.  The bytes are the
+    same: np.mean divides the same sum by the count, for float32 in float64
+    and rounded back, which rounds as a float32 division does."""
+    return np.add.reduce(a, axis=0) / a.shape[0]
+
+
+def _huber(diff: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(diff) <= 1.0, 0.5 * diff * diff, np.abs(diff) - 0.5)
+
+
+def _huber_slope(diff: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(diff) <= 1.0, diff, np.sign(diff))
+
+
+def _pick(vec: Tensor, k: int, reached: list) -> Tensor:
+    """vec[k] as a 0-d tensor; its backward marks term k as reached."""
+    def back(g):
+        reached[k] = True
+        onehot = np.zeros_like(vec.data)
+        onehot[k] = g
+        vec._accumulate(onehot)
+
+    return _result(vec.data[k:k + 1].reshape(()), "pick", (vec,), back)
+
+
+def _relate(t: Tensor, s: Tensor, groups: list, eps: float) -> tuple:
+    """(distance term, angle term) of the teacher/student sources as one
+    autodiff node and a 0-d pick of it per term; None for an absent term.
+
+    ``groups`` holds one (cut, batch, pair_idx, triple_idx) per content set:
+    ``cut`` is the slicing layout that turns a source into its item stack
+    (None: the sources are item stacks), and the index arrays come from
+    ``_index`` (None: no such tuples).  Each term is the Huber mismatch of
+    the two sides' phi averaged over its tuples and images, summed over the
+    groups left to right.
+    """
+    stacks = []
+    for cut, batch, pair_idx, triple_idx in groups:
+        # the pairs' d2 entries, and their images' entries of the per-image mean
+        pairs = None if pair_idx is None else (pair_idx[:, 0], pair_idx[:, 0] % batch)
+        sides = []
+        for src in (t, s):
+            x = src.data
+            if cut is not None:                 # the item-major stack slicing.split makes
+                grid, axes, items = cut
+                x = np.ascontiguousarray(x.reshape(grid).transpose(axes)).reshape(
+                    items[0] // batch, -1)
+            sides.append(_Side(x, batch, pairs, triple_idx, eps))
+        stacks.append((cut, sides))
+    terms = []                              # (0 distance or 1 angle, diff per group, total)
+    for term in (0, 1):
+        diffs = [None if ts.phi[term] is None else ts.phi[term] - ss.phi[term]
+                 for _, (ts, ss) in stacks]
+        values = [_mean(_huber(diff)) for diff in diffs if diff is not None]
+        if values:
+            terms.append((term, diffs, functools.reduce(operator.add, values)))
+    vec = np.array([total for _, _, total in terms])
+    # the backward reads only the sides whose source took a gradient when made
+    stacks = [(cut, [side if src.requires_grad else None for side, src in zip(sides, (t, s))])
+              for cut, sides in stacks]
+
+    def back(g):
+        g_phi = [[None, None] for _ in stacks]      # per group and term: (teacher, student)
+        for k, (term, diffs, _) in enumerate(terms):
+            if not reached[k]:
+                continue
+            for slot, diff in zip(g_phi, diffs):
+                if diff is not None:
+                    g_mean = g[k] / diff.size               # the mean's adjoint
+                    slope = _huber_slope(diff)
+                    slot[term] = (g_mean * slope, -g_mean * slope)
+        # image gradients arrive per content set in reverse order, student first
+        for (cut, sides), slot in zip(reversed(stacks), reversed(g_phi)):
+            for which, src in ((1, s), (0, t)):
+                side = sides[which]
+                if side is None or not src.requires_grad or slot == [None, None]:
+                    continue
+                g_x = side.grad(*(None if pair is None else
+                                  pair[which].astype(src.dtype, copy=False) for pair in slot))
+                if cut is not None:
+                    grid, axes, _ = cut
+                    g_x = np.ascontiguousarray(
+                        g_x.reshape([grid[a] for a in axes]).transpose(np.argsort(axes)))
+                src._accumulate(g_x.reshape(src.shape))
+
+    reached = [False] * len(terms)
+    node = _result(vec, "relations", (t, s), back)
+    picks = [None, None]
+    for k, (term, _, _) in enumerate(terms):
+        picks[term] = _pick(node, k, reached)
+    return tuple(picks)
 
 
 def pairwise_distances(item_set: ItemsLike, epsilon: float = 1e-12) -> DistanceStructure:
@@ -282,8 +425,9 @@ def rkd_distance_loss(teacher_items: ItemsLike, student_items: ItemsLike,
     of image size and sampling budget).
     """
     t, s = _as_items(teacher_items), _as_items(student_items)
-    pairs = sample_tuples(_check_sides(t, s, 2), 2, cfg.pair_budget, cfg.seed)
-    return _compare(t, s, 1, pairs, None, cfg.epsilon)[0]
+    n = _check_sides(t, s, 2)
+    pairs = sample_tuples(n, 2, cfg.pair_budget, cfg.seed)
+    return _relate(t, s, [(None, 1, _index(pairs, n, 1), None)], cfg.epsilon)[0]
 
 
 def rkd_angle_loss(teacher_items: ItemsLike, student_items: ItemsLike,
@@ -295,8 +439,9 @@ def rkd_angle_loss(teacher_items: ItemsLike, student_items: ItemsLike,
     vertex, keeping teacher and student orientations aligned.
     """
     t, s = _as_items(teacher_items), _as_items(student_items)
-    triples = sample_tuples(_check_sides(t, s, 3), 3, cfg.triplet_budget, cfg.seed)
-    return _compare(t, s, 1, None, triples, cfg.epsilon)[1]
+    n = _check_sides(t, s, 3)
+    triples = sample_tuples(n, 3, cfg.triplet_budget, cfg.seed)
+    return _relate(t, s, [(None, 1, None, _index(triples, n, 1))], cfg.epsilon)[1]
 
 
 # -- content-level losses -------------------------------------------------------
@@ -312,36 +457,33 @@ def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
     """(crd_d, crd_a) of a [c,h,w] image or [b,c,h,w] batch pair, in one pass.
 
     Each term is summed over its enabled granularities and averaged over the
-    images; a term not asked for is None.  Each side is sliced once per
-    granularity, and that granularity's pairs and triples are drawn once,
-    from its own seed, for every image.
+    images; a term not asked for is None.  Both sides are cut by one slicing
+    layout per granularity, and that granularity's pairs and triples are
+    drawn once, from its own seed, for every image.
     """
     if teacher_img.shape != student_img.shape:
         raise ValueError(f"teacher/student shapes differ: {teacher_img.shape} vs {student_img.shape}")
+    if not (distance or angle):
+        return None, None
     d_grans = cfg.enabled_granularities() if distance else ()
     a_grans = cfg.enabled_granularities(angle=True) if angle else ()
     if (distance and not d_grans) or (angle and not a_grans):
         raise ValueError("no content granularity enabled: nothing to relate")
-    terms = []
+    groups = []
     for g in d_grans or a_grans:            # the angle granularities are a subset
-        t_set = slicing.split(teacher_img, g, (n, m) if g == PATCH else None)
-        s_set = slicing.split(student_img, g, (n, m) if g == PATCH else None)
-        pairs = triples = None
+        cut = slicing.layout(teacher_img.shape, g, (n, m) if g == PATCH else None)
+        batch = cut[0][0]
+        count = cut[2][0] // batch
+        pair_idx = triple_idx = None
         if g in d_grans:
-            pairs = sample_tuples(t_set.count, 2, cfg.pair_budget, _granularity_seed(cfg.seed, g, 2))
+            pairs = sample_tuples(count, 2, cfg.pair_budget, _granularity_seed(cfg.seed, g, 2))
+            pair_idx = _index(pairs, count, batch)
         if g in a_grans:
-            triples = sample_tuples(t_set.count, 3, cfg.triplet_budget,
+            triples = sample_tuples(count, 3, cfg.triplet_budget,
                                     _granularity_seed(cfg.seed, g, 3))
-        # item-major stacks reshape for free to X = [count, B*D]
-        t_x, s_x = (reshape(c.items, (c.count, -1)) for c in (t_set, s_set))
-        terms.append(_compare(t_x, s_x, t_set.batch, pairs, triples, cfg.epsilon))
-    return tuple(_total(column) for column in zip(*terms))
-
-
-def _total(terms) -> Optional[Tensor]:
-    """Left-to-right sum of the terms that exist; None if none does."""
-    present = [t for t in terms if t is not None]
-    return functools.reduce(operator.add, present) if present else None
+            triple_idx = _index(triples, count, batch)
+        groups.append((cut, batch, pair_idx, triple_idx))
+    return _relate(teacher_img, student_img, groups, cfg.epsilon)
 
 
 def crd_combine(crd_d: Tensor, crd_a: Optional[Tensor], cfg: RelationConfig) -> Tensor:

@@ -10,6 +10,7 @@ image's item 0, then every image's item 1, and so on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -56,34 +57,36 @@ class ContentSet:
         return self.items.data[i]
 
 
-def _dims(img: Tensor) -> Tuple[int, int, int, int]:
+def _dims(shape: tuple) -> Tuple[int, int, int, int]:
     """(b, c, h, w), with b = 1 for a lone image."""
-    if img.ndim not in (3, 4):
-        raise ValueError(f"expected a [c,h,w] image or a [b,c,h,w] batch, got shape {img.shape}")
-    return (1,) * (4 - img.ndim) + img.shape
+    if len(shape) not in (3, 4):
+        raise ValueError(f"expected a [c,h,w] image or a [b,c,h,w] batch, got shape {shape}")
+    return (1,) * (4 - len(shape)) + tuple(shape)
 
 
-def split_columns(img: Tensor) -> ContentSet:
-    """w items per image, each the flattened [c,h] column slab."""
-    b, c, h, w = _dims(img)
-    if w < 2:
-        raise ValueError(f"split_columns needs width >= 2, got {w} (no pairs possible)")
-    items = reshape(permute(reshape(img, (b, c, h, w)), (3, 0, 1, 2)), (w * b, c * h))
-    return ContentSet(COLUMN, items, img.shape)
+@functools.lru_cache(maxsize=64)
+def layout(shape: tuple, granularity: str,
+           patch_dims: Optional[Tuple[int, int]] = None) -> Tuple[tuple, tuple, tuple]:
+    """How a source of this shape splits: (grid, axes, items).
 
-
-def split_rows(img: Tensor) -> ContentSet:
-    """h items per image, each the flattened [c,w] row slab."""
-    b, c, h, w = _dims(img)
-    if h < 2:
-        raise ValueError(f"split_rows needs height >= 2, got {h} (no pairs possible)")
-    items = reshape(permute(reshape(img, (b, c, h, w)), (2, 0, 1, 3)), (h * b, c * w))
-    return ContentSet(ROW, items, img.shape)
-
-
-def split_patches(img: Tensor, n: int, m: int) -> ContentSet:
-    """(h*w)/(n*m) non-overlapping [c,n,m] patches per image in raster order."""
-    b, c, h, w = _dims(img)
+    Reshaping the source to ``grid``, permuting by ``axes`` and reshaping to
+    ``items`` = [count*b, d] gives the item-major stack.  The split functions
+    and the relation losses both cut their items this way.
+    """
+    b, c, h, w = _dims(shape)
+    if granularity == COLUMN:
+        if w < 2:
+            raise ValueError(f"split_columns needs width >= 2, got {w} (no pairs possible)")
+        return (b, c, h, w), (3, 0, 1, 2), (w * b, c * h)
+    if granularity == ROW:
+        if h < 2:
+            raise ValueError(f"split_rows needs height >= 2, got {h} (no pairs possible)")
+        return (b, c, h, w), (2, 0, 1, 3), (h * b, c * w)
+    if granularity != PATCH:
+        raise ValueError(f"unknown granularity {granularity!r}")
+    if patch_dims is None:
+        raise ValueError("patch granularity needs patch dims (n, m)")
+    n, m = patch_dims
     if n <= 0 or m <= 0:
         raise ValueError(f"patch dims must be positive, got {n}x{m}")
     if h % n != 0:
@@ -93,20 +96,29 @@ def split_patches(img: Tensor, n: int, m: int) -> ContentSet:
     count = (h * w) // (n * m)
     if count < 2:
         raise ValueError(f"split_patches needs >= 2 patches, got {count}")
-    grid = permute(reshape(img, (b, c, h // n, n, w // m, m)), (2, 4, 0, 1, 3, 5))
-    return ContentSet(PATCH, reshape(grid, (count * b, c * n * m)), img.shape, (n, m))
+    return (b, c, h // n, n, w // m, m), (2, 4, 0, 1, 3, 5), (count * b, c * n * m)
 
 
 def split(img: Tensor, granularity: str, patch_dims: Optional[Tuple[int, int]] = None) -> ContentSet:
-    if granularity == COLUMN:
-        return split_columns(img)
-    if granularity == ROW:
-        return split_rows(img)
-    if granularity == PATCH:
-        if patch_dims is None:
-            raise ValueError("patch granularity needs patch dims (n, m)")
-        return split_patches(img, *patch_dims)
-    raise ValueError(f"unknown granularity {granularity!r}")
+    dims = tuple(patch_dims) if granularity == PATCH and patch_dims is not None else None
+    grid, axes, stack = layout(img.shape, granularity, dims)
+    items = reshape(permute(reshape(img, grid), axes), stack)
+    return ContentSet(granularity, items, img.shape, dims)
+
+
+def split_columns(img: Tensor) -> ContentSet:
+    """w items per image, each the flattened [c,h] column slab."""
+    return split(img, COLUMN)
+
+
+def split_rows(img: Tensor) -> ContentSet:
+    """h items per image, each the flattened [c,w] row slab."""
+    return split(img, ROW)
+
+
+def split_patches(img: Tensor, n: int, m: int) -> ContentSet:
+    """(h*w)/(n*m) non-overlapping [c,n,m] patches per image in raster order."""
+    return split(img, PATCH, (n, m))
 
 
 def reassemble(cset: ContentSet) -> np.ndarray:

@@ -386,6 +386,19 @@ class TestSupportOps:
 
         gradcheck(f, Tensor(x), tol=1e-7)
 
+    # the inputs of the headline generators' two upsampling layers, teacher then student
+    @pytest.mark.parametrize("c,h", [(64, 8), (32, 16), (16, 8), (8, 16)])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_upsample_backward_bytes_of_block_sum(self, c, h, batch, dtype):
+        rng = np.random.default_rng(c * h + batch)
+        x = Tensor(rng.normal(size=(batch, c, h, h)).astype(dtype), requires_grad=True)
+        out = upsample2x(x)
+        g = rng.normal(size=out.shape).astype(dtype)
+        backward(tsum(mul(out, Tensor(g))))
+        want = g.reshape(batch, c, h, 2, h, 2).sum(axis=(3, 5))
+        assert x.grad.dtype == dtype and x.grad.tobytes() == want.tobytes()
+
     def test_misc_op_grads(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(4, 3)) + 0.1

@@ -1,17 +1,26 @@
 """Relational losses against independent full-enumeration oracles.
 
 The oracles below slice with plain numpy loops and enumerate every tuple
-explicitly; they share nothing with the vectorized path they check.
+explicitly; they share nothing with the vectorized path they check.  The
+composed-graph oracle further down is the other kind: the same steps as
+separate autodiff ops, whose values and gradients the one-node loss must
+match byte for byte.
 """
+
+import functools
+import operator
 
 import numpy as np
 import pytest
 
-from crdgan import slicing
-from crdgan.autodiff import Tensor, backward, finite_diff_grad, gradcheck, max_rel_error
+from crdgan import autodiff, relations, slicing
+from crdgan.autodiff import (
+    Tensor, backward, clamp_min, finite_diff_grad, gather_sum, gradcheck, huber, matmul,
+    max_rel_error, reciprocal, reshape, sqrt_guarded, tmean, tsum,
+)
 from crdgan.relations import (
     RelationConfig, crd_angle_loss, crd_combine, crd_distance_loss, crd_loss,
-    crd_terms, huber, pairwise_distances, phi_a, phi_d, rkd_angle_loss,
+    crd_terms, pairwise_distances, phi_a, phi_d, rkd_angle_loss,
     rkd_distance_loss, sample_tuples,
 )
 
@@ -461,18 +470,184 @@ class TestOnePass:
         assert crd_loss(t, s, 4, 4, cfg).item() == crd_combine(crd_d, crd_a, cfg).item()
         assert crd_terms(t, s, 4, 4, cfg, angle=False)[1] is None
 
-    def test_each_side_sliced_once_per_granularity(self, monkeypatch):
+    def test_one_layout_per_granularity_and_no_split(self, monkeypatch):
         calls = []
-        real = slicing.split
+        real = slicing.layout
 
-        def counting(img, granularity, patch_dims=None):
-            calls.append((img.shape, granularity))
-            return real(img, granularity, patch_dims)
+        def counting(shape, granularity, patch_dims=None):
+            calls.append((shape, granularity))
+            return real(shape, granularity, patch_dims)
 
-        monkeypatch.setattr(slicing, "split", counting)
+        def no_split(*args):
+            raise AssertionError("crd_terms sliced through split")
+
+        monkeypatch.setattr(slicing, "layout", counting)
+        monkeypatch.setattr(slicing, "split", no_split)
         img = Tensor(np.random.default_rng(34).uniform(-1, 1, (4, 1, 8, 8)))
         crd_terms(img, img, 4, 4, RelationConfig(triplet_budget=16))
-        assert len(calls) == 6 and all(shape == (4, 1, 8, 8) for shape, _ in calls)
+        assert calls == [((4, 1, 8, 8), g) for g in ("column", "row", "patch")]
+
+    def test_no_term_asked_for_is_none_none(self):
+        img = Tensor(np.zeros((1, 4, 4)))
+        assert crd_terms(img, img, 2, 2, CFG, distance=False, angle=False) == (None, None)
+
+
+# -- the composed graph the one-node loss replays --------------------------------
+
+_ONE = (1.0,)
+_COSINE = (-0.5, 0.5, -0.5)
+
+
+def composed_pair_sq(x, batch):
+    count, width = x.shape
+    r = matmul(relations._incidence(count, x.dtype), x)
+    return tsum(reshape(r * r, (-1, width // batch)), axes=1)
+
+
+def composed_compare(t_x, s_x, batch, pair_idx, triple_idx, eps):
+    """The relation terms built from generic autodiff ops, one op per step."""
+    phis = []
+    for x in (t_x, s_x):
+        sq = composed_pair_sq(x, batch)
+        d = sqrt_guarded(sq, eps)
+        phi_d = phi_a = None
+        if pair_idx is not None:
+            inv_mu = reciprocal(clamp_min(tmean(reshape(d, (-1, batch)), axes=0), eps))
+            phi_d = gather_sum(d, pair_idx, _ONE) * gather_sum(inv_mu, pair_idx % batch, _ONE)
+        if triple_idx is not None:
+            inv = reciprocal(clamp_min(d, eps))
+            phi_a = (gather_sum(sq, triple_idx, _COSINE) * gather_sum(inv, triple_idx[:, :1], _ONE)
+                     * gather_sum(inv, triple_idx[:, 2:], _ONE))
+        phis.append((phi_d, phi_a))
+    return tuple(None if t is None else tmean(huber(t, s)) for t, s in zip(*phis))
+
+
+def composed_total(terms):
+    present = [t for t in terms if t is not None]
+    return functools.reduce(operator.add, present) if present else None
+
+
+def composed_crd_terms(teacher_img, student_img, n, m, cfg, distance=True, angle=True):
+    """crd_terms as a graph of split, matmul, gather_sum, sqrt_guarded,
+    clamp_min, reciprocal, huber and tmean ops."""
+    d_grans = cfg.enabled_granularities() if distance else ()
+    a_grans = cfg.enabled_granularities(angle=True) if angle else ()
+    terms = []
+    for g in d_grans or a_grans:
+        t_set = slicing.split(teacher_img, g, (n, m) if g == "patch" else None)
+        s_set = slicing.split(student_img, g, (n, m) if g == "patch" else None)
+        count, batch = t_set.count, t_set.batch
+        pair_idx = triple_idx = None
+        if g in d_grans:
+            pairs = sample_tuples(count, 2, cfg.pair_budget,
+                                  relations._granularity_seed(cfg.seed, g, 2))
+            pair_idx = relations._index(pairs, count, batch)
+        if g in a_grans:
+            triples = sample_tuples(count, 3, cfg.triplet_budget,
+                                    relations._granularity_seed(cfg.seed, g, 3))
+            triple_idx = relations._index(triples, count, batch)
+        t_x, s_x = (reshape(c.items, (c.count, -1)) for c in (t_set, s_set))
+        terms.append(composed_compare(t_x, s_x, batch, pair_idx, triple_idx, cfg.epsilon))
+    return tuple(composed_total(column) for column in zip(*terms))
+
+
+def _run_terms(fn, t_data, s_data, cfg, distance, angle, teacher_grad, same, use):
+    """Values of both terms and the gradients of a loss over the terms in
+    ``use`` (crd_combine when both are used)."""
+    s = Tensor(s_data.copy(), requires_grad=True)
+    t = s if same else Tensor(t_data.copy(), requires_grad=teacher_grad)
+    crd_d, crd_a = fn(t, s, 4, 4, cfg, distance=distance, angle=angle)
+    used = [term for term, on in zip((crd_d, crd_a), use) if on and term is not None]
+    loss = crd_combine(*used, cfg) if len(used) == 2 else used[0]
+    backward(loss)
+    values = [None if term is None else term.data.tobytes() for term in (crd_d, crd_a)]
+    grads = [None if x.grad is None else x.grad.tobytes() for x in (t, s)]
+    return values, grads
+
+
+def _one_ulp_flat(rng, shape, dtype):
+    """Every pixel one value, then a random one-ulp step up or down."""
+    img = np.full(shape, 0.3, dtype=dtype)
+    steps = rng.integers(-1, 2, shape)
+    return np.where(steps > 0, np.nextafter(img, dtype(1)),
+                    np.where(steps < 0, np.nextafter(img, dtype(-1)), img)).astype(dtype)
+
+
+class TestOneNodeMatchesComposedGraph:
+    CASES = [
+        dict(),
+        dict(distance=False),
+        dict(angle=False),
+        dict(cfg=RelationConfig(angle_patches_only=True, triplet_budget=None)),
+        dict(cfg=RelationConfig(use_columns=False, triplet_budget=30, seed=3)),
+        dict(cfg=RelationConfig(use_rows=False, pair_budget=40, seed=4)),
+        dict(cfg=RelationConfig(use_patches=False, triplet_budget=None)),
+        dict(teacher_grad=True),
+        dict(same=True),
+        dict(use=(True, False)),
+        dict(use=(False, True)),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (4, 3, 8, 8)])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_values_and_gradients_byte_equal(self, dtype, shape, case):
+        opts = dict(cfg=RelationConfig(triplet_budget=50, seed=7), distance=True, angle=True,
+                    teacher_grad=False, same=False, use=(True, True))
+        opts.update(self.CASES[case])
+        rng = np.random.default_rng(case)
+        t_data = rng.uniform(-1, 1, shape).astype(dtype)
+        s_data = rng.uniform(-1, 1, shape).astype(dtype)
+        args = (t_data, s_data, opts["cfg"], opts["distance"], opts["angle"],
+                opts["teacher_grad"], opts["same"], opts["use"])
+        assert _run_terms(crd_terms, *args) == _run_terms(composed_crd_terms, *args)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_image_with_one_ulp_noise(self, dtype):
+        rng = np.random.default_rng(40)
+        t_data = _one_ulp_flat(rng, (3, 16, 16), dtype)
+        s_data = _one_ulp_flat(rng, (3, 16, 16), dtype)
+        cfg = RelationConfig(triplet_budget=None, seed=1)
+        args = (t_data, s_data, cfg, True, True, True, False, (True, True))
+        got = _run_terms(crd_terms, *args)
+        assert got == _run_terms(composed_crd_terms, *args)
+        assert got[1][1] is not None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_item_stack_losses(self, dtype):
+        rng = np.random.default_rng(41)
+        t_data = rng.uniform(-1, 1, (6, 5)).astype(dtype)
+        s_data = rng.uniform(-1, 1, (6, 7)).astype(dtype)     # item lengths may differ
+        full = RelationConfig(pair_budget=None, triplet_budget=None)
+        for fn, arity in ((rkd_distance_loss, 2), (rkd_angle_loss, 3)):
+            idx = relations._index(sample_tuples(6, arity, None, 0), 6, 1)
+            out = []
+            for composed in (False, True):
+                t = Tensor(t_data.copy(), requires_grad=True)
+                s = Tensor(s_data.copy(), requires_grad=True)
+                if composed:
+                    pair_idx, triple_idx = (idx, None) if arity == 2 else (None, idx)
+                    loss = composed_compare(t, s, 1, pair_idx, triple_idx, full.epsilon)[arity - 2]
+                else:
+                    loss = fn(t, s, full)
+                backward(loss)
+                out.append((loss.data.tobytes(), t.grad.tobytes(), s.grad.tobytes()))
+            assert out[0] == out[1]
+
+    def test_one_call_records_at_most_three_results(self, monkeypatch):
+        count = [0]
+        real = autodiff._result
+
+        def counting(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(autodiff, "_result", counting)
+        monkeypatch.setattr(relations, "_result", counting)
+        img = Tensor(np.random.default_rng(42).uniform(-1, 1, (2, 3, 8, 8)), requires_grad=True)
+        crd_terms(img, img, 4, 4, CFG)
+        assert 0 < count[0] <= 3
+
 
 class TestSampling:
     def test_small_budget_regime_is_exhaustive(self):
