@@ -21,12 +21,17 @@ x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
 backward(tsum(mul(detach(x), x)))
 print("d/dx sum(sg(x)*x)  =", x.grad, "  (expect x itself)")
 
-# A convolution against its nested-loop definition.
+# A convolution.  conv2d is channels-last: images are [B,H,W,C] and kernels
+# [kh,kw,Cin,Cout], so every window is kh runs of kw*C contiguous floats.
 rng = np.random.default_rng(0)
-img = Tensor(rng.normal(size=(1, 1, 5, 5)))
-ker = Tensor(rng.normal(size=(2, 1, 3, 3)))
+img = Tensor(rng.normal(size=(1, 5, 5, 1)))
+ker = Tensor(rng.normal(size=(3, 3, 1, 2)))
 out = conv2d(img, ker, stride=1, padding=1)
-print("conv output shape  =", out.shape)
+print("conv output shape  =", out.shape, "  ([B,H,W,Cout])")
+# Output pixel (i, j), channel o, is the window's dot product with kernel o.
+window = np.pad(img.data[0, :, :, 0], 1)[1:4, 2:5]
+print("pixel (1,2), ch 1  =", f"{out.data[0, 1, 2, 1]:.6f}",
+      f"  (expect {np.sum(window * ker.data[:, :, 0, 1]):.6f})")
 
 # Every differentiable op is checked against central finite differences.
 err = gradcheck(lambda t: tmean(mul(tanh(conv2d(t, ker, stride=2, padding=1)),

@@ -277,14 +277,15 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
-    mask = a.data > 0
-    slope = np.where(mask, 1.0, alpha).astype(a.data.dtype)
+    # each element's slope taken from a two-entry table (np.where on a random
+    # mask runs several times slower); a * 1 is a, so y has where()'s bytes
+    slope = np.array([alpha, 1.0], dtype=a.dtype).take((a.data > 0).view(np.uint8))
 
     def back(g):
         if a.requires_grad:
             a._accumulate(g * slope)
 
-    return _result(np.where(mask, a.data, alpha * a.data), "leaky_relu", (a,), back)
+    return _result(a.data * slope, "leaky_relu", (a,), back)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -506,83 +507,90 @@ def huber(a: Tensor, b: Tensor) -> Tensor:
 
 
 # -- structured ops for conv nets ---------------------------------------------
+#
+# Activations are channels-last, [B,H,W,C], and conv kernels are
+# [kh,kw,Cin,Cout]: a conv window is then kh runs of kw*C contiguous floats.
+
 
 def _pad(a: np.ndarray, top: int, left: int, bottom: int, right: int) -> np.ndarray:
-    """a with zero rows and columns added around its last two axes."""
+    """a [B,H,W,C] with zero rows and columns added around its spatial axes."""
     if not (top or left or bottom or right):
         return a
-    h, w = a.shape[-2:]
-    out = np.zeros(a.shape[:-2] + (top + h + bottom, left + w + right), dtype=a.dtype)
-    out[..., top:top + h, left:left + w] = a
+    bsz, h, w, c = a.shape
+    out = np.zeros((bsz, top + h + bottom, left + w + right, c), dtype=a.dtype)
+    out[:, top:top + h, left:left + w] = a
     return out
 
 
 def pad2d(a: Tensor, padding: int) -> Tensor:
+    """Zero padding of a [B,H,W,C] tensor's spatial axes."""
     if padding == 0:
         return a
     p = int(padding)
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(g[..., p:-p, p:-p])
+            a._accumulate(g[:, p:-p, p:-p])
 
     return _result(_pad(a.data, p, p, p, p), "pad2d", (a,), back)
 
 
 def upsample2x(a: Tensor) -> Tensor:
-    """Nearest-neighbour 2x spatial upsampling of a [B,C,H,W] tensor."""
+    """Nearest-neighbour 2x spatial upsampling of a [B,H,W,C] tensor."""
     if a.ndim != 4:
         raise ValueError(f"upsample2x expects rank-4, got {a.shape}")
-    y = a.data.repeat(2, axis=2).repeat(2, axis=3)
-    b_, c_, h_, w_ = a.shape
+    y = a.data.repeat(2, axis=1).repeat(2, axis=2)
+    b_, h_, w_, c_ = a.shape
 
     def back(g):
         if a.requires_grad:
-            # each 2x2 block as (top pair) + (bottom pair): the bytes of
-            # .sum(axis=(3, 5)) in two strided adds instead of a reduction
-            v = g.reshape(b_, c_, h_, 2, w_, 2)
-            p = v[..., 0] + v[..., 1]
-            a._accumulate(p[:, :, :, 0] + p[:, :, :, 1])
+            # each 2x2 block as (top pair) + (bottom pair), in two strided adds
+            v = g.reshape(b_, h_, 2, w_, 2, c_)
+            p = v[:, :, :, :, 0] + v[:, :, :, :, 1]
+            a._accumulate(p[:, :, 0] + p[:, :, 1])
 
     return _result(y, "upsample2x", (a,), back)
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Every kh x kw window of a [B,C,H,W] array as a [C*kh*kw, B*Ho*Wo] matrix.
+    """Every kh x kw window of a [B,H,W,C] array as a [B*Ho*Wo, kh*kw*C] matrix.
 
-    One read-only strided view [C, kh, kw, B, Ho, Wo] with the stride folded
-    in, then the one reshape copy.  The view is built on a C-contiguous xp
-    (a broadcast or strided input is copied first) by the plain ndarray
+    One read-only strided view [B, Ho, Wo, kh, kw, C] with the stride folded
+    in, then the one reshape copy, which moves each window row as one run of
+    kw*C contiguous floats.  The view is built on a C-contiguous xp (a
+    broadcast or strided input is copied first) by the plain ndarray
     constructor, which skips as_strided's per-call Python set-up.
     """
     xp = np.ascontiguousarray(xp)
-    bsz, c, h, w = xp.shape
+    bsz, h, w, c = xp.shape
     ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
-    sb, sc, sh, sw = xp.strides
-    win = np.ndarray((c, kh, kw, bsz, ho, wo), xp.dtype, xp, 0,
-                     (sc, sh, sw, sb, sh * stride, sw * stride))
+    sb, sh, sw, sc = xp.strides
+    win = np.ndarray((bsz, ho, wo, kh, kw, c), xp.dtype, xp, 0,
+                     (sb, sh * stride, sw * stride, sh, sw, sc))
     win.flags.writeable = False
-    return win.reshape(c * kh * kw, bsz * ho * wo)
+    return win.reshape(bsz * ho * wo, kh * kw * c)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of [B,Cin,H,W] with kernels [Cout,Cin,kh,kw].
+    """2-D cross-correlation of [B,H,W,Cin] with kernels [kh,kw,Cin,Cout].
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
-    width).  Gradients are defined for the input, the kernel and the bias.
+    width), and the output is [B,Ho,Wo,Cout].  Gradients are defined for the
+    input, the kernel and the bias.
 
-    Layout: one column matrix ``cols`` [Cin*kh*kw, B*Ho*Wo] of the padded
-    input, the batch folded into the columns.  The forward is one GEMM with
-    the kernel as [Cout, Cin*kh*kw]; the kernel gradient is ``g2 @ cols.T``,
-    ``g2`` the output gradient as [Cout, B*Ho*Wo].  The input gradient is a
-    transposed conv in one GEMM at any stride s: the kernel, zero-extended to
-    ka*s x kb*s (ka = ceil(kh/s)), splits into s*s flipped ka x kb phase
-    kernels stacked as [s*s*Cin, Cout*ka*kb]; times the columns of the output
-    gradient padded by ka-1, kb-1, they give each phase's rows and columns of
-    the padded-input gradient, which a depth-to-space interleave assembles
-    before the padding is cropped.  At stride 1 this is the conv of the
-    padded gradient with the flipped, transposed kernel.
+    Layout: one column matrix ``cols`` [B*Ho*Wo, kh*kw*Cin] of the padded
+    input, one row per output pixel.  The forward is one GEMM with the kernel
+    reshaped to [kh*kw*Cin, Cout], whose result is already [B,Ho,Wo,Cout];
+    the kernel gradient is ``cols.T @ g2``, ``g2`` the output gradient as
+    [B*Ho*Wo, Cout], reshaped back to the kernel's shape.  The input gradient
+    is a transposed conv in one GEMM at any stride s: the kernel,
+    zero-extended to ka*s x kb*s (ka = ceil(kh/s)), splits into s*s flipped
+    ka x kb phase kernels stacked as [ka*kb*Cout, s*s*Cin]; the columns of
+    the output gradient padded by ka-1, kb-1, times them, give each phase's
+    rows and columns of the padded-input gradient, which a depth-to-space
+    interleave assembles before the padding is cropped.  At stride 1 this is
+    the conv of the padded gradient with the flipped, transposed kernel.
 
     Which gradients the backward computes is fixed by the flags when the op
     runs, so a module frozen for one forward gets none from it.
@@ -593,8 +601,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         raise ValueError(f"conv2d: stride must be positive, got {stride}")
     if padding < 0:
         raise ValueError(f"conv2d: padding must be non-negative, got {padding}")
-    bsz, cin, h, wd = x.shape
-    cout, cin_w, kh, kw = w.shape
+    bsz, h, wd, cin = x.shape
+    kh, kw, cin_w, cout = w.shape
     if cin != cin_w:
         raise ValueError(f"conv2d: input channels {cin} do not match kernel channels {cin_w}")
     hp, wp = h + 2 * padding, wd + 2 * padding
@@ -608,44 +616,49 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     wout = (wp - kw) // s + 1
 
     cols = _im2col(_pad(x.data, padding, padding, padding, padding), kh, kw, s)
-    out = w.data.reshape(cout, -1) @ cols                          # [Cout, B*Ho*Wo]
+    out = cols @ w.data.reshape(-1, cout)                          # [B*Ho*Wo, Cout]
     if b is not None:
-        out += b.data[:, None]
-    out = np.ascontiguousarray(out.reshape(cout, bsz, hout, wout).transpose(1, 0, 2, 3))
+        out += b.data
+    out = out.reshape(bsz, hout, wout, cout)
     x_grad, w_grad, b_grad = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
 
     def back(g):
+        g2 = g.reshape(-1, cout)
         if w_grad:
-            g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
-            # g2 @ cols.T, multiplied in the order BLAS runs fastest for thin g2
-            w._accumulate((cols @ g2.T).T.reshape(w.shape))
+            w._accumulate((cols.T @ g2).reshape(w.shape))
         if x_grad:
             ka, kb = -(-kh // s), -(-kw // s)
             # rows per phase: one per gradient window, and zero rows for input past the last window
             hy = max(hout + ka - 1, -(-(padding + h) // s))
             wy = max(wout + kb - 1, -(-(padding + wd) // s))
-            wz = _pad(w.data, 0, 0, ka * s - kh, kb * s - kw).reshape(cout, cin, ka, s, kb, s)
-            # [s*s*Cin, Cout*ka*kb], copied as its transpose: Cin innermost copies faster
-            phases = wz[:, :, ::-1, :, ::-1].transpose(0, 2, 4, 3, 5, 1).reshape(-1, s * s * cin).T
+            wz = _pad(w.data.reshape(1, kh, kw, cin * cout), 0, 0, ka * s - kh, kb * s - kw)
+            wz = wz.reshape(ka, s, kb, s, cin, cout)
+            # [ka*kb*Cout, s*s*Cin]: the flipped taps of each phase (p, q)
+            phases = wz[::-1, :, ::-1].transpose(0, 2, 5, 1, 3, 4).reshape(-1, s * s * cin)
             gcols = _im2col(_pad(g, ka - 1, kb - 1, hy - hout, wy - wout), ka, kb, 1)
-            gx = (phases @ gcols).reshape(s, s, cin, bsz, hy, wy).transpose(3, 2, 4, 0, 5, 1)
-            gx = gx.reshape(bsz, cin, hy * s, wy * s)
-            x._accumulate(gx[:, :, padding:padding + h, padding:padding + wd])
+            gx = (gcols @ phases).reshape(bsz, hy, wy, s, s, cin).transpose(0, 1, 3, 2, 4, 5)
+            gx = gx.reshape(bsz, hy * s, wy * s, cin)
+            x._accumulate(gx[:, padding:padding + h, padding:padding + wd])
         if b_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)))
+            # g2's column sums as a matrix-vector product: summing over axis 0
+            # adds rows of only Cout floats at a time, several times slower
+            b._accumulate(np.ones(len(g2), dtype=g2.dtype) @ g2)
 
     return _result(out, "conv2d", (x, w) if b is None else (x, w, b), back)
 
 
 def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-sample, per-channel normalization over the spatial axes (no affine)."""
+    """Per-sample, per-channel normalization of [B,H,W,C] over the spatial axes (no affine)."""
     if x.ndim != 4:
         raise ValueError(f"instance_norm expects rank-4, got {x.shape}")
-    n = x.shape[2] * x.shape[3]
+    bsz, h, w, c = x.shape
+    n = h * w
+    r = np.full(n, 1.0 / n, dtype=x.dtype)
 
     def mean(a):
-        # the bytes of a.mean(axis=(2, 3), keepdims=True) without np.mean's Python wrapper
-        return np.add.reduce(a, axis=(2, 3), keepdims=True) / n
+        # a (1/n)-vector times each image's [H*W, C] matrix; a reduction over
+        # axes (1, 2) adds rows of only C floats, several times slower at few channels
+        return (r @ a.reshape(bsz, n, c)).reshape(bsz, 1, 1, c)
 
     xc = x.data - mean(x.data)
     inv = 1.0 / np.sqrt(mean(xc * xc) + eps)

@@ -23,6 +23,17 @@ from .relations import RelationConfig, crd_loss, sample_tuples
 from . import slicing, tensor_io, training
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes and counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive int, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crdgan",
                                      description="content-relationship GAN distillation engine")
@@ -46,18 +57,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_slice.add_argument("--patch", default="8,8", help="patch dims: n, n,m or nxm")
 
     p_grad = sub.add_parser("gradcheck", help="check loss gradients against finite differences")
-    p_grad.add_argument("--size", type=int, default=8)
-    p_grad.add_argument("--patch", type=int, default=4)
+    p_grad.add_argument("--size", type=_positive_int, default=8)
+    p_grad.add_argument("--patch", type=_positive_int, default=4)
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
     p_grad.add_argument("--tol", type=float, default=1e-4)
 
     p_bench = sub.add_parser("bench", help="tuple sampling, loss, generator and "
                                            "perceptual forward/backward throughput")
-    p_bench.add_argument("--size", type=int, default=32)
+    p_bench.add_argument("--size", type=_positive_int, default=32)
     p_bench.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
-    p_bench.add_argument("--patch", type=int, default=8)
-    p_bench.add_argument("--iters", type=int, default=5)
+    p_bench.add_argument("--patch", type=_positive_int, default=8)
+    p_bench.add_argument("--iters", type=_positive_int, default=5)
     p_bench.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -66,6 +77,7 @@ def _cmd_train(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+        cfg.validate()
     task = SyntheticTask(args.task, cfg.image_size, cfg.train_count, cfg.val_count, cfg.seed)
     dataset = generate_dataset(task)
     report = training.train(cfg, dataset, args.out)

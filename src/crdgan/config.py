@@ -9,6 +9,7 @@ values are errors that name the offending line.  Budgets accept 0 as
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Tuple
@@ -78,6 +79,16 @@ class TrainConfig:
                      "disc_base_width", "train_count", "val_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("seed", "extractor_seed", "sample_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for mult in (1, 2, 4):
+            # the student generator's layer widths, rounded as GeneratorSpec.layer_width does
+            width = self.base_width * mult * self.width_factor
+            if not (math.isfinite(width) and round(width) >= 1):
+                raise ValueError(f"width_factor {self.width_factor} makes a student layer "
+                                 f"{self.base_width}*{mult}*{self.width_factor} channels wide, "
+                                 f"which rounds below 1")
         size, (n, m) = self.image_size, self.patch
         if size % 4 != 0:
             raise ValueError(f"image_size must be a multiple of 4 (the generator "

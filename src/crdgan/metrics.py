@@ -94,7 +94,7 @@ def pooled_features(images, extractor: FeatureExtractor) -> np.ndarray:
     """
     stack = np.stack([img.data if isinstance(img, Tensor) else np.asarray(img)
                       for img in images])
-    act = extract(Tensor(stack), extractor)[-1]
+    act, = extract(Tensor(stack), extractor, [extractor.num_taps - 1])
     return act.data.mean(axis=(2, 3)).astype(np.float64)
 
 

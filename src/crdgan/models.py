@@ -11,9 +11,11 @@ The discriminator is a strided conv stack with LeakyReLU(0.2) emitting a raw
 patch score map; the sigmoid is folded into a softplus-form loss for
 stability.
 
-Both networks take a [c,h,w] image or a [b,c,h,w] batch.  ``frozen=True``
-turns the parameters' ``requires_grad`` off for that one forward: gradients
-reach the input but no parameter.
+Both networks take a [c,h,w] image or a [b,c,h,w] batch and return the
+same layout.  Inside, activations are channels-last [b,h,w,c] and conv
+weights are [kh,kw,Cin,Cout] (as in checkpoints): one permute on entry and
+one on exit.  ``frozen=True`` turns the parameters' ``requires_grad`` off for
+that one forward: gradients reach the input but no parameter.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import (
-    Tensor, conv2d, detach, instance_norm, leaky_relu, relu, softplus,
+    Tensor, conv2d, detach, instance_norm, leaky_relu, permute, relu, softplus,
     tanh, tmean, upsample2x,
 )
 from . import tensor_io
@@ -56,11 +58,16 @@ class DiscriminatorSpec:
 
 
 class _ConvLayer:
-    """One conv2d with its parameters; with ``upsample`` set, its input is upsampled 2x first."""
+    """One conv2d with its parameters; with ``upsample`` set, its input is upsampled 2x first.
+
+    The weight is [k,k,Cin,Cout]; its initial values are drawn in
+    [Cout,Cin,k,k] order and transposed once.
+    """
 
     def __init__(self, rng, cin, cout, k, stride, padding, bias=True, dtype=np.float32,
                  upsample=False):
-        self.weight = Tensor(rng.normal(0.0, INIT_STD, (cout, cin, k, k)).astype(dtype),
+        init = rng.normal(0.0, INIT_STD, (cout, cin, k, k)).astype(dtype)
+        self.weight = Tensor(np.ascontiguousarray(init.transpose(2, 3, 1, 0)),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True) if bias else None
         self.stride = stride
@@ -128,7 +135,7 @@ class _Module:
         for layer in self._layers:
             if layer.upsample:
                 h, w = 2 * h, 2 * w
-            _, _, kh, kw = layer.weight.shape
+            kh, kw, _, _ = layer.weight.shape
             p, s = layer.padding, layer.stride
             h, w = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
             macs += layer.weight.size * h * w
@@ -164,17 +171,19 @@ class _Module:
             p.grad = None
 
     def _run(self, x: Tensor, frozen: bool, forward: Callable[[Tensor], Tensor]) -> Tensor:
-        """forward on x as a batch (a [c,h,w] image as a batch of one); with frozen,
-        every requires_grad is off while it runs and restored after, even if it raises."""
+        """forward on x as a channels-last batch (a [c,h,w] image as a batch of one),
+        its output permuted back; with frozen, every requires_grad is off while it
+        runs and restored after, even if it raises."""
+        if x.ndim not in (3, 4):
+            raise ValueError(f"expected a [c,h,w] image or a [b,c,h,w] batch, got shape {x.shape}")
         params = self._params if frozen else []
         flags = [p.requires_grad for p in params]
         for p in params:
             p.requires_grad = False
         try:
-            if x.ndim != 3:
-                return forward(x)
-            out = forward(x.reshape((1,) + x.shape))
-            return out.reshape(out.shape[1:])
+            batch = x.reshape((1,) + x.shape) if x.ndim == 3 else x
+            out = permute(forward(permute(batch, (0, 2, 3, 1))), (0, 3, 1, 2))
+            return out.reshape(out.shape[1:]) if x.ndim == 3 else out
         finally:
             for p, flag in zip(params, flags):
                 p.requires_grad = flag

@@ -3,7 +3,9 @@
 The default extractor is a seeded random four-layer strided conv net
 (LeakyReLU, widths 16/32/64/64) tapped after every layer.  Random features
 keep the loss structure intact without external weight files; real weights
-can be swapped in from a directory of tensor files.
+can be swapped in from a directory of tensor files.  Weights are given and
+stored as [Cout,Cin,k,k] and held as [k,k,Cin,Cout] for the channels-last
+conv; activations come out as [C,H,W] (or [b,C,H,W]).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, absolute, conv2d, detach, leaky_relu, matmul, tsum
+from .autodiff import Tensor, absolute, conv2d, detach, leaky_relu, matmul, permute, tsum
 from . import tensor_io
 
 DEFAULT_WIDTHS = (16, 32, 64, 64)
@@ -23,7 +25,8 @@ class FeatureExtractor:
     """Immutable stack of strided conv + LeakyReLU layers with taps after each.
 
     Weights never require gradients; identical inputs give identical
-    activations.
+    activations.  ``weights`` are [Cout,Cin,k,k] arrays, converted once to
+    the [k,k,Cin,Cout] kernels that ``layers`` holds.
     """
 
     def __init__(self, weights: Sequence[np.ndarray], strides: Sequence[int],
@@ -39,9 +42,10 @@ class FeatureExtractor:
             if prev is not None and w.shape[1] != prev:
                 raise ValueError(f"layer expects {w.shape[1]} channels but receives {prev}")
             prev = w.shape[0]
-            self.layers.append((Tensor(w, requires_grad=False), int(s)))
+            kernel = Tensor(np.ascontiguousarray(w.transpose(2, 3, 1, 0)), requires_grad=False)
+            self.layers.append((kernel, int(s)))
         self.alpha = alpha
-        self.kernel = self.layers[0][0].shape[2]
+        self.kernel = self.layers[0][0].shape[0]
         self.padding = self.kernel // 2
 
     @classmethod
@@ -66,7 +70,8 @@ class FeatureExtractor:
         return cls([arr for _, arr in named], [stride] * len(named), alpha)
 
     def save(self, dirpath) -> None:
-        named = [(f"layer{i}", w.data) for i, (w, _) in enumerate(self.layers)]
+        named = [(f"layer{i}", w.data.transpose(3, 2, 0, 1))
+                 for i, (w, _) in enumerate(self.layers)]
         entries = tensor_io.save_named_tensors(dirpath, named, EXTRACTOR_ROLE)
         tensor_io.write_manifest(dirpath, entries)
 
@@ -79,11 +84,11 @@ class FeatureExtractor:
         c, h, w = in_shape
         out = []
         for wgt, s in self.layers:
-            k = wgt.shape[2]
+            k, _, _, cout = wgt.shape
             p = k // 2
             h = (h + 2 * p - k) // s + 1
             w = (w + 2 * p - k) // s + 1
-            out.append((wgt.shape[0], h, w))
+            out.append((cout, h, w))
         return out
 
 
@@ -92,22 +97,25 @@ def extract(x: Tensor, extractor: FeatureExtractor,
     """Activations at the requested tap layers (default: all of them).
 
     A [c,h,w] image gives [C_j,H_j,W_j] activations; a [b,c,h,w] batch runs
-    through every layer at once and gives [b,C_j,H_j,W_j] ones.  No gradient
-    flows into the extractor parameters; the input keeps its gradient path.
+    through every layer at once and gives [b,C_j,H_j,W_j] ones.  The layers
+    run channels-last; the input is permuted once and each returned tap once.
+    No gradient flows into the extractor parameters; the input keeps its
+    gradient path.
     """
     if x.ndim not in (3, 4):
         raise ValueError(f"extract expects a [c,h,w] image or a [b,c,h,w] batch, "
                          f"got shape {x.shape}")
     single = x.ndim == 3
     acts = []
-    h = x.reshape((1,) + x.shape) if single else x
+    h = permute(x.reshape((1,) + x.shape) if single else x, (0, 2, 3, 1))
     for w, s in extractor.layers:
-        k = w.shape[2]
+        k = w.shape[0]
         h = leaky_relu(conv2d(h, w, stride=s, padding=k // 2), extractor.alpha)
-        acts.append(h.reshape(h.shape[1:]) if single else h)
-    if taps is None:
-        return acts
-    return [acts[t] for t in taps]
+        acts.append(h)
+    if taps is not None:
+        acts = [acts[t] for t in taps]
+    acts = [permute(a, (0, 3, 1, 2)) for a in acts]
+    return [a.reshape(a.shape[1:]) for a in acts] if single else acts
 
 
 def gram(act: Tensor) -> Tensor:

@@ -51,14 +51,17 @@ class TestElementwise:
 
 
 class TestConv2d:
+    # conv2d takes channels-last [B,H,W,C] inputs and [kh,kw,Cin,Cout] kernels;
+    # the oracles are written in NCHW / [Cout,Cin,kh,kw] and converted at the call
+
     def test_ones_summed_by_ones_kernel(self):
-        out = conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))))
+        out = conv2d(Tensor(np.ones((1, 3, 3, 1))), Tensor(np.ones((3, 3, 1, 1))))
         assert out.shape == (1, 1, 1, 1)
         assert out.item() == 9.0
 
     def test_identity_1x1_kernel(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(1, 1, 5, 5)))
+        x = Tensor(rng.normal(size=(1, 5, 5, 1)))
         out = conv2d(x, Tensor(np.ones((1, 1, 1, 1))))
         np.testing.assert_array_equal(out.data, x.data)
 
@@ -67,28 +70,29 @@ class TestConv2d:
         x = rng.normal(size=(1, 2, 4, 4))
         w = rng.normal(size=(3, 2, 2, 2))
         for stride, padding in [(1, 0), (1, 1), (2, 0), (2, 1)]:
-            got = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+            got = conv2d(Tensor(_cl(x)), Tensor(_hwio(w)), stride=stride, padding=padding).data
             want = _conv_oracle(x, w, stride, padding)
-            np.testing.assert_allclose(got, want, atol=1e-10)
+            np.testing.assert_allclose(_nchw(got), want, atol=1e-10)
         for x_shape, w_shape, stride, padding in _CONV_CASES:
             x = rng.normal(size=x_shape)
             w = rng.normal(size=w_shape)
             b = rng.normal(size=w_shape[0])
-            xt = Tensor(x, requires_grad=True)
-            out = conv2d(xt, Tensor(w), Tensor(b), stride, padding)
+            xt = Tensor(_cl(x), requires_grad=True)
+            out = conv2d(xt, Tensor(_hwio(w)), Tensor(b), stride, padding)
             want = _conv_oracle(x, w, stride, padding) + b[None, :, None, None]
-            np.testing.assert_allclose(out.data, want, atol=1e-10)
-            g = rng.normal(size=out.shape)
-            backward(tsum(mul(out, Tensor(g))))
+            np.testing.assert_allclose(_nchw(out.data), want, atol=1e-10)
+            g = rng.normal(size=want.shape)
+            backward(tsum(mul(out, Tensor(_cl(g)))))
             want_gx = _conv_input_grad_oracle(g, w, x.shape, stride, padding)
-            np.testing.assert_allclose(xt.grad, want_gx, atol=1e-10)
+            np.testing.assert_allclose(_nchw(xt.grad), want_gx, atol=1e-10)
             # float32 in, float32 out: values, and every gradient's dtype and layout
-            f32 = [Tensor(a.astype(np.float32), requires_grad=True) for a in (x, w, b)]
+            f32 = [Tensor(a.astype(np.float32), requires_grad=True)
+                   for a in (_cl(x), _hwio(w), b)]
             out = conv2d(*f32, stride, padding)
             assert out.dtype == np.float32 and out.data.flags["C_CONTIGUOUS"]
-            np.testing.assert_allclose(out.data, want, rtol=1e-4, atol=1e-4)
-            backward(tsum(mul(out, Tensor(g.astype(np.float32)))))
-            np.testing.assert_allclose(f32[0].grad, want_gx, rtol=1e-4, atol=1e-4)
+            np.testing.assert_allclose(_nchw(out.data), want, rtol=1e-4, atol=1e-4)
+            backward(tsum(mul(out, Tensor(_cl(g).astype(np.float32)))))
+            np.testing.assert_allclose(_nchw(f32[0].grad), want_gx, rtol=1e-4, atol=1e-4)
             for t in f32:
                 assert t.grad.dtype == np.float32 and t.grad.flags["C_CONTIGUOUS"]
 
@@ -99,18 +103,18 @@ class TestConv2d:
         cases += [((3, 2, 7, 8), (3, 3), 3, 0),     # batch 3, stride 3, last rows unreached
                   ((2, 4, 5, 6), (1, 1), 1, 0)]     # 1x1 kernel at padding 0
         for x_shape, (kh, kw), stride, padding in cases:
-            pads = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-            xp = np.pad(rng.normal(size=x_shape), pads)
+            pads = ((0, 0), (padding, padding), (padding, padding), (0, 0))
+            xp = np.pad(_cl(rng.normal(size=x_shape)), pads)
             # contiguous, float32, zero-stride broadcast, and a strided slice
             for a in (xp, xp.astype(np.float32), np.broadcast_to(xp[:1, :, :1], xp.shape),
-                      np.repeat(xp, 2, axis=3)[..., ::2]):
+                      np.repeat(xp, 2, axis=2)[:, :, ::2]):
                 got = _im2col(a, kh, kw, stride)
                 want = _im2col_oracle(a, kh, kw, stride)
                 assert got.dtype == a.dtype and np.array_equal(got, want)
 
     def test_im2col_view_is_read_only(self):
         # a 1x1 kernel at stride 1 on one image: the reshape keeps the window a view
-        xp = np.arange(24, dtype=np.float32).reshape(1, 2, 3, 4)
+        xp = np.arange(24, dtype=np.float32).reshape(1, 3, 4, 2)
         cols = _im2col(xp, 1, 1, 1)
         assert np.shares_memory(cols, xp) and not cols.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -122,21 +126,22 @@ class TestConv2d:
         # the kernels need no padding of the output gradient (ka = kb = 1)
         rng = np.random.default_rng(4)
         for w_shape, stride in [((3, 2, 1, 1), 1), ((3, 2, 2, 2), 2)]:
-            x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
+            x = rng.normal(size=(2, 2, 6, 6))
+            xt = Tensor(_cl(x), requires_grad=True)
             w = rng.normal(size=w_shape)
-            out = conv2d(x, Tensor(w), stride=stride)
+            out = conv2d(xt, Tensor(_hwio(w)), stride=stride)
             backward(tmean(out))
-            g = np.full(out.shape, 1.0 / out.size)
+            g = np.full(_nchw(out.data).shape, 1.0 / out.size)
             want = _conv_input_grad_oracle(g, w, x.shape, stride, 0)
-            np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(_nchw(xt.grad), want, rtol=1e-12, atol=1e-15)
 
     def test_gradient_set_fixed_when_the_op_runs(self):
         # a frozen module switches its flags off for the forward only: turning
         # them back on before backward must not make the parameters trainable,
         # and turning one off after the forward must not drop its gradient
         rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        x = Tensor(rng.normal(size=(1, 5, 5, 2)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3, 2, 3)))
         b = Tensor(rng.normal(size=3))
         out = conv2d(x, w, b, 1, 1)
         w.requires_grad = b.requires_grad = True
@@ -150,22 +155,27 @@ class TestConv2d:
         assert x.grad is not None and w.grad is not None and b.grad is not None
 
     def test_output_size_formula(self):
-        out = conv2d(Tensor(np.zeros((2, 3, 9, 7))), Tensor(np.zeros((4, 3, 3, 3))),
+        out = conv2d(Tensor(np.zeros((2, 9, 7, 3))), Tensor(np.zeros((3, 3, 3, 4))),
                      stride=2, padding=1)
-        assert out.shape == (2, 4, (9 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
+        assert out.shape == (2, (9 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1, 4)
 
     def test_nonpositive_stride_rejected(self):
         with pytest.raises(ValueError, match="stride"):
-            conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), stride=0)
+            conv2d(Tensor(np.zeros((1, 4, 4, 1))), Tensor(np.zeros((3, 3, 1, 1))), stride=0)
+
+    def test_channel_mismatch_rejected(self):
+        # an NCHW input against a [kh,kw,Cin,Cout] kernel: its width is read as channels
+        with pytest.raises(ValueError, match="input channels 5 do not match kernel channels 2"):
+            conv2d(Tensor(np.zeros((1, 2, 5, 5))), Tensor(np.zeros((3, 3, 2, 4))))
 
     def test_kernel_larger_than_padded_input_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
-            conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+            conv2d(Tensor(np.zeros((1, 2, 2, 1))), Tensor(np.zeros((5, 5, 1, 1))))
 
     def test_gradients(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(1, 2, 5, 5))
-        w0 = rng.normal(size=(2, 2, 3, 3))
+        x = _cl(rng.normal(size=(1, 2, 5, 5)))
+        w0 = _hwio(rng.normal(size=(2, 2, 3, 3)))
         b0 = rng.normal(size=2)
 
         def sq_sum(t):
@@ -178,8 +188,8 @@ class TestConv2d:
         gradcheck(lambda t: sq_sum(conv2d(Tensor(x), Tensor(w0), t, 1, 0)),
                   Tensor(b0), tol=1e-6)
         for x_shape, w_shape, stride, padding in _CONV_CASES:
-            x = rng.normal(size=(max(2, x_shape[0]),) + x_shape[1:])
-            w0 = rng.normal(size=w_shape)
+            x = _cl(rng.normal(size=(max(2, x_shape[0]),) + x_shape[1:]))
+            w0 = _hwio(rng.normal(size=w_shape))
             b0 = rng.normal(size=w_shape[0])
             g = Tensor(rng.normal(size=conv2d(Tensor(x), Tensor(w0), None, stride,
                                               padding).shape))
@@ -194,7 +204,7 @@ class TestConv2d:
 
 
 def _instance_norm_mean_oracle(x, g, eps=1e-5):
-    """instance_norm's forward and input gradient written with np.mean."""
+    """instance_norm's forward and input gradient on NCHW arrays, written with np.mean."""
     xc = x - x.mean(axis=(2, 3), keepdims=True)
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=(2, 3), keepdims=True) + eps)
     y = xc * inv
@@ -204,19 +214,40 @@ def _instance_norm_mean_oracle(x, g, eps=1e-5):
 
 
 class TestInstanceNorm:
-    def test_bytes_match_the_np_mean_formula(self):
+    @staticmethod
+    def _run(x, g):
+        """instance_norm's forward and input gradient on channels-last x and g."""
+        xt = Tensor(x, requires_grad=True)
+        y = instance_norm(xt)
+        # d(sum(y * g))/dy is g exactly, so x.grad is the backward of g
+        backward(tsum(mul(y, Tensor(g))))
+        return y, xt.grad
+
+    def test_matches_the_np_mean_formula(self):
+        # the means are (1/n)-vector products, so the bytes differ from np.mean's
+        # pairwise sums: agreement to a few float ulps
         rng = np.random.default_rng(8)
-        for dtype in (np.float32, np.float64):
+        for dtype, rtol in ((np.float32, 2e-5), (np.float64, 1e-12)):
             for bsz in (1, 4):
-                x = Tensor(rng.normal(1.0, 3.0, (bsz, 3, 8, 6)).astype(dtype), requires_grad=True)
+                x = rng.normal(1.0, 3.0, (bsz, 3, 8, 6)).astype(dtype)
                 g = rng.normal(size=x.shape).astype(dtype)
-                y = instance_norm(x)
-                # d(sum(y * g))/dy is g exactly, so x.grad is the backward of g
-                backward(tsum(mul(y, Tensor(g))))
-                want_y, want_gx = _instance_norm_mean_oracle(x.data, g)
-                assert y.dtype == x.grad.dtype == dtype
-                assert np.array_equal(y.data, want_y), (dtype, bsz)
-                assert np.array_equal(x.grad, want_gx), (dtype, bsz)
+                y, gx = self._run(_cl(x), _cl(g))
+                want_y, want_gx = _instance_norm_mean_oracle(x, g)
+                assert y.dtype == gx.dtype == dtype
+                np.testing.assert_allclose(_nchw(y.data), want_y, rtol=rtol, atol=rtol)
+                np.testing.assert_allclose(_nchw(gx), want_gx, rtol=rtol, atol=rtol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_image_normalised_alone(self, dtype):
+        # an image's bytes do not depend on the batch it is in
+        rng = np.random.default_rng(9)
+        x = rng.normal(1.0, 3.0, (4, 8, 8, 16)).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        y, gx = self._run(x, g)
+        for i in range(4):
+            yi, gxi = self._run(x[i:i + 1], g[i:i + 1])
+            assert yi.data.tobytes() == y.data[i:i + 1].tobytes()
+            assert gxi.tobytes() == gx[i:i + 1].tobytes()
 
 
 class TestReductions:
@@ -303,13 +334,13 @@ class TestBackward:
 
     def test_composite_against_finite_differences(self):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 1, 6, 6))
-        w = rng.normal(size=(2, 1, 3, 3)) * 0.5
+        x = _cl(rng.normal(size=(2, 1, 6, 6)))
+        w = _hwio(rng.normal(size=(2, 1, 3, 3)) * 0.5)
 
         def f(t):
             h = leaky_relu(conv2d(t, Tensor(w), stride=2, padding=1), 0.2)
             h = instance_norm(h)
-            return tmean(mul(tanh(h), tanh(h))) + tsum(softplus(tmean(h, axes=(2, 3))))
+            return tmean(mul(tanh(h), tanh(h))) + tsum(softplus(tmean(h, axes=(1, 2))))
 
         err = gradcheck(f, Tensor(x), tol=1e-5)
         assert err <= 1e-5
@@ -377,7 +408,7 @@ class TestSupportOps:
 
     def test_pad_upsample_permute_reshape_grads(self):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(1, 2, 3, 3))
+        x = rng.normal(size=(1, 3, 3, 2))
 
         def f(t):
             h = upsample2x(pad2d(t, 1))
@@ -392,12 +423,27 @@ class TestSupportOps:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_upsample_backward_bytes_of_block_sum(self, c, h, batch, dtype):
         rng = np.random.default_rng(c * h + batch)
-        x = Tensor(rng.normal(size=(batch, c, h, h)).astype(dtype), requires_grad=True)
+        x = Tensor(_cl(rng.normal(size=(batch, c, h, h)).astype(dtype)), requires_grad=True)
         out = upsample2x(x)
-        g = rng.normal(size=out.shape).astype(dtype)
-        backward(tsum(mul(out, Tensor(g))))
+        assert np.array_equal(_nchw(out.data), _nchw(x.data).repeat(2, 2).repeat(2, 3))
+        g = rng.normal(size=(batch, c, 2 * h, 2 * h)).astype(dtype)
+        backward(tsum(mul(out, Tensor(_cl(g)))))
         want = g.reshape(batch, c, h, 2, h, 2).sum(axis=(3, 5))
-        assert x.grad.dtype == dtype and x.grad.tobytes() == want.tobytes()
+        assert x.grad.dtype == dtype and _nchw(x.grad).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_bytes_of_the_where_formula(self, dtype):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(2, 5, 5, 3)).astype(dtype)
+        a.reshape(-1)[:5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        g = rng.normal(size=a.shape).astype(dtype)
+        x = Tensor(a, requires_grad=True)
+        y = leaky_relu(x, 0.2)
+        y._backward_fn(g)
+        mask = a > 0
+        assert y.dtype == x.grad.dtype == dtype
+        assert y.data.tobytes() == np.where(mask, a, 0.2 * a).tobytes()
+        assert x.grad.tobytes() == (g * np.where(mask, 1.0, 0.2).astype(dtype)).tobytes()
 
     def test_misc_op_grads(self):
         rng = np.random.default_rng(9)
@@ -449,8 +495,8 @@ class TestDeterminism:
     def test_forward_bit_identical_across_runs(self):
         def run():
             rng = np.random.default_rng(42)
-            x = Tensor(rng.normal(size=(1, 2, 8, 8)).astype(np.float32))
-            w = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
+            x = Tensor(rng.normal(size=(1, 8, 8, 2)).astype(np.float32))
+            w = Tensor(rng.normal(size=(3, 3, 2, 3)).astype(np.float32))
             return instance_norm(leaky_relu(conv2d(x, w, stride=2, padding=1))).data
 
         a, b = run(), run()
@@ -513,12 +559,27 @@ _CONV_CASES = [
 ]
 
 
+def _cl(a):
+    """An NCHW array in the channels-last [B,H,W,C] layout."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def _nchw(a):
+    """A channels-last [B,H,W,C] array in the NCHW layout."""
+    return np.ascontiguousarray(a.transpose(0, 3, 1, 2))
+
+
+def _hwio(w):
+    """A [Cout,Cin,kh,kw] kernel in conv2d's [kh,kw,Cin,Cout] layout."""
+    return np.ascontiguousarray(w.transpose(2, 3, 1, 0))
+
+
 def _im2col_oracle(xp, kh, kw, stride):
-    """Column matrix [C*kh*kw, B*Ho*Wo] from numpy's sliding window view."""
-    c = xp.shape[1]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]                           # [B,C,Ho,Wo,kh,kw]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1)
+    """Column matrix [B*Ho*Wo, kh*kw*C] of a [B,H,W,C] array from numpy's sliding window view."""
+    c = xp.shape[3]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride]                              # [B,Ho,Wo,C,kh,kw]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * c)
 
 
 def _conv_input_grad_oracle(g, w, x_shape, stride, padding):

@@ -72,6 +72,12 @@ class TestValidate:
         (dict(image_size=30, patch=(5, 5)), "multiple of 4"),
         (dict(image_size=32, patch=(6, 8)), "2 whole 6x8 patches"),
         (dict(image_size=8, patch=(8, 8)), "2 whole 8x8 patches"),
+        (dict(base_width=16, width_factor=0.01), "width_factor 0.01"),
+        (dict(base_width=16, width_factor=-0.25), "width_factor -0.25"),
+        (dict(width_factor=float("inf")), "width_factor inf"),
+        (dict(seed=-1), "seed must be >= 0"),
+        (dict(extractor_seed=-5), "extractor_seed must be >= 0"),
+        (dict(sample_every=-1), "sample_every must be >= 0"),
     ])
     def test_cross_field_checks(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -135,6 +141,15 @@ class TestCliExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--size", "0"], ["gradcheck", "--patch", "0"],
+        ["bench", "--size", "-3"], ["bench", "--patch", "0"], ["bench", "--iters", "0"]])
+    def test_nonpositive_size_patch_iters_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: crdgan " + argv[0])
+        assert f"argument {argv[1]}: must be a positive int" in err
+
 
 @pytest.fixture(scope="module")
 def tiny_cfg_file(tmp_path_factory):
@@ -185,6 +200,39 @@ class TestCliTrainEval:
         assert capsys.readouterr().err.startswith("error:")
         assert (out / "metrics.csv").read_text() == "epoch,step\n"
         assert [p.name for p in out.iterdir()] == ["metrics.csv"]
+
+    @pytest.mark.parametrize("bad", ["width_factor = 0.01", "seed = -1",
+                                     "extractor_seed = -5", "sample_every = -1", "--seed -1"])
+    def test_train_rejects_a_bad_config_before_writing(self, tiny_cfg_file, tmp_path,
+                                                        capsys, bad):
+        cfg = tmp_path / "bad.cfg"
+        override = bad.split() if bad.startswith("--") else []
+        cfg.write_text(tiny_cfg_file.read_text() + ("" if override else bad + "\n"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--task", "invert",
+                     "--out", str(out)] + override) == 1
+        key = bad.lstrip("-").split()[0]
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+        assert not out.exists()
+
+    def test_eval_rejects_a_checkpoint_of_oihw_kernels(self, tmp_path, capsys):
+        # conv weights were once stored [Cout,Cin,k,k]; such a checkpoint must not load
+        cfg = TrainConfig(image_size=16, patch=(4, 4), base_width=4, num_res_blocks=1,
+                          disc_layers=2, disc_base_width=4)
+        run = tmp_path / "run"
+        run.mkdir()
+        write_config(cfg, run / "config.cfg")
+        entries = []
+        for role, module in training.build_models(cfg).items():
+            named = [(name, p.data.transpose(3, 2, 0, 1) if p.ndim == 4 else p.data)
+                     for name, p in module.named_parameters()]
+            entries = tensor_io.save_named_tensors(run / "checkpoints", named, role, entries)
+        tensor_io.write_manifest(run / "checkpoints", entries)
+        assert main(["eval", "--run", str(run), "--task", "invert"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: array shape (4, 3, 7, 7) does not match parameter "
+                              "(7, 7, 3, 4)")
+        assert not (run / "eval.csv").exists()
 
     def test_eval_runs_the_generators_in_batch_size_chunks(self, tmp_path, monkeypatch, capsys):
         cfg = TrainConfig(batch_size=2, val_count=5, image_size=16, patch=(4, 4),

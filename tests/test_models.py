@@ -45,6 +45,24 @@ class TestGenerator:
         assert any(not np.array_equal(pa.data, pc.data)
                    for pa, pc in zip(a.parameters(), c.parameters()))
 
+    def test_weights_are_hwio_with_the_oihw_draw(self):
+        # each kernel is [k,k,Cin,Cout], holding the values drawn in [Cout,Cin,k,k] order
+        spec = GeneratorSpec(base_width=8, num_res_blocks=1)
+        gen = build_generator(spec, 5)
+        rng = np.random.default_rng(5)
+        for layer in gen._layers:
+            k, _, cin, cout = layer.weight.shape
+            drawn = rng.normal(0.0, models.INIT_STD, (cout, cin, k, k)).astype(np.float32)
+            assert layer.weight.shape == (k, k, cin, cout)
+            assert np.array_equal(layer.weight.data, drawn.transpose(2, 3, 1, 0))
+        assert [gen.stem.weight.shape, gen.head.weight.shape] == [(7, 7, 3, 8), (7, 7, 8, 3)]
+
+    @pytest.mark.parametrize("shape", [(16, 16), (1, 1, 3, 16, 16)])
+    def test_wrong_rank_rejected(self, shape):
+        gen = build_generator(GeneratorSpec(base_width=4, num_res_blocks=1), 0)
+        with pytest.raises(ValueError, match=r"\[c,h,w\] image or a \[b,c,h,w\] batch"):
+            gen(Tensor(np.zeros(shape, dtype=np.float32)))
+
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             build_generator(GeneratorSpec(base_width=1, width_factor=0.25), 0)
@@ -58,8 +76,8 @@ class TestMacCount:
 
         def counting_conv2d(x, w, *args, **kwargs):
             out = conv2d(x, w, *args, **kwargs)
-            cout, cin, kh, kw = w.shape
-            total.append(cout * cin * kh * kw * out.shape[2] * out.shape[3])
+            kh, kw, cin, cout = w.shape
+            total.append(kh * kw * cin * cout * out.shape[1] * out.shape[2])
             return out
 
         monkeypatch.setattr(models, "conv2d", counting_conv2d)

@@ -187,6 +187,10 @@ class TestWeightIO:
         a = extract(Tensor(x), extractor)[-1].data
         b = extract(Tensor(x), loaded)[-1].data
         np.testing.assert_allclose(a, b, atol=1e-6)   # stored weights are float32
+        # files hold [Cout,Cin,k,k] kernels, whatever layout the conv runs in
+        from crdgan import tensor_io
+        stored = [arr.shape for _, arr in tensor_io.load_named_tensors(tmp_path, "extractor")]
+        assert stored == [(16, 3, 3, 3), (32, 16, 3, 3), (64, 32, 3, 3), (64, 64, 3, 3)]
 
     def test_missing_weights_rejected(self, tmp_path):
         from crdgan import tensor_io
