@@ -513,7 +513,14 @@ def huber(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _pad(a: np.ndarray, top: int, left: int, bottom: int, right: int) -> np.ndarray:
-    """a [B,H,W,C] with zero rows and columns added around its spatial axes."""
+    """a [B,H,W,C] with zero rows and columns added around its spatial axes.
+
+    A negative amount crops that many rows or columns instead.
+    """
+    if min(top, left, bottom, right) < 0:
+        h, w = a.shape[1:3]
+        a = a[:, max(-top, 0):h - max(-bottom, 0), max(-left, 0):w - max(-right, 0)]
+        top, left, bottom, right = max(top, 0), max(left, 0), max(bottom, 0), max(right, 0)
     if not (top or left or bottom or right):
         return a
     bsz, h, w, c = a.shape
@@ -571,6 +578,62 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return win.reshape(bsz * ho * wo, kh * kw * c)
 
 
+def _mec(xp: np.ndarray, kw: int) -> np.ndarray:
+    """The MEC row columns of a [B,Hp,Wp,C] array: [B, Hp, Wo, kw*C], Wo = Wp-kw+1.
+
+    Each row holds the kw*C floats of one width window of one input row, so
+    the matrix is kh times smaller than the im2col one, and a stride-1 kh x kw
+    window is kh consecutive rows of it, Wo rows apart (Cho & Brand, "MEC:
+    Memory-efficient Convolution", ICML 2017).  Built like :func:`_im2col`:
+    one read-only strided view [B, Hp, Wo, kw, C], then one reshape copy.
+    """
+    xp = np.ascontiguousarray(xp)
+    bsz, hp, wp, c = xp.shape
+    wo = wp - kw + 1
+    sb, sh, sw, sc = xp.strides
+    win = np.ndarray((bsz, hp, wo, kw, c), xp.dtype, xp, 0, (sb, sh, sw, sw, sc))
+    win.flags.writeable = False
+    return win.reshape(bsz * hp * wo, kw * c).reshape(bsz, hp, wo, kw * c)
+
+
+def _mec_conv(cols: np.ndarray, wk: np.ndarray) -> np.ndarray:
+    """The stride-1 conv of MEC columns [B,Hp,Wo,kw*C] with a kernel [kh, kw*C, Cout].
+
+    The batch is stacked as one tall image of B*Hp rows, so kernel row i
+    reads the contiguous row block ``cols[i*Wo:(i+R)*Wo]``, R = B*Hp-kh+1:
+    one matmul over the [kh, R*Wo, kw*C] view of those blocks, summed over
+    kh, gives every output row, and the kh-1 rows that straddle two images
+    are dropped.  Returns [B, Ho, Wo, Cout] in the promoted dtype.
+    """
+    bsz, hp, wo, kc = cols.shape
+    kh, _, cout = wk.shape
+    ho, r = hp - kh + 1, bsz * hp - kh + 1
+    row = kc * cols.itemsize
+    blocks = np.ndarray((kh, r * wo, kc), cols.dtype, cols, 0, (wo * row, row, cols.itemsize))
+    parts = np.matmul(blocks, wk)                                  # [kh, R*Wo, Cout]
+    # each image's Ho*Wo output rows of every part, summed over kh into a fresh array
+    n, isz = ho * wo * cout, parts.itemsize
+    parts = np.ndarray((kh, bsz, n), parts.dtype, parts, 0,
+                       (r * wo * cout * isz, hp * wo * cout * isz, isz))
+    return parts.sum(axis=0).reshape(bsz, ho, wo, cout)
+
+
+def _mec_kernel_grad(cols: np.ndarray, g: np.ndarray, kh: int) -> np.ndarray:
+    """The kernel gradient [kh, kw*C, Cout] of :func:`_mec_conv` for output gradient g.
+
+    Per image: kernel row i's Ho*Wo-row block of that image's columns,
+    transposed, times the image's gradient; one matmul over the
+    [kh, B, Ho*Wo, kw*C] view of those blocks, then a sum over the batch.
+    """
+    bsz, hp, wo, kc = cols.shape
+    ho, cout = hp - kh + 1, g.shape[-1]
+    row = kc * cols.itemsize
+    blocks = np.ndarray((kh, bsz, ho * wo, kc), cols.dtype, cols, 0,
+                        (wo * row, hp * wo * row, row, cols.itemsize))
+    gw = np.matmul(blocks.swapaxes(-1, -2), g.reshape(bsz, ho * wo, cout))
+    return gw.sum(axis=1)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of [B,H,W,Cin] with kernels [kh,kw,Cin,Cout].
@@ -579,19 +642,26 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     width), and the output is [B,Ho,Wo,Cout].  Gradients are defined for the
     input, the kernel and the bias.
 
-    Layout: one column matrix ``cols`` [B*Ho*Wo, kh*kw*Cin] of the padded
-    input, one row per output pixel.  The forward is one GEMM with the kernel
-    reshaped to [kh*kw*Cin, Cout], whose result is already [B,Ho,Wo,Cout];
-    the kernel gradient is ``cols.T @ g2``, ``g2`` the output gradient as
-    [B*Ho*Wo, Cout], reshaped back to the kernel's shape.  The input gradient
-    is a transposed conv in one GEMM at any stride s: the kernel,
-    zero-extended to ka*s x kb*s (ka = ceil(kh/s)), splits into s*s flipped
-    ka x kb phase kernels stacked as [ka*kb*Cout, s*s*Cin]; the columns of
-    the output gradient padded by ka-1, kb-1, times them, give each phase's
-    rows and columns of the padded-input gradient, which a depth-to-space
-    interleave assembles before the padding is cropped.  At stride 1 this is
-    the conv of the padded gradient with the flipped, transposed kernel.
+    Stride 1 (every layer but the downsampling ones) is lowered by MEC: the
+    padded input's row columns [B, Hp, Wo, kw*Cin] (:func:`_mec`), kh times
+    smaller than an im2col matrix, are kept for the backward; the forward is
+    one matmul of kh row blocks with the kernel as [kh, kw*Cin, Cout], summed
+    over kh (:func:`_mec_conv`), and the kernel gradient the same blocks,
+    transposed, times the output gradient (:func:`_mec_kernel_grad`).
+    Stride 2 keeps one im2col matrix ``cols`` [B*Ho*Wo, kh*kw*Cin]
+    (:func:`_im2col`): the forward is ``cols @ w.reshape(-1, Cout)`` and the
+    kernel gradient ``cols.T @ g2``.
 
+    The input gradient is a transposed conv at any stride s, itself one
+    stride-1 MEC conv: the kernel, zero-extended to ka*s x kb*s
+    (ka = ceil(kh/s)), splits into s*s flipped ka x kb phase kernels stacked
+    as [ka, kb*Cout, s*s*Cin]; their conv with the output gradient, padded
+    by ka-1, kb-1 (and cropped to the rows and columns that reach the
+    unpadded input), gives each phase's rows and columns of the input
+    gradient, which a depth-to-space interleave assembles.  At stride 1 this
+    is the conv of the padded gradient with the flipped, transposed kernel.
+
+    Every result takes the promoted dtype of the input and the kernel.
     Which gradients the backward computes is fixed by the flags when the op
     runs, so a module frozen for one forward gets none from it.
     """
@@ -615,30 +685,37 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     hout = (hp - kh) // s + 1
     wout = (wp - kw) // s + 1
 
-    cols = _im2col(_pad(x.data, padding, padding, padding, padding), kh, kw, s)
-    out = cols @ w.data.reshape(-1, cout)                          # [B*Ho*Wo, Cout]
+    xp = _pad(x.data, padding, padding, padding, padding)
+    if s == 1:
+        cols = _mec(xp, kw)
+        out = _mec_conv(cols, w.data.reshape(kh, kw * cin, cout))
+    else:
+        cols = _im2col(xp, kh, kw, s)
+        out = (cols @ w.data.reshape(-1, cout)).reshape(bsz, hout, wout, cout)
     if b is not None:
         out += b.data
-    out = out.reshape(bsz, hout, wout, cout)
     x_grad, w_grad, b_grad = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
 
     def back(g):
         g2 = g.reshape(-1, cout)
         if w_grad:
-            w._accumulate((cols.T @ g2).reshape(w.shape))
+            gw = _mec_kernel_grad(cols, g, kh) if s == 1 else cols.T @ g2
+            w._accumulate(gw.reshape(w.shape))
         if x_grad:
             ka, kb = -(-kh // s), -(-kw // s)
-            # rows per phase: one per gradient window, and zero rows for input past the last window
-            hy = max(hout + ka - 1, -(-(padding + h) // s))
-            wy = max(wout + kb - 1, -(-(padding + wd) // s))
+            # phase rows q0..q1 and columns r0..r1 hold the unpadded input
+            q0, r0 = padding // s, padding // s
+            q1, r1 = -(-(padding + h) // s), -(-(padding + wd) // s)
             wz = _pad(w.data.reshape(1, kh, kw, cin * cout), 0, 0, ka * s - kh, kb * s - kw)
             wz = wz.reshape(ka, s, kb, s, cin, cout)
-            # [ka*kb*Cout, s*s*Cin]: the flipped taps of each phase (p, q)
-            phases = wz[::-1, :, ::-1].transpose(0, 2, 5, 1, 3, 4).reshape(-1, s * s * cin)
-            gcols = _im2col(_pad(g, ka - 1, kb - 1, hy - hout, wy - wout), ka, kb, 1)
-            gx = (gcols @ phases).reshape(bsz, hy, wy, s, s, cin).transpose(0, 1, 3, 2, 4, 5)
-            gx = gx.reshape(bsz, hy * s, wy * s, cin)
-            x._accumulate(gx[:, padding:padding + h, padding:padding + wd])
+            # [ka, kb*Cout, s*s*Cin]: the flipped taps of each phase (p, q)
+            phases = wz[::-1, :, ::-1].transpose(0, 2, 5, 1, 3, 4).reshape(ka, -1, s * s * cin)
+            gy = _pad(g, ka - 1 - q0, kb - 1 - r0, q1 - hout, r1 - wout)
+            gx = _mec_conv(_mec(gy, kb), phases)
+            gx = gx.reshape(bsz, q1 - q0, r1 - r0, s, s, cin).transpose(0, 1, 3, 2, 4, 5)
+            gx = gx.reshape(bsz, (q1 - q0) * s, (r1 - r0) * s, cin)
+            t, u = padding - q0 * s, padding - r0 * s
+            x._accumulate(gx[:, t:t + h, u:u + wd])
         if b_grad:
             # g2's column sums as a matrix-vector product: summing over axis 0
             # adds rows of only Cout floats at a time, several times slower

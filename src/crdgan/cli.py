@@ -34,6 +34,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for tolerances: a finite float above 0 (a NaN or inf bound passes anything)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive float, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crdgan",
                                      description="content-relationship GAN distillation engine")
@@ -61,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--patch", type=_positive_int, default=4)
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
-    p_grad.add_argument("--tol", type=float, default=1e-4)
+    p_grad.add_argument("--tol", type=_positive_float, default=1e-4)
 
     p_bench = sub.add_parser("bench", help="tuple sampling, loss, generator and "
                                            "perceptual forward/backward throughput")

@@ -64,11 +64,21 @@ def write_manifest(dirpath, entries) -> None:
 
 
 def read_manifest(dirpath):
-    """Returns a list of dicts with keys name/file/shape/role."""
-    dirpath = Path(dirpath)
+    """Returns a list of dicts with keys name/file/shape/role.
+
+    A header other than ``MANIFEST_FIELDS``, or a row of another length,
+    raises a ValueError naming the file.
+    """
+    path = Path(dirpath) / MANIFEST_NAME
     out = []
-    with open(dirpath / MANIFEST_NAME, newline="") as fh:
-        for row in csv.DictReader(fh):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != MANIFEST_FIELDS:
+            raise ValueError(f"{path}: header {reader.fieldnames} is not {list(MANIFEST_FIELDS)}")
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num} does not have "
+                                 f"{len(MANIFEST_FIELDS)} fields")
             row = dict(row)
             row["shape"] = tuple(int(d) for d in row["shape"].split("x")) if row["shape"] else ()
             out.append(row)

@@ -11,7 +11,7 @@ from crdgan.autodiff import (
     softplus, sqrt_guarded, tanh, tmean, tsum, upsample2x,
 )
 from crdgan import tensor_io
-from crdgan.autodiff import _im2col
+from crdgan.autodiff import _im2col, _mec
 
 
 class TestElementwise:
@@ -120,6 +120,56 @@ class TestConv2d:
         with pytest.raises(ValueError, match="read-only"):
             cols[0, 0] = 1.0
         assert xp.flags.writeable
+
+    def test_mec_matches_row_window_oracle(self):
+        rng = np.random.default_rng(7)
+        cases = [((1, 5, 6, 2), 3), ((3, 4, 7, 3), 2), ((2, 3, 5, 4), 1), ((2, 3, 4, 2), 4)]
+        for shape, kw in cases:
+            xp = rng.normal(size=shape)
+            for a in (xp, xp.astype(np.float32), np.repeat(xp, 2, axis=2)[:, :, ::2]):
+                got = _mec(a, kw)
+                win = np.lib.stride_tricks.sliding_window_view(a, kw, axis=2)   # [B,Hp,Wo,C,kw]
+                want = win.transpose(0, 1, 2, 4, 3).reshape(got.shape)
+                assert got.dtype == a.dtype and got.flags["C_CONTIGUOUS"]
+                assert got.shape == shape[:2] + (shape[2] - kw + 1, kw * shape[3])
+                assert np.array_equal(got, want)
+        cols = _mec(np.zeros((1, 3, 4, 2)), 1)   # a 1x1 window: the reshape keeps a view
+        assert not cols.flags.writeable
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_float32_input_into_float64_kernel_promotes(self, stride, batch, monkeypatch):
+        # the results follow the promoted dtype, not the float32 columns' one; the
+        # input gradient is checked as it reaches the input, before Tensor.grad
+        # takes the input's own dtype
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(batch, 7, 6, 3)).astype(np.float32)
+        w, b = rng.normal(size=(3, 3, 3, 4)), rng.normal(size=4)
+        reached = {}
+        accumulate = Tensor._accumulate
+
+        def spy(t, g):
+            reached[id(t)] = g
+            accumulate(t, g)
+
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
+
+        def run(xa):
+            leaves = [Tensor(a, requires_grad=True) for a in (xa, w, b)]
+            out = conv2d(*leaves, stride, 1)
+            g = np.random.default_rng(8).normal(size=out.shape)
+            backward(tsum(mul(out, Tensor(g))))
+            return out, leaves
+
+        out, leaves = run(x)
+        ref, ref_leaves = run(x.astype(np.float64))
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out.data, ref.data, rtol=1e-12, atol=1e-12)
+        for t, r in zip(leaves, ref_leaves):
+            g = reached[id(t)]
+            assert g.dtype == np.float64
+            np.testing.assert_allclose(g, r.grad, rtol=1e-12, atol=1e-12)
+        assert leaves[0].grad.dtype == np.float32
 
     def test_input_gradient_through_mean(self):
         # conv2d straight into tmean, whose backward broadcasts one value;
@@ -544,8 +594,11 @@ class TestTensorFile:
 
 # (input shape, kernel shape, stride, padding): batch 3, stride 3, a 3x2
 # kernel, H != W, a kernel that is not a multiple of its stride, an input
-# whose last rows no window reaches, and every layer shape of the models
+# whose last rows no window reaches, padding wider than the kernel reaches,
+# and every layer shape of the models
 _CONV_CASES = [
+    ((1, 2, 4, 5), (2, 2, 3, 3), 1, 3),
+    ((1, 2, 5, 5), (2, 2, 3, 3), 2, 3),
     ((3, 2, 5, 5), (2, 2, 3, 3), 1, 1),
     ((2, 2, 7, 8), (3, 2, 3, 3), 3, 1),
     ((2, 3, 6, 5), (2, 3, 3, 2), 1, 0),

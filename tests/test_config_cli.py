@@ -150,6 +150,14 @@ class TestCliExitCodes:
         assert err.startswith("usage: crdgan " + argv[0])
         assert f"argument {argv[1]}: must be a positive int" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_gradcheck_tol_must_be_finite_and_positive(self, tol, capsys):
+        # a NaN or infinite bound would pass any gradient
+        assert main(["gradcheck", "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: crdgan gradcheck")
+        assert "argument --tol: must be a finite positive float" in err
+
 
 @pytest.fixture(scope="module")
 def tiny_cfg_file(tmp_path_factory):
@@ -232,6 +240,31 @@ class TestCliTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: array shape (4, 3, 7, 7) does not match parameter "
                               "(7, 7, 3, 4)")
+        assert not (run / "eval.csv").exists()
+
+    @pytest.mark.parametrize("corrupt", ["drop_role_column", "short_row"])
+    def test_eval_rejects_a_corrupt_manifest(self, tmp_path, capsys, corrupt):
+        cfg = TrainConfig(image_size=16, patch=(4, 4), base_width=4, num_res_blocks=1,
+                          disc_layers=2, disc_base_width=4)
+        run = tmp_path / "run"
+        run.mkdir()
+        write_config(cfg, run / "config.cfg")
+        entries = []
+        for role, module in training.build_models(cfg).items():
+            named = [(name, p.data) for name, p in module.named_parameters()]
+            entries = tensor_io.save_named_tensors(run / "checkpoints", named, role, entries)
+        tensor_io.write_manifest(run / "checkpoints", entries)
+        manifest = run / "checkpoints" / tensor_io.MANIFEST_NAME
+        lines = manifest.read_text().splitlines()
+        if corrupt == "drop_role_column":
+            lines = [ln.rsplit(",", 1)[0] for ln in lines]
+        else:
+            lines[3] = lines[3].rsplit(",", 1)[0]
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--run", str(run), "--task", "invert"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ")
+        assert ("header" if corrupt == "drop_role_column" else "line 4 ") in err
         assert not (run / "eval.csv").exists()
 
     def test_eval_runs_the_generators_in_batch_size_chunks(self, tmp_path, monkeypatch, capsys):
