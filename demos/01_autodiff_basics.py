@@ -6,8 +6,8 @@ Run: python3 demos/01_autodiff_basics.py
 import numpy as np
 
 from crdgan.autodiff import (
-    Tensor, backward, conv2d, detach, finite_diff_grad, gradcheck, l2_norm,
-    max_rel_error, mul, tanh, tmean, tsum,
+    Tensor, backward, conv2d, detach, finite_diff_grad, gradcheck,
+    max_rel_error, mul, sqrt_guarded, tanh, tmean, tsum,
 )
 
 # Tensors wrap numpy arrays; setting requires_grad opens a gradient slot.
@@ -39,8 +39,14 @@ err = gradcheck(lambda t: tmean(mul(tanh(conv2d(t, ker, stride=2, padding=1)),
                 img, tol=1e-6)
 print(f"conv gradcheck     = {err:.2e} relative error")
 
-# The same harness is available piecemeal.
+# The same harness is available piecemeal, here on the Euclidean norm.
 v = Tensor(rng.normal(size=6), requires_grad=True)
-backward(l2_norm(v))
-numeric = finite_diff_grad(lambda t: l2_norm(t), v, 1e-6)
-print(f"l2_norm gradcheck  = {max_rel_error(v.grad, numeric.data):.2e}")
+
+
+def norm(t):
+    return sqrt_guarded(tsum(mul(t, t)))
+
+
+backward(norm(v))
+numeric = finite_diff_grad(norm, v, 1e-6)
+print(f"norm gradcheck     = {max_rel_error(v.grad, numeric.data):.2e}")

@@ -25,12 +25,12 @@ import numpy as np
 
 __all__ = [
     "Tensor", "set_finite_checks",
-    "add", "sub", "mul", "div", "neg",
+    "add", "sub", "mul", "neg",
     "matmul", "reshape", "permute", "gather_sum",
     "relu", "leaky_relu", "tanh", "softplus", "absolute",
     "clamp_min", "reciprocal", "sqrt_guarded",
-    "tsum", "tmean", "l2_norm", "huber",
-    "pad2d", "upsample2x", "conv2d", "instance_norm",
+    "tsum", "tmean", "huber",
+    "upsample2x", "conv2d", "instance_norm",
     "detach", "backward", "finite_diff_grad", "max_rel_error", "gradcheck",
 ]
 
@@ -136,9 +136,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return neg(self)
 
@@ -238,20 +235,6 @@ def mul(a, b) -> Tensor:
             b._accumulate(_collapse(g * ad, b.shape))
 
     return _result(ad * bd, "mul", (a, b), back)
-
-
-def div(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    _check_binary_shapes("div", a, b)
-    ad, bd = a.data, b.data
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_collapse(g / bd, a.shape))
-        if b.requires_grad:
-            b._accumulate(_collapse(-g * ad / (bd * bd), b.shape))
-
-    return _result(ad / bd, "div", (a, b), back)
 
 
 def neg(a) -> Tensor:
@@ -410,24 +393,6 @@ def tmean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     return _result(a.data.mean(axis=axes, keepdims=keepdims), "mean", (a,), back)
 
 
-def l2_norm(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Euclidean norm of the whole tensor.
-
-    The gradient is x / max(||x||, eps), so a zero vector gets a zero
-    gradient rather than NaN.
-    """
-    if a.size == 0:
-        raise ValueError("l2_norm of an empty tensor")
-    n = np.sqrt((a.data ** 2).sum())
-    denom = max(float(n), eps)
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(np.asarray(g, dtype=a.data.dtype) * (a.data / denom))
-
-    return _result(np.asarray(n, dtype=a.data.dtype), "l2_norm", (a,), back)
-
-
 # -- shape manipulation ------------------------------------------------------
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -527,19 +492,6 @@ def _pad(a: np.ndarray, top: int, left: int, bottom: int, right: int) -> np.ndar
     out = np.zeros((bsz, top + h + bottom, left + w + right, c), dtype=a.dtype)
     out[:, top:top + h, left:left + w] = a
     return out
-
-
-def pad2d(a: Tensor, padding: int) -> Tensor:
-    """Zero padding of a [B,H,W,C] tensor's spatial axes."""
-    if padding == 0:
-        return a
-    p = int(padding)
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(g[:, p:-p, p:-p])
-
-    return _result(_pad(a.data, p, p, p, p), "pad2d", (a,), back)
 
 
 def upsample2x(a: Tensor) -> Tensor:

@@ -187,16 +187,14 @@ def _cmd_bench(args) -> int:
     teacher = Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float32))
     student = Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float32))
 
-    pair_counts = {"column": comb(s, 2), "row": comb(s, 2),
-                   "patch": comb(s * s // (n * m), 2)}
-    triple_totals = {"column": comb(s, 3), "row": comb(s, 3),
-                     "patch": comb(s * s // (n * m), 3)}
-    triples_evaluated = sum(min(budget, t) if budget else t for t in triple_totals.values())
-    pairs_evaluated = sum(pair_counts.values())
+    counts = (s, s, s * s // (n * m))                   # columns, rows, patches
+    triple_totals = [comb(count, 3) for count in counts]
+    triples_evaluated = sum(min(budget, t) if budget else t for t in triple_totals)
+    pairs_evaluated = sum(comb(count, 2) for count in counts)
 
     t0 = time.perf_counter()
     for _ in range(args.iters):
-        for count in (s, s * s // (n * m)):
+        for count in counts:                            # one step's triple draws
             sample_tuples(count, 3, budget, args.seed)
     sample_ms = (time.perf_counter() - t0) * 1000 / args.iters
 

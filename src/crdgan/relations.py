@@ -25,13 +25,17 @@ products, huber): in the same order, with gather scatters as float64
 bincounts cast back, and with the sources' gradients added per content set
 from the last to the first, student before teacher.  So values, gradients
 and run bytes are those of the composed graph, which the tests keep as the
-oracle, at a fraction of its per-op bookkeeping.
+oracle, at a fraction of its per-op bookkeeping.  ``pairwise_distances``
+and ``phi_a`` read the same pass's forward, as constant tensors.
+
+Tuples i<j(<k) are lexicographic ranks unranked through the combinatorial
+number system: a budget draws that many distinct ranks uniformly from the
+seed, and full enumeration is every rank in order.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from math import comb
@@ -39,10 +43,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .autodiff import (
-    Tensor, _gather, _result, _scatter, clamp_min, matmul, reciprocal, reshape, sqrt_guarded, tmean,
-    tsum,
-)
+from .autodiff import Tensor, _gather, _result, _scatter
 from . import slicing
 from .slicing import COLUMN, GRANULARITIES, PATCH, ROW, ContentSet
 
@@ -95,9 +96,9 @@ class DistanceStructure:
     """All pairwise Euclidean distances of one item set plus their mean.
 
     ``distances`` is the materialized symmetric matrix (zero diagonal);
-    ``mu`` is the differentiable mean over unordered pairs and
-    ``pair_values`` holds the distance of each i<j pair in lexicographic
-    order, also differentiable.
+    ``mu`` is the mean over unordered pairs and ``pair_values`` holds the
+    distance of each i<j pair in lexicographic order, both constant tensors
+    with the relation pass's values.
     """
 
     distances: np.ndarray
@@ -159,14 +160,6 @@ def _as_items(x: ItemsLike) -> Tensor:
     if t.ndim != 2:
         raise ValueError(f"expected a rank-2 item stack, got shape {t.shape}")
     return t
-
-
-def _pair_sq(x: Tensor, batch: int) -> Tensor:
-    """d2 of every i<j pair of every image of X = [count, B*D], flat and
-    pair-major: entry p*B + b is image b's pair p."""
-    count, width = x.shape
-    r = matmul(_incidence(count, x.dtype), x)             # rows: exact x_i - x_j
-    return tsum(reshape(r * r, (-1, width // batch)), axes=1)
 
 
 _ONE = (1.0,)
@@ -329,17 +322,18 @@ def _relate(t: Tensor, s: Tensor, groups: list, eps: float) -> tuple:
 
 
 def pairwise_distances(item_set: ItemsLike, epsilon: float = 1e-12) -> DistanceStructure:
-    """Euclidean distance for every unordered pair plus their mean."""
+    """Euclidean distance for every unordered pair plus their mean, as the
+    relation pass computes them."""
     items = _as_items(item_set)
     n = items.shape[0]
     if n < 2:
         raise ValueError(f"pairwise_distances needs >= 2 items, got {n}")
     pi, pj = _triu_pairs(n)
-    dvec = sqrt_guarded(_pair_sq(items, 1), epsilon)
-    mat = np.zeros((n, n), dtype=dvec.data.dtype)
-    mat[pi, pj] = dvec.data
-    mat[pj, pi] = dvec.data
-    return DistanceStructure(mat, tmean(dvec), pi, pj, dvec, epsilon)
+    d = _Side(items.data, 1, None, None, epsilon).d
+    mat = np.zeros((n, n), dtype=d.dtype)
+    mat[pi, pj] = d
+    mat[pj, pi] = d
+    return DistanceStructure(mat, Tensor(_mean(d)), pi, pj, Tensor(d), epsilon)
 
 
 def phi_d(structure: DistanceStructure, i: int, j: int) -> float:
@@ -351,57 +345,75 @@ def phi_d(structure: DistanceStructure, i: int, j: int) -> float:
 
 
 def phi_a(vi, vj, vk, epsilon: float = 1e-12) -> Tensor:
-    """Cosine of the angle at vj between residues vi-vj and vj-vk, by the
-    law of cosines over the three exact residues."""
-    vi, vj, vk = (t if isinstance(t, Tensor) else Tensor(np.asarray(t, dtype=np.float64))
+    """Cosine of the angle at vj between residues vi-vj and vj-vk, as a
+    constant 0-d tensor: the relation pass's angle of the triple (0, 1, 2)
+    of the stack [vi; vj; vk] (law of cosines over the exact residues)."""
+    vi, vj, vk = (t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
                   for t in (vi, vj, vk))
     if not (vi.shape == vj.shape == vk.shape) or vi.ndim != 1:
         raise ValueError(f"phi_a needs three equal-length vectors, got "
                          f"{vi.shape}, {vj.shape}, {vk.shape}")
-    sq_ij, sq_ik, sq_jk = (tsum(r * r) for r in (vi - vj, vi - vk, vj - vk))
-    inv_ij, inv_jk = (reciprocal(clamp_min(sqrt_guarded(sq, epsilon), epsilon))
-                      for sq in (sq_ij, sq_jk))
-    return (sq_ik - sq_ij - sq_jk) * 0.5 * inv_ij * inv_jk
+    side = _Side(np.stack([vi, vj, vk]), 1, None, _pool_index(3, 3, 1), epsilon)
+    return Tensor(side.phi[1].reshape(()))
 
 
 # -- tuple sampling -----------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
+def _binomials(count: int, arity: int) -> np.ndarray:
+    """[arity + 1, count]: row t holds C(c, t) for c = 0..count-1."""
+    table = np.array([[comb(c, t) for c in range(count)] for t in range(arity + 1)],
+                     dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def _unrank(ranks: np.ndarray, count: int, arity: int) -> np.ndarray:
+    """The tuples of the given lexicographic ranks, as an [T, arity] array.
+
+    Combinatorial number system: reflecting every index (c -> count-1-c)
+    turns lexicographic rank r into colex rank total-1-r, whose tuple
+    a_arity > ... > a_1 is greedy, a_t the largest a with C(a, t) <= what is
+    left; one searchsorted per position finds it for every rank at once.
+    """
+    table = _binomials(count, arity)
+    rest = comb(count, arity) - 1 - ranks
+    out = np.empty((rest.size, arity), dtype=np.intp)
+    for pos, t in enumerate(range(arity, 0, -1)):
+        a = np.searchsorted(table[t], rest, side="right") - 1
+        rest = rest - table[t][a]
+        out[:, pos] = count - 1 - a
+    return out
+
+
+@functools.lru_cache(maxsize=64)
 def _tuple_pool(count: int, arity: int) -> np.ndarray:
-    pool = np.array(list(itertools.combinations(range(count), arity)), dtype=np.intp)
+    pool = _unrank(np.arange(comb(count, arity)), count, arity)
     pool.setflags(write=False)
     return pool
 
 
 def sample_tuples(count: int, arity: int, budget: Optional[int], seed: int) -> np.ndarray:
-    """Index tuples i<j(<k) as an [T, arity] int array.
+    """Index tuples i<j(<k) as an [T, arity] int array, in lexicographic order.
 
-    Full lexicographic enumeration when the budget covers every tuple,
-    otherwise ``budget`` distinct tuples drawn uniformly without replacement,
-    reproducible from the seed and returned in sorted order.
+    Full enumeration when the budget is None or covers every tuple.
+    Otherwise ``budget`` distinct tuples drawn uniformly without replacement
+    at any pool size, reproducible from the seed: ``budget`` distinct ranks,
+    sorted and unranked.  For a large pool the draw costs O(budget), not
+    O(pool).  A budget below 1 is rejected.
     """
     if arity not in (2, 3):
         raise ValueError(f"arity must be 2 or 3, got {arity}")
     if count < arity:
         raise ValueError(f"need at least {arity} items, got {count}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1 or None, got {budget}")
     total = comb(count, arity)
     if budget is None or budget >= total:
         return _tuple_pool(count, arity)
-    rng = np.random.default_rng(seed)
-    if total <= 1 << 16 or 2 * budget >= total:
-        picks = rng.permutation(total)[:budget]
-        picks.sort()
-        return _tuple_pool(count, arity)[picks]
-    # rejection sampling: draw sorted-distinct rows, dedupe, top up
-    chosen = np.empty((0, arity), dtype=np.intp)
-    while chosen.shape[0] < budget:
-        need = budget - chosen.shape[0]
-        draw = rng.integers(0, count, size=(2 * need + 16, arity))
-        draw.sort(axis=1)
-        ok = np.all(draw[:, 1:] > draw[:, :-1], axis=1)
-        chosen = np.unique(np.concatenate([chosen, draw[ok]], axis=0), axis=0)
-    # unique() sorts rows lexicographically; trim deterministically
-    return np.ascontiguousarray(chosen[:budget], dtype=np.intp)
+    ranks = np.random.default_rng(seed).choice(total, budget, replace=False, shuffle=False)
+    ranks.sort()
+    return _unrank(ranks, count, arity)
 
 
 # -- instance-level relational losses -----------------------------------------

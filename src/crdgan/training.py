@@ -71,10 +71,11 @@ class TeacherState:
     best_score: float = math.inf
 
 
-def _check_finite(step: int, **losses) -> None:
+def _check_finite(phase: str, step: int, **losses) -> None:
     for name, v in losses.items():
         if not np.isfinite(v):
-            raise FloatingPointError(f"non-finite {name}={v} at step {step}; aborting")
+            raise FloatingPointError(f"non-finite {name}={v} in the {phase} at step {step}; "
+                                     f"aborting")
 
 
 def generate(generator, images, batch_size: int, dtype=np.float32) -> np.ndarray:
@@ -215,7 +216,7 @@ class Trainer:
         self.opt_teacher.step()
 
         out = {"d_loss_T": d_loss.item(), "g_loss_T": g_loss.item()}
-        _check_finite(step, **out)
+        _check_finite("teacher phase", step, **out)
         return out
 
     def _distill_target(self, x: Tensor) -> Tensor:
@@ -282,7 +283,7 @@ class Trainer:
             self.opt_student.zero_grad()
             backward(total)
             self.opt_student.step()
-        _check_finite(step, **parts)
+        _check_finite("student phase", step, **parts)
         return parts
 
     def teacher_generate(self, x_np: np.ndarray) -> np.ndarray:

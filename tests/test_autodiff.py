@@ -6,8 +6,8 @@ import pytest
 
 from crdgan.autodiff import (
     Tensor, absolute, backward, clamp_min, conv2d, detach, finite_diff_grad,
-    gather_sum, gradcheck, huber, instance_norm, l2_norm,
-    leaky_relu, matmul, mul, pad2d, permute, reshape,
+    gather_sum, gradcheck, huber, instance_norm,
+    leaky_relu, matmul, mul, permute, reciprocal, reshape,
     softplus, sqrt_guarded, tanh, tmean, tsum, upsample2x,
 )
 from crdgan import tensor_io
@@ -32,7 +32,7 @@ class TestElementwise:
 
     def test_scalar_operands_keep_float32(self):
         x = Tensor(np.ones(3, dtype=np.float32))
-        for out in (x * 2.5, 2.5 * x, x + 1.0, 1.0 - x, x / 3.0, x - np.float64(1.0),
+        for out in (x * 2.5, 2.5 * x, x + 1.0, 1.0 - x, x - np.float64(1.0),
                     huber(x, 0.0)):
             assert out.dtype == np.float32
         assert (Tensor(np.ones(3)) * np.float32(2.0)).dtype == np.float64
@@ -40,10 +40,10 @@ class TestElementwise:
     def test_scalar_tensor_operand(self):
         x = Tensor([2.0, 4.0], requires_grad=True)
         s = Tensor(np.asarray(2.0), requires_grad=True)
-        out = tsum(x / s)
+        out = tsum(x * s)
         backward(out)
-        np.testing.assert_allclose(x.grad, [0.5, 0.5])
-        np.testing.assert_allclose(s.grad, -(2.0 + 4.0) / 4.0)
+        np.testing.assert_allclose(x.grad, [2.0, 2.0])
+        np.testing.assert_allclose(s.grad, 2.0 + 4.0)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)"):
@@ -326,26 +326,6 @@ class TestReductions:
             tsum(Tensor(np.ones((2, 2))), axes=())
 
 
-class TestL2Norm:
-    def test_pythagorean(self):
-        assert l2_norm(Tensor([3.0, 4.0])).item() == 5.0
-
-    def test_zero_vector_has_zero_gradient(self):
-        x = Tensor(np.zeros(4), requires_grad=True)
-        backward(l2_norm(x))
-        assert l2_norm(Tensor(np.zeros(4))).item() == 0.0
-        np.testing.assert_array_equal(x.grad, np.zeros(4))
-
-    def test_against_loop_oracle(self):
-        rng = np.random.default_rng(5)
-        v = rng.normal(size=8)
-        want = 0.0
-        for x in v:
-            want += x * x
-        want = np.sqrt(want)
-        assert abs(l2_norm(Tensor(v)).item() - want) < 1e-12
-
-
 class TestDetach:
     def test_single_path_derivative(self):
         # d/dx sum(detach(x) * x) = x, not 2x
@@ -456,13 +436,13 @@ class TestSupportOps:
         with pytest.raises(ValueError, match="weights"):
             gather_sum(Tensor(np.ones(3)), np.zeros((2, 2), dtype=int), (1.0,))
 
-    def test_pad_upsample_permute_reshape_grads(self):
+    def test_upsample_permute_reshape_grads(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(1, 3, 3, 2))
 
         def f(t):
-            h = upsample2x(pad2d(t, 1))
-            h = permute(reshape(h, (2, 10, 10)), (1, 0, 2))
+            h = upsample2x(t)
+            h = permute(reshape(h, (2, 6, 6)), (1, 0, 2))
             return tsum(mul(h, h))
 
         gradcheck(f, Tensor(x), tol=1e-7)
@@ -535,8 +515,8 @@ class TestFiniteChecks:
             x = Tensor([1.0, 2.0])
             tsum(mul(x, x))     # clean pass is fine
             with np.errstate(divide="ignore"):
-                with pytest.raises(FloatingPointError, match="div"):
-                    x / Tensor([0.0, 1.0])
+                with pytest.raises(FloatingPointError, match="reciprocal"):
+                    reciprocal(Tensor([0.0, 1.0]))
         finally:
             set_finite_checks(False)
 

@@ -209,6 +209,15 @@ class TestCliTrainEval:
         assert (out / "metrics.csv").read_text() == "epoch,step\n"
         assert [p.name for p in out.iterdir()] == ["metrics.csv"]
 
+    def test_train_exits_1_on_a_non_finite_loss(self, tiny_cfg_file, tmp_path, monkeypatch,
+                                                capsys):
+        real = training.generator_adv_loss
+        monkeypatch.setattr(training, "generator_adv_loss", lambda *a: real(*a) * np.nan)
+        assert main(["train", "--config", str(tiny_cfg_file),
+                     "--task", "invert", "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite g_loss_T=nan in the teacher phase at step 0")
+
     @pytest.mark.parametrize("bad", ["width_factor = 0.01", "seed = -1",
                                      "extractor_seed = -5", "sample_every = -1", "--seed -1"])
     def test_train_rejects_a_bad_config_before_writing(self, tiny_cfg_file, tmp_path,

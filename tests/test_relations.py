@@ -8,6 +8,7 @@ match byte for byte.
 """
 
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -156,6 +157,16 @@ class TestPairwiseDistances:
         with pytest.raises(ValueError, match=">= 2"):
             pairwise_distances(np.ones((1, 3)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pair_values_are_the_relation_pass_distances(self, dtype):
+        items = np.random.default_rng(5).normal(size=(7, 9)).astype(dtype)
+        got = pairwise_distances(Tensor(items)).pair_values.data
+        side = relations._Side(items, 1, None, None, 1e-12)
+        assert got.dtype == dtype
+        assert got.tobytes() == side.d.tobytes()
+        composed = sqrt_guarded(composed_pair_sq(Tensor(items), 1), 1e-12)
+        assert got.tobytes() == composed.data.tobytes()
+
 
 class TestPhiD:
     def test_two_item_self_normalization(self):
@@ -204,6 +215,15 @@ class TestPhiA:
     def test_degenerate_is_guarded(self):
         v = np.ones(3)
         assert np.isfinite(phi_a(v, v, 2 * v).item())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_is_the_relation_pass_angle(self, dtype):
+        stack = np.random.default_rng(6).normal(size=(3, 8)).astype(dtype)
+        got = phi_a(*(Tensor(v) for v in stack)).data
+        idx = relations._index(np.array([[0, 1, 2]]), 3, 1)
+        want = relations._Side(stack, 1, None, idx, 1e-12).phi[1]
+        assert got.shape == () and got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # -- instance-level losses ---------------------------------------------------------
@@ -667,12 +687,30 @@ class TestSampling:
         assert len({tuple(row) for row in a}) == 512          # distinct
         assert np.all(a[:, 0] < a[:, 1]) and np.all(a[:, 1] < a[:, 2])
 
-    def test_large_space_rejection_path(self):
+    def test_large_pool_draw_is_distinct_and_replayable(self):
         got = sample_tuples(256, 3, 4096, seed=5)
         assert got.shape == (4096, 3)
         assert len({tuple(row) for row in got}) == 4096
         again = sample_tuples(256, 3, 4096, seed=5)
         np.testing.assert_array_equal(got, again)
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_full_enumeration_is_combinations_order(self, arity):
+        for count in range(arity, 13):
+            want = np.array(list(itertools.combinations(range(count), arity)))
+            np.testing.assert_array_equal(sample_tuples(count, arity, None, seed=0), want)
+
+    def test_budgeted_draw_is_uniform_on_a_large_pool(self):
+        # 128 items give C(128, 3) = 341,376 triples; the first index of a
+        # uniform triple has mean (128 - 3) / 4 and reaches past the middle
+        first = np.concatenate([sample_tuples(128, 3, 512, seed)[:, 0] for seed in range(20)])
+        assert abs(first.mean() - 125 / 4) <= 0.1 * 125 / 4
+        assert first.max() > 64
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"budget must be >= 1 or None, got {budget}"):
+            sample_tuples(32, 3, budget, seed=0)
 
     def test_different_seeds_differ(self):
         a = sample_tuples(32, 3, 512, seed=1)

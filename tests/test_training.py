@@ -109,6 +109,20 @@ class TestTeacherStep:
         assert end < start
 
 
+class TestFiniteCheck:
+    def test_nan_loss_names_the_phase_step_and_term(self):
+        cfg = tiny_config()
+        tr = Trainer(cfg, tiny_dataset(cfg))
+        x, y = first_batch(tr.dataset)
+        bad = (np.full_like(x, np.nan), y)
+        with pytest.raises(FloatingPointError, match=r"non-finite d_loss_T=nan in the "
+                                                     r"teacher phase at step 7"):
+            tr.train_step_teacher(bad, 7)
+        with pytest.raises(FloatingPointError, match=r"non-finite adv_loss_S=nan in the "
+                                                     r"student phase at step 9"):
+            tr.train_step_student(bad, 9)
+
+
 class TestStudentStep:
     def test_freezing_contract_byte_identical(self):
         cfg = tiny_config()
