@@ -18,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Optional, Sequence
 
@@ -159,12 +160,19 @@ class Tensor:
         return permute(self, axes)
 
 
+def _check_finite(data: np.ndarray, where: str) -> None:
+    """With finite checks on, raise FloatingPointError naming ``where`` if data
+    holds a NaN or an infinity."""
+    if _finite_checks and not np.all(np.isfinite(data)):
+        raise FloatingPointError(f"non-finite values in {where}")
+
+
 def _result(data: np.ndarray, op: str, parents: Sequence[Tensor],
             backward_fn: Optional[Callable[[np.ndarray], None]]) -> Tensor:
     out = Tensor(data)
     out.op = op
-    if _finite_checks and not np.all(np.isfinite(out.data)):
-        raise FloatingPointError(f"non-finite values in result of {op}")
+    if _finite_checks:
+        _check_finite(out.data, f"result of {op}")
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -259,10 +267,16 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.maximum(a.data, 0), "relu", (a,), back)
 
 
+def _leaky_slope(a: np.ndarray, alpha: float) -> np.ndarray:
+    """leaky_relu's slope per element of a: its output is a * slope, its
+    input gradient g * slope."""
+    # taken from a two-entry table (np.where on a random mask runs several
+    # times slower); a * 1 is a, so a * slope has where()'s bytes
+    return np.array([alpha, 1.0], dtype=a.dtype).take((a > 0).view(np.uint8))
+
+
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
-    # each element's slope taken from a two-entry table (np.where on a random
-    # mask runs several times slower); a * 1 is a, so y has where()'s bytes
-    slope = np.array([alpha, 1.0], dtype=a.dtype).take((a.data > 0).view(np.uint8))
+    slope = _leaky_slope(a.data, alpha)
 
     def back(g):
         if a.requires_grad:
@@ -494,21 +508,29 @@ def _pad(a: np.ndarray, top: int, left: int, bottom: int, right: int) -> np.ndar
     return out
 
 
-def upsample2x(a: Tensor) -> Tensor:
-    """Nearest-neighbour 2x spatial upsampling of a [B,H,W,C] tensor."""
+def _upsample_forward(a: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour 2x spatial upsampling of a [B,H,W,C] array."""
     if a.ndim != 4:
         raise ValueError(f"upsample2x expects rank-4, got {a.shape}")
-    y = a.data.repeat(2, axis=1).repeat(2, axis=2)
-    b_, h_, w_, c_ = a.shape
+    return a.repeat(2, axis=1).repeat(2, axis=2)
 
+
+def _upsample_backward(g: np.ndarray) -> np.ndarray:
+    """The input gradient of :func:`_upsample_forward` for output gradient g."""
+    b_, h2, w2, c_ = g.shape
+    # each 2x2 block as (top pair) + (bottom pair), in two strided adds
+    v = g.reshape(b_, h2 // 2, 2, w2 // 2, 2, c_)
+    p = v[:, :, :, :, 0] + v[:, :, :, :, 1]
+    return p[:, :, 0] + p[:, :, 1]
+
+
+def upsample2x(a: Tensor) -> Tensor:
+    """Nearest-neighbour 2x spatial upsampling of a [B,H,W,C] tensor."""
     def back(g):
         if a.requires_grad:
-            # each 2x2 block as (top pair) + (bottom pair), in two strided adds
-            v = g.reshape(b_, h_, 2, w_, 2, c_)
-            p = v[:, :, :, :, 0] + v[:, :, :, :, 1]
-            a._accumulate(p[:, :, 0] + p[:, :, 1])
+            a._accumulate(_upsample_backward(g))
 
-    return _result(y, "upsample2x", (a,), back)
+    return _result(_upsample_forward(a.data), "upsample2x", (a,), back)
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -586,13 +608,90 @@ def _mec_kernel_grad(cols: np.ndarray, g: np.ndarray, kh: int) -> np.ndarray:
     return gw.sum(axis=1)
 
 
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int,
+                  padding: int, keep_cols: bool) -> tuple:
+    """conv2d's forward on arrays: (out [B,Ho,Wo,Cout], the column matrix or None).
+
+    The column matrix is what the kernel gradient reads; it is returned only
+    with ``keep_cols``, so a caller that wants no kernel gradient holds none.
+    """
+    if x.ndim != 4 or w.ndim != 4:
+        raise ValueError(f"conv2d expects rank-4 input and kernel, got {x.shape} and {w.shape}")
+    if stride <= 0:
+        raise ValueError(f"conv2d: stride must be positive, got {stride}")
+    if padding < 0:
+        raise ValueError(f"conv2d: padding must be non-negative, got {padding}")
+    bsz, h, wd, cin = x.shape
+    kh, kw, cin_w, cout = w.shape
+    if cin != cin_w:
+        raise ValueError(f"conv2d: input channels {cin} do not match kernel channels {cin_w}")
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    if kh > hp or kw > wp:
+        raise ValueError(
+            f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
+    if b is not None and b.shape != (cout,):
+        raise ValueError(f"conv2d: bias shape {b.shape} does not match Cout={cout}")
+
+    xp = _pad(x, padding, padding, padding, padding)
+    if stride == 1:
+        cols = _mec(xp, kw)
+        out = _mec_conv(cols, w.reshape(kh, kw * cin, cout))
+    else:
+        cols = _im2col(xp, kh, kw, stride)
+        out = (cols @ w.reshape(-1, cout)).reshape(bsz, (hp - kh) // stride + 1,
+                                                   (wp - kw) // stride + 1, cout)
+    if b is not None:
+        out += b
+    return out, (cols if keep_cols else None)
+
+
+def _conv_backward(g: np.ndarray, cols: Optional[np.ndarray], x_shape: tuple, w: np.ndarray,
+                   stride: int, padding: int, need_x: bool, need_b: bool) -> tuple:
+    """conv2d's adjoint for output gradient g [B,Ho,Wo,Cout]: (input gradient,
+    kernel gradient, bias gradient), each None when not asked for.  The
+    kernel gradient is computed when ``cols`` (from :func:`_conv_forward`)
+    is given.
+    """
+    bsz, h, wd, cin = x_shape
+    kh, kw, _, cout = w.shape
+    s = stride
+    g2 = g.reshape(-1, cout)
+    gx = gw = gb = None
+    if cols is not None:
+        gw = _mec_kernel_grad(cols, g, kh) if s == 1 else cols.T @ g2
+        gw = gw.reshape(w.shape)
+    if need_x:
+        hout, wout = g.shape[1:3]
+        ka, kb = -(-kh // s), -(-kw // s)
+        # phase rows q0..q1 and columns r0..r1 hold the unpadded input
+        q0, r0 = padding // s, padding // s
+        q1, r1 = -(-(padding + h) // s), -(-(padding + wd) // s)
+        wz = _pad(w.reshape(1, kh, kw, cin * cout), 0, 0, ka * s - kh, kb * s - kw)
+        wz = wz.reshape(ka, s, kb, s, cin, cout)
+        # [ka, kb*Cout, s*s*Cin]: the flipped taps of each phase (p, q)
+        phases = wz[::-1, :, ::-1].transpose(0, 2, 5, 1, 3, 4).reshape(ka, -1, s * s * cin)
+        gy = _pad(g, ka - 1 - q0, kb - 1 - r0, q1 - hout, r1 - wout)
+        gx = _mec_conv(_mec(gy, kb), phases)
+        gx = gx.reshape(bsz, q1 - q0, r1 - r0, s, s, cin).transpose(0, 1, 3, 2, 4, 5)
+        gx = gx.reshape(bsz, (q1 - q0) * s, (r1 - r0) * s, cin)
+        t, u = padding - q0 * s, padding - r0 * s
+        gx = gx[:, t:t + h, u:u + wd]
+    if need_b:
+        # g2's column sums as a matrix-vector product: summing over axis 0
+        # adds rows of only Cout floats at a time, several times slower
+        gb = np.ones(len(g2), dtype=g2.dtype) @ g2
+    return gx, gw, gb
+
+
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of [B,H,W,Cin] with kernels [kh,kw,Cin,Cout].
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
     width), and the output is [B,Ho,Wo,Cout].  Gradients are defined for the
-    input, the kernel and the bias.
+    input, the kernel and the bias.  The arithmetic is the kernel pair
+    :func:`_conv_forward` / :func:`_conv_backward`, which the networks'
+    nodes in ``models`` call as well.
 
     Stride 1 (every layer but the downsampling ones) is lowered by MEC: the
     padded input's row columns [B, Hp, Wo, kw*Cin] (:func:`_mec`), kh times
@@ -615,87 +714,62 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
     Every result takes the promoted dtype of the input and the kernel.
     Which gradients the backward computes is fixed by the flags when the op
-    runs, so a module frozen for one forward gets none from it.
+    runs.
     """
-    if x.ndim != 4 or w.ndim != 4:
-        raise ValueError(f"conv2d expects rank-4 input and kernel, got {x.shape} and {w.shape}")
-    if stride <= 0:
-        raise ValueError(f"conv2d: stride must be positive, got {stride}")
-    if padding < 0:
-        raise ValueError(f"conv2d: padding must be non-negative, got {padding}")
-    bsz, h, wd, cin = x.shape
-    kh, kw, cin_w, cout = w.shape
-    if cin != cin_w:
-        raise ValueError(f"conv2d: input channels {cin} do not match kernel channels {cin_w}")
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    if kh > hp or kw > wp:
-        raise ValueError(
-            f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-    if b is not None and b.shape != (cout,):
-        raise ValueError(f"conv2d: bias shape {b.shape} does not match Cout={cout}")
-    s = stride
-    hout = (hp - kh) // s + 1
-    wout = (wp - kw) // s + 1
-
-    xp = _pad(x.data, padding, padding, padding, padding)
-    if s == 1:
-        cols = _mec(xp, kw)
-        out = _mec_conv(cols, w.data.reshape(kh, kw * cin, cout))
-    else:
-        cols = _im2col(xp, kh, kw, s)
-        out = (cols @ w.data.reshape(-1, cout)).reshape(bsz, hout, wout, cout)
-    if b is not None:
-        out += b.data
     x_grad, w_grad, b_grad = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
+    out, cols = _conv_forward(x.data, w.data, None if b is None else b.data, stride, padding,
+                              w_grad)
 
     def back(g):
-        g2 = g.reshape(-1, cout)
+        gx, gw, gb = _conv_backward(g, cols, x.shape, w.data, stride, padding, x_grad, b_grad)
         if w_grad:
-            gw = _mec_kernel_grad(cols, g, kh) if s == 1 else cols.T @ g2
-            w._accumulate(gw.reshape(w.shape))
+            w._accumulate(gw)
         if x_grad:
-            ka, kb = -(-kh // s), -(-kw // s)
-            # phase rows q0..q1 and columns r0..r1 hold the unpadded input
-            q0, r0 = padding // s, padding // s
-            q1, r1 = -(-(padding + h) // s), -(-(padding + wd) // s)
-            wz = _pad(w.data.reshape(1, kh, kw, cin * cout), 0, 0, ka * s - kh, kb * s - kw)
-            wz = wz.reshape(ka, s, kb, s, cin, cout)
-            # [ka, kb*Cout, s*s*Cin]: the flipped taps of each phase (p, q)
-            phases = wz[::-1, :, ::-1].transpose(0, 2, 5, 1, 3, 4).reshape(ka, -1, s * s * cin)
-            gy = _pad(g, ka - 1 - q0, kb - 1 - r0, q1 - hout, r1 - wout)
-            gx = _mec_conv(_mec(gy, kb), phases)
-            gx = gx.reshape(bsz, q1 - q0, r1 - r0, s, s, cin).transpose(0, 1, 3, 2, 4, 5)
-            gx = gx.reshape(bsz, (q1 - q0) * s, (r1 - r0) * s, cin)
-            t, u = padding - q0 * s, padding - r0 * s
-            x._accumulate(gx[:, t:t + h, u:u + wd])
+            x._accumulate(gx)
         if b_grad:
-            # g2's column sums as a matrix-vector product: summing over axis 0
-            # adds rows of only Cout floats at a time, several times slower
-            b._accumulate(np.ones(len(g2), dtype=g2.dtype) @ g2)
+            b._accumulate(gb)
 
     return _result(out, "conv2d", (x, w) if b is None else (x, w, b), back)
 
 
-def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-sample, per-channel normalization of [B,H,W,C] over the spatial axes (no affine)."""
+@functools.lru_cache(maxsize=32)
+def _mean_weights(n: int, dtype: np.dtype) -> np.ndarray:
+    r = np.full(n, 1.0 / n, dtype=dtype)
+    r.setflags(write=False)
+    return r
+
+
+def _norm_mean(a: np.ndarray) -> np.ndarray:
+    """Per-image, per-channel spatial mean of a [B,H,W,C] array, as [B,1,1,C].
+
+    A (1/n)-vector times each image's [H*W, C] matrix; a reduction over axes
+    (1, 2) adds rows of only C floats, several times slower at few channels.
+    """
+    bsz, h, w, c = a.shape
+    return (_mean_weights(h * w, a.dtype) @ a.reshape(bsz, h * w, c)).reshape(bsz, 1, 1, c)
+
+
+def _norm_forward(x: np.ndarray, eps: float = 1e-5) -> tuple:
+    """instance_norm's forward on a [B,H,W,C] array: (y, inv), inv = 1/std."""
     if x.ndim != 4:
         raise ValueError(f"instance_norm expects rank-4, got {x.shape}")
-    bsz, h, w, c = x.shape
-    n = h * w
-    r = np.full(n, 1.0 / n, dtype=x.dtype)
+    xc = x - _norm_mean(x)
+    inv = 1.0 / np.sqrt(_norm_mean(xc * xc) + eps)
+    return xc * inv, inv
 
-    def mean(a):
-        # a (1/n)-vector times each image's [H*W, C] matrix; a reduction over
-        # axes (1, 2) adds rows of only C floats, several times slower at few channels
-        return (r @ a.reshape(bsz, n, c)).reshape(bsz, 1, 1, c)
 
-    xc = x.data - mean(x.data)
-    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
-    y = xc * inv
+def _norm_backward(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The input gradient of :func:`_norm_forward` for output gradient g."""
+    return inv * (g - _norm_mean(g) - y * _norm_mean(g * y))
+
+
+def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-sample, per-channel normalization of [B,H,W,C] over the spatial axes (no affine)."""
+    y, inv = _norm_forward(x.data, eps)
 
     def back(g):
         if x.requires_grad:
-            x._accumulate(inv * (g - mean(g) - y * mean(g * y)))
+            x._accumulate(_norm_backward(g, y, inv))
 
     return _result(y, "instance_norm", (x,), back)
 

@@ -17,7 +17,10 @@ from .autodiff import Tensor, backward, finite_diff_grad, max_rel_error, tmean
 from .config import ConfigError, parse_config, parse_patch
 from .datasets import TASK_KINDS, SyntheticTask, generate_dataset
 from .metrics import frechet_between, pixel_error
-from .models import GeneratorSpec, build_generator, load_checkpoint
+from .models import (
+    Adam, DiscriminatorSpec, GeneratorSpec, build_discriminator, build_generator,
+    load_checkpoint,
+)
 from .perceptual import FeatureExtractor, perceptual_loss
 from .relations import RelationConfig, crd_loss, sample_tuples
 from . import slicing, tensor_io, training
@@ -74,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
     p_grad.add_argument("--tol", type=_positive_float, default=1e-4)
 
-    p_bench = sub.add_parser("bench", help="tuple sampling, loss, generator and "
-                                           "perceptual forward/backward throughput")
+    p_bench = sub.add_parser("bench", help="tuple sampling, loss, generator, discriminator, "
+                                           "Adam and perceptual forward/backward throughput")
     p_bench.add_argument("--size", type=_positive_int, default=32)
     p_bench.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
     p_bench.add_argument("--patch", type=_positive_int, default=8)
@@ -210,16 +213,41 @@ def _cmd_bench(args) -> int:
         backward(crd_loss(teacher, trainable, n, m, cfg))
     loss_fwd_bwd_ms = (time.perf_counter() - t0) * 1000 / args.iters
 
-    # the headline teacher generator, forward plus backward on one image
-    generator = build_generator(GeneratorSpec(base_width=16, num_res_blocks=2), args.seed)
+    # the headline teacher generator and discriminator, forward plus backward on one image
     image = Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float32))
-    t0 = time.perf_counter()
-    for _ in range(args.iters):
-        generator.zero_grad()
-        backward(tmean(generator(image)))
-    generator_fwd_bwd_ms = (time.perf_counter() - t0) * 1000 / args.iters
+    generator = build_generator(GeneratorSpec(base_width=16, num_res_blocks=2), args.seed)
+    discriminator = build_discriminator(DiscriminatorSpec(num_layers=3, base_width=16),
+                                        args.seed)
+    student = build_generator(GeneratorSpec(base_width=16, width_factor=0.25,
+                                            num_res_blocks=2), args.seed)
+
+    def fwd_bwd(net) -> None:
+        net.zero_grad()
+        backward(tmean(net(image)))
+
+    def fwd_bwd_ms(net) -> float:
+        t0 = time.perf_counter()
+        for _ in range(args.iters):
+            fwd_bwd(net)
+        return (time.perf_counter() - t0) * 1000 / args.iters
+
+    generator_fwd_bwd_ms = fwd_bwd_ms(generator)
     # nominally three GEMMs of 2*MACs flops each: forward, input and kernel gradient
     generator_gflops = 6 * generator.mac_count(s, s) / (generator_fwd_bwd_ms * 1e6)
+    discriminator_fwd_bwd_ms = fwd_bwd_ms(discriminator)
+
+    # a training step's Adam steps: one each for the teacher, the discriminator and the student
+    nets = (generator, discriminator, student)
+    optimizers = [Adam(net.parameters(), 2e-4) for net in nets]
+    adam_s = 0.0
+    for _ in range(args.iters):
+        for net in nets:
+            fwd_bwd(net)
+        t0 = time.perf_counter()
+        for opt in optimizers:
+            opt.step()
+        adam_s += time.perf_counter() - t0
+    adam_step_ms = adam_s * 1000 / args.iters
 
     # the perceptual term on a batch of 4 images with the default extractor widths
     extractor = FeatureExtractor.fixed_random(args.seed, dtype=np.float32)
@@ -241,6 +269,8 @@ def _cmd_bench(args) -> int:
     print(f"tuples_per_second,{(pairs_evaluated + triples_evaluated) / (loss_ms / 1000):.0f}")
     print(f"generator_fwd_bwd_ms,{generator_fwd_bwd_ms:.3f}")
     print(f"generator_gflops,{generator_gflops:.3f}")
+    print(f"discriminator_fwd_bwd_ms,{discriminator_fwd_bwd_ms:.3f}")
+    print(f"adam_step_ms,{adam_step_ms:.3f}")
     print(f"perceptual_fwd_bwd_ms,{perceptual_fwd_bwd_ms:.3f}")
     return 0
 

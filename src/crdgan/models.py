@@ -12,22 +12,23 @@ patch score map; the sigmoid is folded into a softplus-form loss for
 stability.
 
 Both networks take a [c,h,w] image or a [b,c,h,w] batch and return the
-same layout.  Inside, activations are channels-last [b,h,w,c] and conv
-weights are [kh,kw,Cin,Cout] (as in checkpoints): one permute on entry and
-one on exit.  ``frozen=True`` turns the parameters' ``requires_grad`` off for
-that one forward: gradients reach the input but no parameter.
+same layout.  Each call is one autodiff node: its layers run in plain numpy
+on channels-last [b,h,w,c] activations, with conv weights [kh,kw,Cin,Cout]
+(as in checkpoints), and its backward replays their adjoints.
+``frozen=True`` gives no parameter a gradient from that one forward:
+gradients reach the input only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .autodiff import (
-    Tensor, conv2d, detach, instance_norm, leaky_relu, permute, relu, softplus,
-    tanh, tmean, upsample2x,
+    Tensor, _check_finite, _conv_backward, _conv_forward, _leaky_slope, _norm_backward,
+    _norm_forward, _result, _upsample_backward, _upsample_forward, detach, softplus, tmean,
 )
 from . import tensor_io
 
@@ -58,10 +59,12 @@ class DiscriminatorSpec:
 
 
 class _ConvLayer:
-    """One conv2d with its parameters; with ``upsample`` set, its input is upsampled 2x first.
+    """One conv's parameters and geometry; with ``upsample`` set, its input is upsampled 2x first.
 
     The weight is [k,k,Cin,Cout]; its initial values are drawn in
-    [Cout,Cin,k,k] order and transposed once.
+    [Cout,Cin,k,k] order and transposed once.  A conv whose output feeds
+    instance_norm takes ``bias=False``: the norm subtracts any per-channel
+    constant, so such a bias would get only rounding noise as its gradient.
     """
 
     def __init__(self, rng, cin, cout, k, stride, padding, bias=True, dtype=np.float32,
@@ -74,30 +77,51 @@ class _ConvLayer:
         self.padding = padding
         self.upsample = upsample
 
-    def __call__(self, x):
-        if self.upsample:
-            x = upsample2x(x)
-        return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+
+def _add_grad(p: Tensor, view: np.ndarray, g: np.ndarray) -> None:
+    """Add g to p's gradient; the first touch copies g into p's view of flat_grad."""
+    if p.grad is None:
+        view[...] = g
+        p.grad = view
+    else:
+        p.grad += g
 
 
 class _Module:
-    """Shared parameter bookkeeping for the generator and discriminator.
+    """Shared parameter bookkeeping and the one-node forward of a network.
 
-    A subclass adds its layers with ``_add`` and then calls ``_pack``, which
-    moves every parameter into ``flat``: one contiguous vector of the module's
-    dtype, in ``named_parameters`` order, with each parameter's ``data`` a
-    C-contiguous view into it.  Nothing rebinds ``data`` afterwards: Adam,
-    checkpoint loads and snapshot copies write into the views, so a whole
-    module's values are ``flat`` and copying one module into another of the
-    same spec is ``dst.flat[...] = src.flat``.
+    A subclass adds its layers with ``_add``, lists its forward as steps with
+    ``_set_steps`` and then calls ``_pack``, which moves every parameter into
+    ``flat``: one contiguous vector of the module's dtype, in
+    ``named_parameters`` order, with each parameter's ``data`` a C-contiguous
+    view into it.  Nothing rebinds ``data`` afterwards: Adam, checkpoint loads
+    and snapshot copies write into the views, so a whole module's values are
+    ``flat`` and copying one module into another of the same spec is
+    ``dst.flat[...] = src.flat``.  ``flat_grad`` has the same layout; it is
+    None until a backward first reaches a parameter, and from then on a
+    backward leaves each parameter's ``grad`` as its view of it.
     """
+
+    kind: str             # "generator" or "discriminator": names the node and its layers
 
     def __init__(self):
         self._layers: list[_ConvLayer] = []
+        self._steps: list = []
 
     def _add(self, layer: _ConvLayer) -> _ConvLayer:
         self._layers.append(layer)
         return layer
+
+    def _layer_steps(self, layer: _ConvLayer, *after: str) -> list:
+        """The steps of one conv layer: its upsample if any, the conv, then ``after``."""
+        ops = ("upsample2x",) * layer.upsample + ("conv2d",) + after
+        return [(op, layer) for op in ops]
+
+    def _set_steps(self, steps: list) -> None:
+        """steps: (op, conv layer) pairs in forward order; each is named after
+        its layer, as "generator layer03 (instance_norm)", for finite checks."""
+        self._steps = [(op, layer, f"{self.kind} layer{self._layers.index(layer):02d} ({op})")
+                       for op, layer in steps]
 
     def _pack(self) -> None:
         named = []
@@ -114,6 +138,20 @@ class _Module:
             view[...] = p.data
             p.data = view
             start += p.size
+        self.flat_grad = None
+        self._views = None
+
+    def _grad_views(self) -> dict:
+        """Each parameter's view of ``flat_grad``, which the first call allocates:
+        a module that never takes a gradient (a snapshot, an evaluation copy)
+        holds none."""
+        if self._views is None:
+            self.flat_grad = np.empty_like(self.flat)
+            self._views, start = {}, 0
+            for p in self._params:
+                self._views[p] = self.flat_grad[start:start + p.size].reshape(p.shape)
+                start += p.size
+        return self._views
 
     def parameters(self) -> list[Tensor]:
         """Parameters in named_parameters order, which checkpoints, Adam and snapshots rely on."""
@@ -170,27 +208,98 @@ class _Module:
         for p in self._params:
             p.grad = None
 
-    def _run(self, x: Tensor, frozen: bool, forward: Callable[[Tensor], Tensor]) -> Tensor:
-        """forward on x as a channels-last batch (a [c,h,w] image as a batch of one),
-        its output permuted back; with frozen, every requires_grad is off while it
-        runs and restored after, even if it raises."""
+    def _run(self, x: Tensor, frozen: bool) -> Tensor:
+        """The forward on a [c,h,w] image or a [b,c,h,w] batch, as one autodiff node.
+
+        The steps run channels-last in plain numpy.  The node's parents are x
+        and the parameters whose ``requires_grad`` is set when it runs; with
+        ``frozen`` none of them, so gradients reach x but no parameter.  The
+        forward keeps what the backward reads (conv columns, instance-norm
+        outputs, activation masks) only from the first step that has a
+        gradient to pass on, so a forward where nothing takes a gradient
+        keeps none.  The backward replays the steps' adjoints in reverse, the
+        same kernels that the conv2d, instance_norm and upsample2x ops use, so
+        every value and gradient matches the per-op graph byte for byte.
+        """
         if x.ndim not in (3, 4):
             raise ValueError(f"expected a [c,h,w] image or a [b,c,h,w] batch, got shape {x.shape}")
-        params = self._params if frozen else []
-        flags = [p.requires_grad for p in params]
-        for p in params:
-            p.requires_grad = False
-        try:
-            batch = x.reshape((1,) + x.shape) if x.ndim == 3 else x
-            out = permute(forward(permute(batch, (0, 2, 3, 1))), (0, 3, 1, 2))
-            return out.reshape(out.shape[1:]) if x.ndim == 3 else out
-        finally:
-            for p, flag in zip(params, flags):
-                p.requires_grad = flag
+        train = not frozen
+        x_live = live = x.requires_grad
+        h = x.data if x.ndim == 4 else x.data.reshape((1,) + x.shape)
+        h = np.ascontiguousarray(h.transpose(0, 2, 3, 1))
+        tape, skips = [], []
+        for op, layer, where in self._steps:
+            ctx = None
+            if op == "conv2d":
+                w, b = layer.weight, layer.bias
+                need_w = train and w.requires_grad
+                need_b = train and b is not None and b.requires_grad
+                shape = h.shape
+                h, cols = _conv_forward(h, w.data, None if b is None else b.data,
+                                        layer.stride, layer.padding, need_w)
+                ctx = (cols, shape, live, need_b)
+                live = live or need_w or need_b
+            elif op == "instance_norm":
+                h, inv = _norm_forward(h)
+                ctx = (h, inv)
+            elif op == "relu":
+                ctx = h > 0 if live else None
+                h = np.maximum(h, 0)
+            elif op == "leaky_relu":
+                ctx = _leaky_slope(h, 0.2)
+                h = h * ctx
+            elif op == "tanh":
+                h = ctx = np.tanh(h)
+            elif op == "upsample2x":
+                h = _upsample_forward(h)
+            elif op == "save":
+                skips.append(h)
+            else:                                   # add: the residual join
+                h = skips.pop() + h
+            if live:
+                tape.append((op, layer, ctx))
+            _check_finite(h, where)
+        out = np.ascontiguousarray(h.transpose(0, 3, 1, 2))
+        if x.ndim == 3:
+            out = out.reshape(out.shape[1:])
+
+        def back(g):
+            g = g if g.ndim == 4 else g.reshape((1,) + g.shape)
+            g = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+            skips = []
+            for op, layer, ctx in reversed(tape):
+                if op == "conv2d":
+                    cols, shape, need_x, need_b = ctx
+                    w, b = layer.weight, layer.bias
+                    g, gw, gb = _conv_backward(g, cols, shape, w.data, layer.stride,
+                                               layer.padding, need_x, need_b)
+                    if gw is not None:
+                        _add_grad(w, self._grad_views()[w], gw)
+                    if gb is not None:
+                        _add_grad(b, self._grad_views()[b], gb)
+                elif op == "instance_norm":
+                    g = _norm_backward(g, *ctx)
+                elif op in ("relu", "leaky_relu"):
+                    g = g * ctx
+                elif op == "tanh":
+                    g = g * (1.0 - ctx * ctx)
+                elif op == "upsample2x":
+                    g = _upsample_backward(g)
+                elif op == "add":
+                    skips.append(g)
+                else:                               # save: the skip's gradient joins
+                    g = skips.pop() + g
+            if x_live:
+                x._accumulate(np.ascontiguousarray(g.transpose(0, 3, 1, 2)).reshape(x.shape))
+
+        wanted = [p for p in self._params if p.requires_grad] if train else []
+        return _result(out, self.kind, (x, *wanted), back)
 
 
 class ResnetGenerator(_Module):
     """[c,h,w] -> [c,h,w] image translator; tanh-bounded output."""
+
+    kind = "generator"
 
     def __init__(self, spec: GeneratorSpec, seed: int, dtype=np.float32):
         super().__init__()
@@ -200,37 +309,39 @@ class ResnetGenerator(_Module):
         w2 = spec.layer_width(2)
         w4 = spec.layer_width(4)
         dt = dtype
-        self.stem = self._add(_ConvLayer(rng, spec.in_channels, w1, 7, 1, 3, dtype=dt))
-        self.down1 = self._add(_ConvLayer(rng, w1, w2, 3, 2, 1, dtype=dt))
-        self.down2 = self._add(_ConvLayer(rng, w2, w4, 3, 2, 1, dtype=dt))
+        self.stem = self._add(_ConvLayer(rng, spec.in_channels, w1, 7, 1, 3, bias=False, dtype=dt))
+        self.down1 = self._add(_ConvLayer(rng, w1, w2, 3, 2, 1, bias=False, dtype=dt))
+        self.down2 = self._add(_ConvLayer(rng, w2, w4, 3, 2, 1, bias=False, dtype=dt))
         self.res = []
         for _ in range(spec.num_res_blocks):
-            c1 = self._add(_ConvLayer(rng, w4, w4, 3, 1, 1, dtype=dt))
-            c2 = self._add(_ConvLayer(rng, w4, w4, 3, 1, 1, dtype=dt))
+            c1 = self._add(_ConvLayer(rng, w4, w4, 3, 1, 1, bias=False, dtype=dt))
+            c2 = self._add(_ConvLayer(rng, w4, w4, 3, 1, 1, bias=False, dtype=dt))
             self.res.append((c1, c2))
-        self.up1 = self._add(_ConvLayer(rng, w4, w2, 3, 1, 1, dtype=dt, upsample=True))
-        self.up2 = self._add(_ConvLayer(rng, w2, w1, 3, 1, 1, dtype=dt, upsample=True))
+        self.up1 = self._add(_ConvLayer(rng, w4, w2, 3, 1, 1, bias=False, dtype=dt,
+                                          upsample=True))
+        self.up2 = self._add(_ConvLayer(rng, w2, w1, 3, 1, 1, bias=False, dtype=dt,
+                                          upsample=True))
         self.head = self._add(_ConvLayer(rng, w1, spec.out_channels, 7, 1, 3, dtype=dt))
+
+        steps = []
+        for layer in (self.stem, self.down1, self.down2):
+            steps += self._layer_steps(layer, "instance_norm", "relu")
+        for c1, c2 in self.res:
+            steps += [("save", c1)] + self._layer_steps(c1, "instance_norm", "relu") \
+                + self._layer_steps(c2, "instance_norm", "add")
+        for layer in (self.up1, self.up2):
+            steps += self._layer_steps(layer, "instance_norm", "relu")
+        self._set_steps(steps + self._layer_steps(self.head, "tanh"))
         self._pack()
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
-        return self._run(x, frozen, self._forward)
-
-    def _forward(self, x: Tensor) -> Tensor:
-        h = relu(instance_norm(self.stem(x)))
-        h = relu(instance_norm(self.down1(h)))
-        h = relu(instance_norm(self.down2(h)))
-        for c1, c2 in self.res:
-            r = relu(instance_norm(c1(h)))
-            r = instance_norm(c2(r))
-            h = h + r
-        h = relu(instance_norm(self.up1(h)))
-        h = relu(instance_norm(self.up2(h)))
-        return tanh(self.head(h))
+        return self._run(x, frozen)
 
 
 class PatchDiscriminator(_Module):
     """[c,h,w] -> [1,h',w'] raw patch score map (no final sigmoid)."""
+
+    kind = "discriminator"
 
     def __init__(self, spec: DiscriminatorSpec, seed: int, dtype=np.float32):
         super().__init__()
@@ -239,23 +350,19 @@ class PatchDiscriminator(_Module):
         cin = spec.in_channels
         width = spec.base_width
         self.body = []
+        steps = []
         for i in range(spec.num_layers):
             cout = width * (2 ** i)
-            self.body.append(self._add(_ConvLayer(rng, cin, cout, 4, 2, 1, dtype=dtype)))
+            layer = self._add(_ConvLayer(rng, cin, cout, 4, 2, 1, bias=i == 0, dtype=dtype))
+            self.body.append(layer)
+            steps += self._layer_steps(layer, *("instance_norm",) * (i > 0), "leaky_relu")
             cin = cout
         self.head = self._add(_ConvLayer(rng, cin, 1, 3, 1, 1, dtype=dtype))
+        self._set_steps(steps + self._layer_steps(self.head))
         self._pack()
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
-        return self._run(x, frozen, self._forward)
-
-    def _forward(self, h: Tensor) -> Tensor:
-        for i, layer in enumerate(self.body):
-            h = layer(h)
-            if i > 0:
-                h = instance_norm(h)
-            h = leaky_relu(h, 0.2)
-        return self.head(h)
+        return self._run(x, frozen)
 
 
 def build_generator(spec: GeneratorSpec, seed: int, dtype=np.float32) -> ResnetGenerator:
@@ -305,15 +412,31 @@ def adversarial_losses(D: Callable, G: Callable, real: Tensor, inp: Tensor,
 
 # -- optimizer -------------------------------------------------------------------
 
+def _tiled(arrays, spans) -> Optional[np.ndarray]:
+    """The flat vector whose slices ``spans`` the arrays are, as C-contiguous
+    views tiling all of it in order, or None."""
+    flat = arrays[0].base if arrays and arrays[0] is not None else None
+    if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and spans[-1].stop == flat.size):
+        return None
+    for a, span in zip(arrays, spans):
+        if not (a is not None and a.base is flat and a.flags.c_contiguous
+                and a.size == span.stop - span.start
+                and a.ctypes.data == flat[span].ctypes.data):
+            return None
+    return flat
+
+
 class Adam:
     """Adaptive moment estimation with the GAN-standard betas (0.5, 0.999).
 
     params must be one module's parameters in order: views that tile its
     ``flat`` vector.  The moments ``m`` and ``v`` are flat vectors of the
-    same layout, so a step is one elementwise update of the whole vector,
-    after the gradients are gathered into one flat gradient.  A parameter
-    whose grad is None is not updated, and neither are its moments: the
-    same update then runs on the slices of the parameters that have one.
+    same layout.  When the gradients are the views that tile one flat
+    vector, as a network's backward leaves them in its ``flat_grad``, a step
+    is one elementwise update of the whole vector that reads that vector in
+    place.  Otherwise the same update runs on the slice of each parameter
+    that has a gradient; a parameter whose grad is None is not updated, and
+    neither are its moments.
     """
 
     def __init__(self, params, lr: float, betas=(0.5, 0.999), eps: float = 1e-8):
@@ -322,57 +445,70 @@ class Adam:
         for p in self.params:
             self._spans.append(slice(start, start + p.size))
             start += p.size
-        flat = self.params[0].data.base if self.params else None
-        if not (isinstance(flat, np.ndarray) and start == flat.size and all(
-                p.data.base is flat and p.data.flags.c_contiguous
-                and p.data.ctypes.data == flat[span].ctypes.data
-                for p, span in zip(self.params, self._spans))):
+        self.flat = _tiled([p.data for p in self.params], self._spans)
+        if self.flat is None:
             raise ValueError("Adam needs all of one module's parameters, in order, "
                              "as the views that tile its flat vector")
-        self.flat = flat
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        self._grad_views: list = []         # the last gradients found tiling one vector
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
+    def _flat_grad(self) -> Optional[np.ndarray]:
+        """The vector the gradients tile, or None; a repeat of the last tiling
+        gradient arrays is recognised by identity."""
+        grads = [p.grad for p in self.params]
+        if len(grads) != len(self._grad_views) or any(
+                g is not v for g, v in zip(grads, self._grad_views)):
+            if _tiled(grads, self._spans) is None:
+                return None
+            self._grad_views = grads
+        return grads[0].base
+
     def step(self) -> None:
         """Apply accumulated gradients and clear them."""
         self.t += 1
         b1t = 1.0 - self.b1 ** self.t
-        b2t = 1.0 - self.b2 ** self.t
-        if all(p.grad is not None for p in self.params):
-            g = np.concatenate([p.grad.reshape(-1) for p in self.params])
-            self._update(self.flat, self.m, self.v, g, b1t, b2t)
+        root_b2t = (1.0 - self.b2 ** self.t) ** 0.5
+        step_size, eps = self.lr * root_b2t / b1t, self.eps * root_b2t
+        g = self._flat_grad()
+        if g is not None:
+            self._update(self.flat, self.m, self.v, g, step_size, eps)
         else:
             for p, span in zip(self.params, self._spans):
                 if p.grad is not None:
                     self._update(self.flat[span], self.m[span], self.v[span],
-                                 p.grad.reshape(-1).copy(), b1t, b2t)
+                                 p.grad.reshape(-1).copy(), step_size, eps)
         for p in self.params:
             p.grad = None
 
-    def _update(self, data, m, v, g, b1t: float, b2t: float) -> None:
-        """data -= lr * (m / b1t) / (sqrt(v / b2t) + eps) after the moment updates,
-        all in place; g is overwritten."""
+    def _update(self, data, m, v, g, step_size: float, eps: float) -> None:
+        """data -= step_size * m / (sqrt(v) + eps) after the moment updates, all
+        in place; g is overwritten.
+
+        With step_size = lr * sqrt(1 - b2^t) / (1 - b1^t) and eps scaled by
+        sqrt(1 - b2^t), this is lr * m_hat / (sqrt(v_hat) + eps) with the
+        bias-corrected moments, without computing them (Kingma & Ba,
+        arXiv:1412.6980, end of section 2).
+        """
         m *= self.b1
         m += (1.0 - self.b1) * g
         v *= self.b2
         g *= g
         g *= 1.0 - self.b2
         v += g
-        update = m / b1t
-        np.divide(v, b2t, out=g)
-        np.sqrt(g, out=g)
-        g += self.eps
-        update /= g
-        update *= self.lr
-        data -= update
+        np.sqrt(v, out=g)
+        g += eps
+        np.divide(m, g, out=g)
+        g *= step_size
+        data -= g
 
 
 # -- checkpoints ------------------------------------------------------------------
@@ -397,7 +533,13 @@ def load_checkpoint(dirpath, modules: dict) -> None:
         expected = [name for name, _ in module.named_parameters()]
         got = [name for name, _ in named]
         if expected != got:
-            raise ValueError(f"checkpoint layer names {got} do not match model {expected}")
+            extra = [name for name in got if name not in expected]
+            missing = [name for name in expected if name not in got]
+            raise ValueError(
+                f"checkpoint role {role!r} does not match the model's parameters "
+                f"(not in the model: {', '.join(extra) or 'none'}; missing: "
+                f"{', '.join(missing) or 'none'}); it was written by another model layout, "
+                f"such as one with conv biases in front of instance_norm")
         staged.append((module, module._checked_arrays([arr for _, arr in named])))
     for module, arrays in staged:
         module._write_arrays(arrays)

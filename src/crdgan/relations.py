@@ -156,7 +156,7 @@ def _index(tuples: np.ndarray, count: int, batch: int) -> np.ndarray:
 def _as_items(x: ItemsLike) -> Tensor:
     if isinstance(x, ContentSet):
         return x.items
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    t = x if isinstance(x, Tensor) else Tensor(x)     # float32 stays float32, else float64
     if t.ndim != 2:
         raise ValueError(f"expected a rank-2 item stack, got shape {t.shape}")
     return t

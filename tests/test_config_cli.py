@@ -251,6 +251,30 @@ class TestCliTrainEval:
                               "(7, 7, 3, 4)")
         assert not (run / "eval.csv").exists()
 
+    def test_eval_rejects_a_checkpoint_with_a_bias_on_every_conv(self, tmp_path, capsys):
+        # checkpoints once held a bias for every conv, also those that instance_norm cancels
+        cfg = TrainConfig(image_size=16, patch=(4, 4), base_width=4, num_res_blocks=1,
+                          disc_layers=2, disc_base_width=4)
+        run = tmp_path / "run"
+        run.mkdir()
+        write_config(cfg, run / "config.cfg")
+        entries = []
+        for role, module in training.build_models(cfg).items():
+            named = []
+            for i, layer in enumerate(module._layers):
+                named.append((f"layer{i:02d}.weight", layer.weight.data))
+                named.append((f"layer{i:02d}.bias",
+                              np.zeros(layer.weight.shape[-1], dtype=np.float32)))
+            entries = tensor_io.save_named_tensors(run / "checkpoints", named, role, entries)
+        tensor_io.write_manifest(run / "checkpoints", entries)
+        assert main(["eval", "--run", str(run), "--task", "invert"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint role 'teacher_generator' does not match "
+                              "the model's parameters (not in the model: layer00.bias, "
+                              "layer01.bias, ")
+        assert "; missing: none)" in err and err.count("\n") == 1
+        assert not (run / "eval.csv").exists()
+
     @pytest.mark.parametrize("corrupt", ["drop_role_column", "short_row"])
     def test_eval_rejects_a_corrupt_manifest(self, tmp_path, capsys, corrupt):
         cfg = TrainConfig(image_size=16, patch=(4, 4), base_width=4, num_res_blocks=1,
@@ -394,6 +418,7 @@ class TestCliBench:
                     return float(line.split(",")[1])
 
         assert value(budgeted, "triples_evaluated") < value(full, "triples_evaluated")
-        assert value(full, "generator_fwd_bwd_ms") > 0
+        for key in ("generator_fwd_bwd_ms", "discriminator_fwd_bwd_ms", "adam_step_ms"):
+            assert value(full, key) > 0, key
         last = full.splitlines()[-1]
         assert last.startswith("perceptual_fwd_bwd_ms,") and float(last.split(",")[1]) > 0

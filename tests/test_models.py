@@ -7,7 +7,8 @@ import pytest
 
 from crdgan import models
 from crdgan.autodiff import (
-    Tensor, backward, conv2d, finite_diff_grad, max_rel_error, tmean,
+    Tensor, backward, conv2d, finite_diff_grad, gradcheck, instance_norm, leaky_relu,
+    max_rel_error, mul, permute, relu, set_finite_checks, tanh, tmean, tsum, upsample2x,
 )
 from crdgan.models import (
     Adam, DiscriminatorSpec, GeneratorSpec, adversarial_losses,
@@ -71,16 +72,18 @@ class TestGenerator:
 class TestMacCount:
     @staticmethod
     def _counted_macs(module, shape, monkeypatch):
-        """MACs of one real forward, counted from every conv2d call's shapes."""
+        """MACs of one real forward, counted from the shapes of every call of
+        the conv kernel that the network node shares with the conv2d op."""
         total = []
+        kernel = models._conv_forward
 
-        def counting_conv2d(x, w, *args, **kwargs):
-            out = conv2d(x, w, *args, **kwargs)
+        def counting_kernel(x, w, *args):
+            out, cols = kernel(x, w, *args)
             kh, kw, cin, cout = w.shape
             total.append(kh * kw * cin * cout * out.shape[1] * out.shape[2])
-            return out
+            return out, cols
 
-        monkeypatch.setattr(models, "conv2d", counting_conv2d)
+        monkeypatch.setattr(models, "_conv_forward", counting_kernel)
         module(Tensor(np.zeros(shape, dtype=np.float32)))
         monkeypatch.undo()
         assert len(total) == len(module._layers)
@@ -154,6 +157,181 @@ class TestFrozenForward:
         assert not out.requires_grad and out._parents == ()
         # unfrozen, the same call records the graph back to the parameters
         assert gen(x)._parents
+
+
+def _conv(layer, h):
+    if layer.upsample:
+        h = upsample2x(h)
+    return conv2d(h, layer.weight, layer.bias, stride=layer.stride, padding=layer.padding)
+
+
+def composed_forward(net, x, frozen=False):
+    """The network as a graph of one autodiff op per layer: the oracle for its
+    one-node forward.  The architecture is spelled out again with the conv2d,
+    instance_norm, relu, leaky_relu, upsample2x, add, tanh and permute ops;
+    with frozen, the parameters' requires_grad is off while it runs."""
+    params = net.parameters() if frozen else []
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        h = permute(x.reshape((1,) + x.shape) if x.ndim == 3 else x, (0, 2, 3, 1))
+        if isinstance(net, models.ResnetGenerator):
+            for layer in (net.stem, net.down1, net.down2):
+                h = relu(instance_norm(_conv(layer, h)))
+            for c1, c2 in net.res:
+                h = h + instance_norm(_conv(c2, relu(instance_norm(_conv(c1, h)))))
+            for layer in (net.up1, net.up2):
+                h = relu(instance_norm(_conv(layer, h)))
+            h = tanh(_conv(net.head, h))
+        else:
+            for i, layer in enumerate(net.body):
+                h = _conv(layer, h)
+                h = leaky_relu(instance_norm(h) if i > 0 else h, 0.2)
+            h = _conv(net.head, h)
+        out = permute(h, (0, 3, 1, 2))
+        return out.reshape(out.shape[1:]) if x.ndim == 3 else out
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
+
+
+def _node_forward(net, x, frozen=False):
+    return net(x, frozen=frozen)
+
+
+def _small_nets(dtype=np.float32):
+    return (build_generator(GeneratorSpec(base_width=4, num_res_blocks=2), 0, dtype),
+            build_discriminator(DiscriminatorSpec(num_layers=3, base_width=4), 1, dtype))
+
+
+def _weighted_sum(outs):
+    """sum_k sum(out_k * w_k) with fixed random weights w_k."""
+    rng = np.random.default_rng(7)
+    loss = None
+    for out in outs:
+        term = tsum(mul(out, Tensor(rng.normal(size=out.shape).astype(out.dtype))))
+        loss = term if loss is None else loss + term
+    return loss
+
+
+class TestNetworkNode:
+    @staticmethod
+    def _bytes(forward, net, inputs, frozen):
+        """Outputs, then input and parameter gradients, of a loss over one
+        forward per input; inputs are (array, requires_grad) pairs."""
+        net.zero_grad()
+        xs = [Tensor(data, requires_grad=flag) for data, flag in inputs]
+        outs = [forward(net, x, frozen) for x in xs]
+        if any(out.requires_grad for out in outs):
+            backward(_weighted_sum(outs))
+        return [out.data.tobytes() for out in outs] + [
+            None if t.grad is None else t.grad.tobytes() for t in xs + net.parameters()]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 16, 16), (1, 3, 16, 16), (4, 3, 16, 16)])
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_byte_equal_to_the_per_op_graph(self, dtype, shape, frozen, x_grad):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, shape).astype(dtype)
+        for net in _small_nets(dtype):
+            inputs = [(x, x_grad)]
+            if isinstance(net, models.PatchDiscriminator):
+                # a discriminator called twice in one loss, as on real and fake images
+                inputs.append((rng.uniform(-1, 1, shape).astype(dtype), x_grad))
+            want = self._bytes(composed_forward, net, inputs, frozen)
+            got = self._bytes(_node_forward, net, inputs, frozen)
+            assert got == want
+            if not frozen:
+                assert all(g is not None for g in got[-len(net.parameters()):])
+
+    def test_partly_trainable_network_matches_the_per_op_graph(self):
+        # gradients start at the first layer whose parameters take one
+        x = np.random.default_rng(4).uniform(-1, 1, (2, 3, 16, 16)).astype(np.float32)
+        for net in _small_nets():
+            for p in net.parameters()[:3]:
+                p.requires_grad = False
+            want = self._bytes(composed_forward, net, [(x, False)], False)
+            assert self._bytes(_node_forward, net, [(x, False)], False) == want
+            assert want[2] is None and want[-1] is not None
+
+    def test_parameter_gradients_are_views_of_flat_grad(self):
+        x = Tensor(np.random.default_rng(5).uniform(-1, 1, (2, 3, 16, 16)).astype(np.float32))
+        for net in _small_nets():
+            backward(_weighted_sum([net(x), net(x)]))
+            for p in net.parameters():
+                assert p.grad.base is net.flat_grad and p.grad.shape == p.shape
+            assert net.flat_grad.size == net.flat.size
+
+    def test_one_node_per_call(self):
+        x = Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32), requires_grad=True)
+        for net in _small_nets():
+            out = net(x)
+            assert out.op == net.kind and out._parents == (x, *net.parameters())
+            assert net(x, frozen=True)._parents == (x,)
+
+    def test_a_forward_that_takes_no_gradient_keeps_no_columns(self, monkeypatch):
+        kept = []
+        kernel = models._conv_forward
+
+        def spy(*args):
+            out, cols = kernel(*args)
+            kept.append(cols)
+            return out, cols
+
+        monkeypatch.setattr(models, "_conv_forward", spy)
+        x = np.random.default_rng(6).uniform(-1, 1, (2, 3, 16, 16)).astype(np.float32)
+        nets = _small_nets()
+        for net in nets:
+            out = net(Tensor(x), frozen=True)
+            assert not out.requires_grad and out._backward_fn is None
+            # a frozen network still passes gradients to its input, without kernel gradients
+            assert net(Tensor(x, requires_grad=True), frozen=True).requires_grad
+        assert len(kept) == sum(2 * len(net._layers) for net in nets)
+        assert all(cols is None for cols in kept)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_float64_gradients_match_finite_differences(self, which):
+        net = _small_nets(np.float64)[which]
+        rng = np.random.default_rng(8)
+        x0 = rng.uniform(-1, 1, (2, 3, 8, 8))
+        weights = Tensor(rng.normal(size=net(Tensor(x0)).shape))
+
+        def f(x):
+            return tsum(mul(net(x), weights))
+
+        assert gradcheck(f, Tensor(x0), tol=1e-5) <= 1e-5
+        net.zero_grad()
+        backward(f(Tensor(x0)))
+        analytic, numeric = [], []
+        for p in net.parameters():
+            flat = p.data.reshape(-1)
+            for k in rng.choice(p.size, min(4, p.size), replace=False):
+                old = flat[k]
+                flat[k] = old + 1e-6
+                plus = f(Tensor(x0)).item()
+                flat[k] = old - 1e-6
+                minus = f(Tensor(x0)).item()
+                flat[k] = old
+                analytic.append(p.grad.reshape(-1)[k])
+                numeric.append((plus - minus) / 2e-6)
+        assert max_rel_error(np.array(analytic), np.array(numeric)) <= 1e-5
+
+    @pytest.mark.parametrize("which, layer", [(0, 3), (1, 1)])
+    def test_finite_checks_name_the_network_and_layer(self, which, layer):
+        net = _small_nets()[which]
+        net._layers[layer].weight.data[0, 0, 0, 0] = np.nan
+        x = Tensor(np.random.default_rng(9).uniform(-1, 1, (1, 3, 16, 16)).astype(np.float32))
+        set_finite_checks(True)
+        try:
+            with pytest.raises(FloatingPointError,
+                               match=rf"^non-finite values in {net.kind} layer{layer:02d} "
+                                     rf"\(conv2d\)$"):
+                net(x)
+        finally:
+            set_finite_checks(False)
+        assert np.isnan(net(x).data).any()
 
 
 class _StubModel:
@@ -273,16 +451,19 @@ class TestFlatLayout:
 
 
 def _adam_oracle_step(data, ms, vs, grads, t, lr, b1=0.5, b2=0.999, eps=1e-8):
-    """The per-tensor Adam update, one array at a time; None grads are skipped."""
-    b1t = 1.0 - b1 ** t
-    b2t = 1.0 - b2 ** t
+    """The per-tensor Adam update, one array at a time; None grads are skipped.
+
+    The bias corrections are folded into the step size and eps, the
+    efficient form at the end of section 2 of Kingma & Ba (arXiv:1412.6980).
+    """
+    root_b2t = (1.0 - b2 ** t) ** 0.5
+    step_size = lr * root_b2t / (1.0 - b1 ** t)
     for i, g in enumerate(grads):
         if g is None:
             continue
         ms[i] = ms[i] * b1 + (1.0 - b1) * g
         vs[i] = vs[i] * b2 + (1.0 - b2) * (g * g)
-        update = (ms[i] / b1t) / (np.sqrt(vs[i] / b2t) + eps)
-        data[i] = data[i] - lr * update
+        data[i] = data[i] - step_size * (ms[i] / (np.sqrt(vs[i]) + eps * root_b2t))
 
 
 class TestFusedAdam:
@@ -340,6 +521,25 @@ class TestFusedAdam:
                     opt.v[span].tobytes()) == kept
             for want, p in zip(data, params):
                 assert want.tobytes() == p.data.tobytes()
+
+    def _three_steps(self, copy_grads):
+        x = Tensor(np.random.default_rng(11).uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32))
+        states = []
+        for net in self._nets():
+            opt = Adam(net.parameters(), 2e-3)
+            for _ in range(3):
+                net.zero_grad()
+                backward(tmean(net(x) * net(x)))
+                if copy_grads:
+                    for p in net.parameters():
+                        p.grad = p.grad.copy()
+                opt.step()
+            states.append((net.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes()))
+        return states
+
+    def test_gradients_outside_flat_grad_update_the_same_bytes(self):
+        # copied gradients take the per-parameter path, flat_grad's views the in-place one
+        assert self._three_steps(copy_grads=True) == self._three_steps(copy_grads=False)
 
     def test_rejects_parameters_that_are_not_one_modules_flat_views(self):
         gen, disc = self._nets()

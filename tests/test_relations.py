@@ -158,9 +158,10 @@ class TestPairwiseDistances:
             pairwise_distances(np.ones((1, 3)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_pair_values_are_the_relation_pass_distances(self, dtype):
+    @pytest.mark.parametrize("wrap", [Tensor, np.asarray])     # an ndarray keeps its dtype too
+    def test_pair_values_are_the_relation_pass_distances(self, dtype, wrap):
         items = np.random.default_rng(5).normal(size=(7, 9)).astype(dtype)
-        got = pairwise_distances(Tensor(items)).pair_values.data
+        got = pairwise_distances(wrap(items)).pair_values.data
         side = relations._Side(items, 1, None, None, 1e-12)
         assert got.dtype == dtype
         assert got.tobytes() == side.d.tobytes()
