@@ -23,7 +23,6 @@ DISCRIMINATOR_MODES = (
     "pretrained_frozen",
     "pretrained_updating",
 )
-LR_SCHEDULES = ("half_constant", "linear")
 GAN_MODES = ("vanilla", "least_squares")
 
 
@@ -50,8 +49,6 @@ class TrainConfig:
     disc_base_width: int = 32
     train_count: int = 100
     val_count: int = 8
-    recon_weight: float = 10.0        # paired teacher L1 term
-    lr_schedule: str = "half_constant"
     distill_from_live: bool = False
     extractor_seed: int = 1234
     sample_every: int = 0             # epochs between sample grids; 0 = last only
@@ -63,7 +60,7 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.teacher_eval_interval < 1:
             raise ValueError(f"teacher_eval_interval must be >= 1, got {self.teacher_eval_interval}")
-        for name in ("lr0", "lambda_crd", "lambda_per", "recon_weight"):
+        for name in ("lr0", "lambda_crd", "lambda_per"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.gan_mode not in GAN_MODES:
@@ -71,14 +68,18 @@ class TrainConfig:
         if self.discriminator_mode not in DISCRIMINATOR_MODES:
             raise ValueError(
                 f"discriminator_mode must be one of {DISCRIMINATOR_MODES}, got {self.discriminator_mode!r}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ValueError(f"lr_schedule must be one of {LR_SCHEDULES}, got {self.lr_schedule!r}")
         if len(self.patch) != 2 or any(p < 1 for p in self.patch):
             raise ValueError(f"patch must be two positive ints, got {self.patch}")
         for name in ("image_size", "base_width", "num_res_blocks", "disc_layers",
-                     "disc_base_width", "train_count", "val_count"):
+                     "disc_base_width", "train_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.batch_size > self.train_count:
+            raise ValueError(f"batch_size {self.batch_size} exceeds train_count "
+                             f"{self.train_count}: an epoch would hold no whole batch")
+        if self.val_count < 2:
+            raise ValueError(f"val_count must be >= 2 (a Frechet distance needs 2 images), "
+                             f"got {self.val_count}")
         for name in ("seed", "extractor_seed", "sample_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -112,11 +113,9 @@ _RELATION_KEYS = {
     "lambda_a": float,
     "pair_budget": "budget",
     "triplet_budget": "budget",
-    "epsilon": float,
     "use_columns": bool,
     "use_rows": bool,
     "use_patches": bool,
-    "angle_patches_only": bool,
     "relation_seed": int,
 }
 
@@ -139,8 +138,6 @@ _CONFIG_KEYS = {
     "disc_base_width": int,
     "train_count": int,
     "val_count": int,
-    "recon_weight": float,
-    "lr_schedule": str,
     "distill_from_live": bool,
     "extractor_seed": int,
     "sample_every": int,

@@ -15,8 +15,8 @@ Both networks take a [c,h,w] image or a [b,c,h,w] batch and return the
 same layout.  Each call is one autodiff node: its layers run in plain numpy
 on channels-last [b,h,w,c] activations, with conv weights [kh,kw,Cin,Cout]
 (as in checkpoints), and its backward replays their adjoints.
-``frozen=True`` gives no parameter a gradient from that one forward:
-gradients reach the input only.
+A call trains all of the network's parameters, or with ``frozen=True``
+none of them: gradients then reach the input only.
 """
 
 from __future__ import annotations
@@ -98,8 +98,10 @@ class _Module:
     and snapshot copies write into the views, so a whole module's values are
     ``flat`` and copying one module into another of the same spec is
     ``dst.flat[...] = src.flat``.  ``flat_grad`` has the same layout; it is
-    None until a backward first reaches a parameter, and from then on a
-    backward leaves each parameter's ``grad`` as its view of it.
+    None until the first backward through a call that is not frozen, and
+    from then on a backward leaves each parameter's ``grad`` as its view of
+    it.  ``frozen`` is the one trainability switch: no parameter's
+    ``requires_grad`` is read.
     """
 
     kind: str             # "generator" or "discriminator": names the node and its layers
@@ -212,8 +214,8 @@ class _Module:
         """The forward on a [c,h,w] image or a [b,c,h,w] batch, as one autodiff node.
 
         The steps run channels-last in plain numpy.  The node's parents are x
-        and the parameters whose ``requires_grad`` is set when it runs; with
-        ``frozen`` none of them, so gradients reach x but no parameter.  The
+        and every parameter, or with ``frozen`` x alone, so gradients reach x
+        but no parameter; no parameter's ``requires_grad`` is read.  The
         forward keeps what the backward reads (conv columns, instance-norm
         outputs, activation masks) only from the first step that has a
         gradient to pass on, so a forward where nothing takes a gradient
@@ -232,13 +234,11 @@ class _Module:
             ctx = None
             if op == "conv2d":
                 w, b = layer.weight, layer.bias
-                need_w = train and w.requires_grad
-                need_b = train and b is not None and b.requires_grad
                 shape = h.shape
                 h, cols = _conv_forward(h, w.data, None if b is None else b.data,
-                                        layer.stride, layer.padding, need_w)
-                ctx = (cols, shape, live, need_b)
-                live = live or need_w or need_b
+                                        layer.stride, layer.padding, train)
+                ctx = (cols, shape, live)
+                live = live or train
             elif op == "instance_norm":
                 h, inv = _norm_forward(h)
                 ctx = (h, inv)
@@ -269,10 +269,10 @@ class _Module:
             skips = []
             for op, layer, ctx in reversed(tape):
                 if op == "conv2d":
-                    cols, shape, need_x, need_b = ctx
+                    cols, shape, need_x = ctx
                     w, b = layer.weight, layer.bias
                     g, gw, gb = _conv_backward(g, cols, shape, w.data, layer.stride,
-                                               layer.padding, need_x, need_b)
+                                               layer.padding, need_x, train and b is not None)
                     if gw is not None:
                         _add_grad(w, self._grad_views()[w], gw)
                     if gb is not None:
@@ -292,8 +292,7 @@ class _Module:
             if x_live:
                 x._accumulate(np.ascontiguousarray(g.transpose(0, 3, 1, 2)).reshape(x.shape))
 
-        wanted = [p for p in self._params if p.requires_grad] if train else []
-        return _result(out, self.kind, (x, *wanted), back)
+        return _result(out, self.kind, (x, *self._params) if train else (x,), back)
 
 
 class ResnetGenerator(_Module):
@@ -418,10 +417,11 @@ def _tiled(arrays, spans) -> Optional[np.ndarray]:
     flat = arrays[0].base if arrays and arrays[0] is not None else None
     if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and spans[-1].stop == flat.size):
         return None
+    start, item = flat.ctypes.data, flat.itemsize
     for a, span in zip(arrays, spans):
         if not (a is not None and a.base is flat and a.flags.c_contiguous
                 and a.size == span.stop - span.start
-                and a.ctypes.data == flat[span].ctypes.data):
+                and a.ctypes.data == start + span.start * item):
             return None
     return flat
 
@@ -431,12 +431,10 @@ class Adam:
 
     params must be one module's parameters in order: views that tile its
     ``flat`` vector.  The moments ``m`` and ``v`` are flat vectors of the
-    same layout.  When the gradients are the views that tile one flat
-    vector, as a network's backward leaves them in its ``flat_grad``, a step
-    is one elementwise update of the whole vector that reads that vector in
-    place.  Otherwise the same update runs on the slice of each parameter
-    that has a gradient; a parameter whose grad is None is not updated, and
-    neither are its moments.
+    same layout.  A step reads the gradients as the views that tile one
+    vector, the module's ``flat_grad`` as its backward leaves them, and is
+    one elementwise update of the whole flat vector that reads that
+    gradient vector in place.
     """
 
     def __init__(self, params, lr: float, betas=(0.5, 0.999), eps: float = 1e-8):
@@ -455,49 +453,31 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        self._grad_views: list = []         # the last gradients found tiling one vector
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
-    def _flat_grad(self) -> Optional[np.ndarray]:
-        """The vector the gradients tile, or None; a repeat of the last tiling
-        gradient arrays is recognised by identity."""
-        grads = [p.grad for p in self.params]
-        if len(grads) != len(self._grad_views) or any(
-                g is not v for g, v in zip(grads, self._grad_views)):
-            if _tiled(grads, self._spans) is None:
-                return None
-            self._grad_views = grads
-        return grads[0].base
-
     def step(self) -> None:
-        """Apply accumulated gradients and clear them."""
-        self.t += 1
-        b1t = 1.0 - self.b1 ** self.t
-        root_b2t = (1.0 - self.b2 ** self.t) ** 0.5
-        step_size, eps = self.lr * root_b2t / b1t, self.eps * root_b2t
-        g = self._flat_grad()
-        if g is not None:
-            self._update(self.flat, self.m, self.v, g, step_size, eps)
-        else:
-            for p, span in zip(self.params, self._spans):
-                if p.grad is not None:
-                    self._update(self.flat[span], self.m[span], self.v[span],
-                                 p.grad.reshape(-1).copy(), step_size, eps)
-        for p in self.params:
-            p.grad = None
+        """Apply the gradients and clear them; the gradient vector is overwritten.
 
-    def _update(self, data, m, v, g, step_size: float, eps: float) -> None:
-        """data -= step_size * m / (sqrt(v) + eps) after the moment updates, all
-        in place; g is overwritten.
-
-        With step_size = lr * sqrt(1 - b2^t) / (1 - b1^t) and eps scaled by
-        sqrt(1 - b2^t), this is lr * m_hat / (sqrt(v_hat) + eps) with the
-        bias-corrected moments, without computing them (Kingma & Ba,
-        arXiv:1412.6980, end of section 2).
+        data -= step_size * m / (sqrt(v) + eps_t) after the moment updates,
+        all in place.  With step_size = lr * sqrt(1 - b2^t) / (1 - b1^t) and
+        eps_t = eps * sqrt(1 - b2^t), this is lr * m_hat / (sqrt(v_hat) + eps)
+        with the bias-corrected moments, without computing them (Kingma & Ba,
+        arXiv:1412.6980, end of section 2).  A gradient that is missing, or is
+        not its parameter's view of one flat vector (a copy), raises
+        ValueError before ``t``, the moments or any parameter change.
         """
+        g = _tiled([p.grad for p in self.params], self._spans)
+        if g is None:
+            raise ValueError("Adam.step needs every parameter's grad as its view of one "
+                             "flat gradient vector, as a backward leaves them in the "
+                             "module's flat_grad; a gradient is missing or copied")
+        self.t += 1
+        root_b2t = (1.0 - self.b2 ** self.t) ** 0.5
+        step_size = self.lr * root_b2t / (1.0 - self.b1 ** self.t)
+        m, v = self.m, self.v
         m *= self.b1
         m += (1.0 - self.b1) * g
         v *= self.b2
@@ -505,10 +485,12 @@ class Adam:
         g *= 1.0 - self.b2
         v += g
         np.sqrt(v, out=g)
-        g += eps
+        g += self.eps * root_b2t
         np.divide(m, g, out=g)
         g *= step_size
-        data -= g
+        self.flat -= g
+        for p in self.params:
+            p.grad = None
 
 
 # -- checkpoints ------------------------------------------------------------------

@@ -13,7 +13,9 @@ gives every i<j residual as R = A @ X, each row the exact x_i - x_j
 whatever the BLAS thread count.  Row sums of squares give d2 for every pair
 of every image, and each tuple op is a gather on that vector: the distance
 is sqrt(d2) over its image's mean, the angle at j is (d2_ik - d2_ij -
-d2_jk) / 2 over max(d_ij, eps) * max(d_jk, eps) (law of cosines).  The Gram
+d2_jk) / 2 over max(d_ij, EPSILON) * max(d_jk, EPSILON) (law of cosines).
+Every divisor is floored at the constant EPSILON = 1e-12, so a flat set
+(zero mean distance) or a repeated item gives zero, not a NaN.  The Gram
 form G_ij - G_ik - G_jj + G_jk would skip R but cancels catastrophically on
 repeated items (a flat background); exact residuals give exact zeros.
 
@@ -49,23 +51,24 @@ from .slicing import COLUMN, GRANULARITIES, PATCH, ROW, ContentSet
 
 ItemsLike = Union[ContentSet, Tensor, np.ndarray]
 
+EPSILON = 1e-12        # the floor of every distance the relation pass divides by
+
 
 @dataclass(frozen=True)
 class RelationConfig:
-    """Weights, sampling budgets and toggles for the relational losses.
+    """Weights, sampling budgets and granularity toggles for the relational losses.
 
-    A budget of None means full enumeration.  ``seed`` drives tuple sampling
+    A budget of None means full enumeration.  The distance and angle terms
+    both cover every enabled granularity.  ``seed`` drives tuple sampling
     only; pass a different seed per training step for fresh tuples.
     """
 
     lambda_a: float = 2.0
     pair_budget: Optional[int] = None
     triplet_budget: Optional[int] = 4096
-    epsilon: float = 1e-12
     use_columns: bool = True
     use_rows: bool = True
     use_patches: bool = True
-    angle_patches_only: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -75,12 +78,8 @@ class RelationConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be >= 1 when set, got {v}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
-    def enabled_granularities(self, angle: bool = False) -> tuple:
-        if angle and self.angle_patches_only:
-            return (PATCH,) if self.use_patches else ()
+    def enabled_granularities(self) -> tuple:
         out = []
         if self.use_columns:
             out.append(COLUMN)
@@ -106,7 +105,7 @@ class DistanceStructure:
     pair_i: np.ndarray
     pair_j: np.ndarray
     pair_values: Tensor
-    epsilon: float = 1e-12
+    epsilon: float = EPSILON
 
     @property
     def count(self) -> int:
@@ -253,7 +252,7 @@ def _pick(vec: Tensor, k: int, reached: list) -> Tensor:
     return _result(vec.data[k:k + 1].reshape(()), "pick", (vec,), back)
 
 
-def _relate(t: Tensor, s: Tensor, groups: list, eps: float) -> tuple:
+def _relate(t: Tensor, s: Tensor, groups: list) -> tuple:
     """(distance term, angle term) of the teacher/student sources as one
     autodiff node and a 0-d pick of it per term; None for an absent term.
 
@@ -275,7 +274,7 @@ def _relate(t: Tensor, s: Tensor, groups: list, eps: float) -> tuple:
                 grid, axes, items = cut
                 x = np.ascontiguousarray(x.reshape(grid).transpose(axes)).reshape(
                     items[0] // batch, -1)
-            sides.append(_Side(x, batch, pairs, triple_idx, eps))
+            sides.append(_Side(x, batch, pairs, triple_idx, EPSILON))
         stacks.append((cut, sides))
     terms = []                              # (0 distance or 1 angle, diff per group, total)
     for term in (0, 1):
@@ -321,7 +320,7 @@ def _relate(t: Tensor, s: Tensor, groups: list, eps: float) -> tuple:
     return tuple(picks)
 
 
-def pairwise_distances(item_set: ItemsLike, epsilon: float = 1e-12) -> DistanceStructure:
+def pairwise_distances(item_set: ItemsLike, epsilon: float = EPSILON) -> DistanceStructure:
     """Euclidean distance for every unordered pair plus their mean, as the
     relation pass computes them."""
     items = _as_items(item_set)
@@ -344,7 +343,7 @@ def phi_d(structure: DistanceStructure, i: int, j: int) -> float:
     return float(structure.distances[i, j]) / denom
 
 
-def phi_a(vi, vj, vk, epsilon: float = 1e-12) -> Tensor:
+def phi_a(vi, vj, vk, epsilon: float = EPSILON) -> Tensor:
     """Cosine of the angle at vj between residues vi-vj and vj-vk, as a
     constant 0-d tensor: the relation pass's angle of the triple (0, 1, 2)
     of the stack [vi; vj; vk] (law of cosines over the exact residues)."""
@@ -439,7 +438,7 @@ def rkd_distance_loss(teacher_items: ItemsLike, student_items: ItemsLike,
     t, s = _as_items(teacher_items), _as_items(student_items)
     n = _check_sides(t, s, 2)
     pairs = sample_tuples(n, 2, cfg.pair_budget, cfg.seed)
-    return _relate(t, s, [(None, 1, _index(pairs, n, 1), None)], cfg.epsilon)[0]
+    return _relate(t, s, [(None, 1, _index(pairs, n, 1), None)])[0]
 
 
 def rkd_angle_loss(teacher_items: ItemsLike, student_items: ItemsLike,
@@ -453,7 +452,7 @@ def rkd_angle_loss(teacher_items: ItemsLike, student_items: ItemsLike,
     t, s = _as_items(teacher_items), _as_items(student_items)
     n = _check_sides(t, s, 3)
     triples = sample_tuples(n, 3, cfg.triplet_budget, cfg.seed)
-    return _relate(t, s, [(None, 1, None, _index(triples, n, 1))], cfg.epsilon)[1]
+    return _relate(t, s, [(None, 1, None, _index(triples, n, 1))])[1]
 
 
 # -- content-level losses -------------------------------------------------------
@@ -468,7 +467,7 @@ def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
               cfg: RelationConfig, distance: bool = True, angle: bool = True) -> tuple:
     """(crd_d, crd_a) of a [c,h,w] image or [b,c,h,w] batch pair, in one pass.
 
-    Each term is summed over its enabled granularities and averaged over the
+    Each term is summed over the enabled granularities and averaged over the
     images; a term not asked for is None.  Both sides are cut by one slicing
     layout per granularity, and that granularity's pairs and triples are
     drawn once, from its own seed, for every image.
@@ -477,25 +476,24 @@ def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
         raise ValueError(f"teacher/student shapes differ: {teacher_img.shape} vs {student_img.shape}")
     if not (distance or angle):
         return None, None
-    d_grans = cfg.enabled_granularities() if distance else ()
-    a_grans = cfg.enabled_granularities(angle=True) if angle else ()
-    if (distance and not d_grans) or (angle and not a_grans):
+    grans = cfg.enabled_granularities()
+    if not grans:
         raise ValueError("no content granularity enabled: nothing to relate")
     groups = []
-    for g in d_grans or a_grans:            # the angle granularities are a subset
+    for g in grans:
         cut = slicing.layout(teacher_img.shape, g, (n, m) if g == PATCH else None)
         batch = cut[0][0]
         count = cut[2][0] // batch
         pair_idx = triple_idx = None
-        if g in d_grans:
+        if distance:
             pairs = sample_tuples(count, 2, cfg.pair_budget, _granularity_seed(cfg.seed, g, 2))
             pair_idx = _index(pairs, count, batch)
-        if g in a_grans:
+        if angle:
             triples = sample_tuples(count, 3, cfg.triplet_budget,
                                     _granularity_seed(cfg.seed, g, 3))
             triple_idx = _index(triples, count, batch)
         groups.append((cut, batch, pair_idx, triple_idx))
-    return _relate(teacher_img, student_img, groups, cfg.epsilon)
+    return _relate(teacher_img, student_img, groups)
 
 
 def crd_combine(crd_d: Tensor, crd_a: Optional[Tensor], cfg: RelationConfig) -> Tensor:
@@ -513,10 +511,8 @@ def crd_distance_loss(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
 
 def crd_angle_loss(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
                    cfg: RelationConfig) -> Tensor:
-    """Angle-structure loss summed over the enabled granularities.
-
-    With ``angle_patches_only`` both sides restrict to the patch granularity.
-    """
+    """Angle-structure loss summed over the enabled granularities; a batch is
+    averaged over its images."""
     return crd_terms(teacher_img, student_img, n, m, cfg, distance=False)[1]
 
 

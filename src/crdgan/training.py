@@ -43,20 +43,19 @@ from . import ppm
 
 CSV_HEADER = ("epoch,step,lr,d_loss_T,g_loss_T,adv_loss_S,crd_d,crd_a,"
               "per_loss,total_S,val_metric,snapshot_replaced")
+RECON_WEIGHT = 10.0       # weight of the paired teacher's L1 term
 
 
 def lr_at(epoch, cfg: TrainConfig) -> float:
     """Learning rate at a (possibly fractional) epoch in [0, epochs].
 
-    half_constant: flat at lr0 for the first half, then linear to exactly 0
-    at the final epoch boundary.  linear: straight line from lr0 to 0.
+    CycleGAN's schedule (Zhu et al., arXiv:1703.10593): flat at lr0 for the
+    first half, then linear to exactly 0 at the final epoch boundary.
     """
     e = float(epoch)
     if e < 0 or e > cfg.epochs:
         raise ValueError(f"epoch {epoch} outside [0, {cfg.epochs}]")
     total = float(cfg.epochs)
-    if cfg.lr_schedule == "linear":
-        return cfg.lr0 * (total - e) / total
     half = total / 2.0
     if e < half:
         return cfg.lr0
@@ -162,10 +161,8 @@ class Trainer:
         self.dtype = dtype
         self._order_seed = run_seeds(cfg.seed)[3]
         nets = build_models(cfg, dtype)
-        teacher, best = nets["teacher_generator"], nets["best_snapshot"]
-        for p in best.parameters():
-            p.requires_grad = False
-        self.state = TeacherState(teacher, nets["teacher_discriminator"], best)
+        teacher = nets["teacher_generator"]
+        self.state = TeacherState(teacher, nets["teacher_discriminator"], nets["best_snapshot"])
         self.student = nets["student_generator"]
         self.extractor = FeatureExtractor.fixed_random(cfg.extractor_seed, dtype=dtype)
         self.opt_teacher = Adam(teacher.parameters(), cfg.lr0)
@@ -209,8 +206,8 @@ class Trainer:
         fake = teacher(x)
         d_loss = self._disc_step(y, fake, update=cfg.discriminator_mode != "pretrained_frozen")
         g_loss = generator_adv_loss(disc(fake, frozen=True), cfg.gan_mode)
-        if self.dataset.paired and cfg.recon_weight > 0:
-            g_loss = g_loss + cfg.recon_weight * tmean(absolute(fake - y))
+        if self.dataset.paired:
+            g_loss = g_loss + RECON_WEIGHT * tmean(absolute(fake - y))
         self.opt_teacher.zero_grad()
         backward(g_loss)
         self.opt_teacher.step()

@@ -1,8 +1,11 @@
 """Config file parsing, synthetic datasets and the command-line surface."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from crdgan import config
 from crdgan.cli import main
 from crdgan.config import ConfigError, TrainConfig, parse_config, write_config
 from crdgan.datasets import SyntheticTask, generate_dataset
@@ -66,6 +69,25 @@ class TestParseConfig:
         write_config(cfg, p)
         assert parse_config(p) == cfg
 
+    def test_key_tables_name_every_field_once(self):
+        # a field without a key would silently keep its default through write/parse
+        train = {f.name for f in dataclasses.fields(TrainConfig)} - {"relation"}
+        relation = {f.name for f in dataclasses.fields(config.RelationConfig)}
+        assert set(config._CONFIG_KEYS) == train
+        assert {"seed" if key == "relation_seed" else key for key in config._RELATION_KEYS} \
+            == relation
+        assert len(config._RELATION_KEYS) == len(relation)
+        assert not set(config._CONFIG_KEYS) & set(config._RELATION_KEYS)
+
+    @pytest.mark.parametrize("key, value", [("lr_schedule", "linear"), ("recon_weight", "10"),
+                                            ("epsilon", "1e-12"),
+                                            ("angle_patches_only", "false")])
+    def test_removed_keys_name_the_line(self, tmp_path, key, value):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"epochs = 3\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"^line 2: unknown key '{key}'$"):
+            parse_config(p)
+
 
 class TestValidate:
     @pytest.mark.parametrize("overrides, message", [
@@ -78,6 +100,9 @@ class TestValidate:
         (dict(seed=-1), "seed must be >= 0"),
         (dict(extractor_seed=-5), "extractor_seed must be >= 0"),
         (dict(sample_every=-1), "sample_every must be >= 0"),
+        (dict(batch_size=5, train_count=4), "batch_size 5 exceeds train_count 4"),
+        (dict(val_count=1), "val_count must be >= 2"),
+        (dict(val_count=0), "val_count must be >= 2"),
     ])
     def test_cross_field_checks(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -219,7 +244,8 @@ class TestCliTrainEval:
         assert err.startswith("error: non-finite g_loss_T=nan in the teacher phase at step 0")
 
     @pytest.mark.parametrize("bad", ["width_factor = 0.01", "seed = -1",
-                                     "extractor_seed = -5", "sample_every = -1", "--seed -1"])
+                                     "extractor_seed = -5", "sample_every = -1", "--seed -1",
+                                     "batch_size = 5", "val_count = 1"])
     def test_train_rejects_a_bad_config_before_writing(self, tiny_cfg_file, tmp_path,
                                                         capsys, bad):
         cfg = tmp_path / "bad.cfg"

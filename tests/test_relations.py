@@ -368,22 +368,6 @@ class TestCrdAngle:
         got = crd_angle_loss(Tensor(t), Tensor(s), 2, 2, CFG).item()
         assert got == pytest.approx(oracle_crd(t, s, 2, 2, True), rel=1e-8)
 
-    def test_patches_only_mode(self):
-        rng = np.random.default_rng(19)
-        t = rng.uniform(-1, 1, (1, 4, 4))
-        s = rng.uniform(-1, 1, (1, 4, 4))
-        cfg = RelationConfig(angle_patches_only=True)
-        got = crd_angle_loss(Tensor(t), Tensor(s), 2, 2, cfg).item()
-        want = oracle_rkd_a(oracle_slice(t, "patch", 2, 2), oracle_slice(s, "patch", 2, 2))
-        assert got == pytest.approx(want, rel=1e-8)
-        # in the one pass the distance term keeps every granularity
-        crd_d, crd_a = crd_terms(Tensor(t), Tensor(s), 2, 2, cfg)
-        assert crd_a.item() == got
-        assert crd_d.item() == crd_distance_loss(Tensor(t), Tensor(s), 2, 2, CFG).item()
-        with pytest.raises(ValueError, match="granularity"):
-            crd_terms(Tensor(t), Tensor(s), 2, 2, RelationConfig(angle_patches_only=True,
-                                                                 use_patches=False))
-
 
 class TestCrdCombined:
     def test_zero_at_self(self):
@@ -551,24 +535,23 @@ def composed_total(terms):
 def composed_crd_terms(teacher_img, student_img, n, m, cfg, distance=True, angle=True):
     """crd_terms as a graph of split, matmul, gather_sum, sqrt_guarded,
     clamp_min, reciprocal, huber and tmean ops."""
-    d_grans = cfg.enabled_granularities() if distance else ()
-    a_grans = cfg.enabled_granularities(angle=True) if angle else ()
     terms = []
-    for g in d_grans or a_grans:
+    for g in cfg.enabled_granularities():
         t_set = slicing.split(teacher_img, g, (n, m) if g == "patch" else None)
         s_set = slicing.split(student_img, g, (n, m) if g == "patch" else None)
         count, batch = t_set.count, t_set.batch
         pair_idx = triple_idx = None
-        if g in d_grans:
+        if distance:
             pairs = sample_tuples(count, 2, cfg.pair_budget,
                                   relations._granularity_seed(cfg.seed, g, 2))
             pair_idx = relations._index(pairs, count, batch)
-        if g in a_grans:
+        if angle:
             triples = sample_tuples(count, 3, cfg.triplet_budget,
                                     relations._granularity_seed(cfg.seed, g, 3))
             triple_idx = relations._index(triples, count, batch)
         t_x, s_x = (reshape(c.items, (c.count, -1)) for c in (t_set, s_set))
-        terms.append(composed_compare(t_x, s_x, batch, pair_idx, triple_idx, cfg.epsilon))
+        terms.append(composed_compare(t_x, s_x, batch, pair_idx, triple_idx,
+                                      relations.EPSILON))
     return tuple(composed_total(column) for column in zip(*terms))
 
 
@@ -599,7 +582,6 @@ class TestOneNodeMatchesComposedGraph:
         dict(),
         dict(distance=False),
         dict(angle=False),
-        dict(cfg=RelationConfig(angle_patches_only=True, triplet_budget=None)),
         dict(cfg=RelationConfig(use_columns=False, triplet_budget=30, seed=3)),
         dict(cfg=RelationConfig(use_rows=False, pair_budget=40, seed=4)),
         dict(cfg=RelationConfig(use_patches=False, triplet_budget=None)),
@@ -648,7 +630,8 @@ class TestOneNodeMatchesComposedGraph:
                 s = Tensor(s_data.copy(), requires_grad=True)
                 if composed:
                     pair_idx, triple_idx = (idx, None) if arity == 2 else (None, idx)
-                    loss = composed_compare(t, s, 1, pair_idx, triple_idx, full.epsilon)[arity - 2]
+                    loss = composed_compare(t, s, 1, pair_idx, triple_idx,
+                                            relations.EPSILON)[arity - 2]
                 else:
                     loss = fn(t, s, full)
                 backward(loss)

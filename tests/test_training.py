@@ -61,10 +61,6 @@ class TestLrSchedule:
         values = [lr_at(e / 2.0, cfg) for e in range(41)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_pure_linear_option(self):
-        cfg = tiny_config(epochs=10, lr_schedule="linear")
-        assert lr_at(5, cfg) == pytest.approx(cfg.lr0 / 2)
-
     def test_out_of_range_rejected(self):
         cfg = tiny_config(epochs=10)
         with pytest.raises(ValueError, match="outside"):
