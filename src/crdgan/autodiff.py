@@ -645,12 +645,27 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride:
     return out, (cols if keep_cols else None)
 
 
+def _phase_kernels(w: np.ndarray, stride: int) -> np.ndarray:
+    """The kernel that conv2d's input gradient convolves with, for a kernel w
+    [kh,kw,Cin,Cout] at stride s: w zero-extended to ka*s x kb*s
+    (ka = ceil(kh/s)) and split into s*s flipped ka x kb phase kernels,
+    stacked as [ka, kb*Cout, s*s*Cin].  A fixed kernel's can be built once."""
+    kh, kw, cin, cout = w.shape
+    s = stride
+    ka, kb = -(-kh // s), -(-kw // s)
+    wz = _pad(w.reshape(1, kh, kw, cin * cout), 0, 0, ka * s - kh, kb * s - kw)
+    wz = wz.reshape(ka, s, kb, s, cin, cout)
+    return wz[::-1, :, ::-1].transpose(0, 2, 5, 1, 3, 4).reshape(ka, -1, s * s * cin)
+
+
 def _conv_backward(g: np.ndarray, cols: Optional[np.ndarray], x_shape: tuple, w: np.ndarray,
-                   stride: int, padding: int, need_x: bool, need_b: bool) -> tuple:
+                   stride: int, padding: int, need_x: bool, need_b: bool,
+                   phases: Optional[np.ndarray] = None) -> tuple:
     """conv2d's adjoint for output gradient g [B,Ho,Wo,Cout]: (input gradient,
     kernel gradient, bias gradient), each None when not asked for.  The
     kernel gradient is computed when ``cols`` (from :func:`_conv_forward`)
-    is given.
+    is given.  The input gradient convolves with ``phases``, which is
+    :func:`_phase_kernels` of w and is built from w when not given.
     """
     bsz, h, wd, cin = x_shape
     kh, kw, _, cout = w.shape
@@ -666,10 +681,8 @@ def _conv_backward(g: np.ndarray, cols: Optional[np.ndarray], x_shape: tuple, w:
         # phase rows q0..q1 and columns r0..r1 hold the unpadded input
         q0, r0 = padding // s, padding // s
         q1, r1 = -(-(padding + h) // s), -(-(padding + wd) // s)
-        wz = _pad(w.reshape(1, kh, kw, cin * cout), 0, 0, ka * s - kh, kb * s - kw)
-        wz = wz.reshape(ka, s, kb, s, cin, cout)
-        # [ka, kb*Cout, s*s*Cin]: the flipped taps of each phase (p, q)
-        phases = wz[::-1, :, ::-1].transpose(0, 2, 5, 1, 3, 4).reshape(ka, -1, s * s * cin)
+        if phases is None:
+            phases = _phase_kernels(w, s)
         gy = _pad(g, ka - 1 - q0, kb - 1 - r0, q1 - hout, r1 - wout)
         gx = _mec_conv(_mec(gy, kb), phases)
         gx = gx.reshape(bsz, q1 - q0, r1 - r0, s, s, cin).transpose(0, 1, 3, 2, 4, 5)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .perceptual import FeatureExtractor, extract
+from .perceptual import FeatureExtractor, _layer_outputs
 
 COV_REGULARIZER = 1e-8
 
@@ -90,12 +90,13 @@ def pooled_features(images, extractor: FeatureExtractor) -> np.ndarray:
     """Global-average-pooled final-tap features, one row per [c,h,w] image.
 
     ``images`` is a [n,c,h,w] stack or a sequence of [c,h,w] images; the
-    extractor runs once over the whole stack.
+    extractor runs once over the whole stack, channels-last in plain numpy
+    (the perceptual loss's forward), so no graph is built.
     """
     stack = np.stack([img.data if isinstance(img, Tensor) else np.asarray(img)
                       for img in images])
-    act, = extract(Tensor(stack), extractor, [extractor.num_taps - 1])
-    return act.data.mean(axis=(2, 3)).astype(np.float64)
+    _, _, act = _layer_outputs(stack.transpose(0, 2, 3, 1), extractor)[-1]
+    return act.mean(axis=(1, 2)).astype(np.float64)
 
 
 def frechet_between(images_a, images_b, extractor: FeatureExtractor) -> float:

@@ -6,6 +6,10 @@ keep the loss structure intact without external weight files; real weights
 can be swapped in from a directory of tensor files.  Weights are given and
 stored as [Cout,Cin,k,k] and held as [k,k,Cin,Cout] for the channels-last
 conv; activations come out as [C,H,W] (or [b,C,H,W]).
+
+:func:`perceptual_loss` is one autodiff node that runs the extractor in
+plain numpy; :func:`extract` and :func:`gram` build the same terms as a
+composed graph, which is its reference.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, absolute, conv2d, detach, leaky_relu, matmul, permute, tsum
+from .autodiff import (
+    Tensor, _conv_backward, _conv_forward, _leaky_slope, _phase_kernels, _result, conv2d,
+    leaky_relu, matmul, permute,
+)
 from . import tensor_io
 
 DEFAULT_WIDTHS = (16, 32, 64, 64)
@@ -33,6 +40,8 @@ class FeatureExtractor:
                  alpha: float = 0.2):
         if len(weights) != len(strides):
             raise ValueError(f"{len(weights)} weight stacks but {len(strides)} strides")
+        if not weights:
+            raise ValueError("a FeatureExtractor needs at least one layer")
         self.layers = []
         prev = None
         for w, s in zip(weights, strides):
@@ -45,8 +54,8 @@ class FeatureExtractor:
             kernel = Tensor(np.ascontiguousarray(w.transpose(2, 3, 1, 0)), requires_grad=False)
             self.layers.append((kernel, int(s)))
         self.alpha = alpha
-        self.kernel = self.layers[0][0].shape[0]
-        self.padding = self.kernel // 2
+        # each layer's input-gradient kernel, built by the first perceptual_loss with a gradient
+        self._phases = None
 
     @classmethod
     def fixed_random(cls, seed: int, in_channels: int = 3,
@@ -94,17 +103,24 @@ class FeatureExtractor:
 
 def extract(x: Tensor, extractor: FeatureExtractor,
             taps: Optional[Sequence[int]] = None) -> list:
-    """Activations at the requested tap layers (default: all of them).
+    """Activations at the requested tap layers (default: all of them), as a
+    composed autodiff graph: the reference that :func:`perceptual_loss`'s
+    one node is tested against.
 
     A [c,h,w] image gives [C_j,H_j,W_j] activations; a [b,c,h,w] batch runs
     through every layer at once and gives [b,C_j,H_j,W_j] ones.  The layers
     run channels-last; the input is permuted once and each returned tap once.
     No gradient flows into the extractor parameters; the input keeps its
-    gradient path.
+    gradient path.  ``taps`` must list layer indices in [0, num_taps).
     """
     if x.ndim not in (3, 4):
         raise ValueError(f"extract expects a [c,h,w] image or a [b,c,h,w] batch, "
                          f"got shape {x.shape}")
+    if taps is not None:
+        taps = list(taps)
+        if not taps or not all(0 <= t < extractor.num_taps for t in taps):
+            raise ValueError(f"taps {taps} must be a non-empty list of layer indices "
+                             f"in [0, {extractor.num_taps})")
     single = x.ndim == 3
     acts = []
     h = permute(x.reshape((1,) + x.shape) if single else x, (0, 2, 3, 1))
@@ -116,6 +132,20 @@ def extract(x: Tensor, extractor: FeatureExtractor,
         acts = [acts[t] for t in taps]
     acts = [permute(a, (0, 3, 1, 2)) for a in acts]
     return [a.reshape(a.shape[1:]) for a in acts] if single else acts
+
+
+def _layer_outputs(x: np.ndarray, extractor: FeatureExtractor) -> list:
+    """(input shape, leaky slope, output) of every layer for a channels-last
+    [B,h,w,c] array, in plain numpy on the kernels that extract's conv2d and
+    leaky_relu ops run."""
+    out = []
+    for w, s in extractor.layers:
+        shape = x.shape
+        x, _ = _conv_forward(x, w.data, None, s, w.shape[0] // 2, False)
+        slope = _leaky_slope(x, extractor.alpha)
+        x = x * slope
+        out.append((shape, slope, x))
+    return out
 
 
 def gram(act: Tensor) -> Tensor:
@@ -131,23 +161,62 @@ def gram(act: Tensor) -> Tensor:
 
 
 def perceptual_loss(teacher_out: Tensor, student_out: Tensor,
-                    extractor: FeatureExtractor,
-                    taps: Optional[Sequence[int]] = None) -> Tensor:
-    """Summed per-tap activation L1 (scaled by 1/(C*H*W)) plus Gram L1.
+                    extractor: FeatureExtractor) -> Tensor:
+    """Summed per-tap activation L1 (scaled by 1/(C*H*W)) plus Gram L1, as one
+    autodiff node whose only parent is the student output.
 
-    A [b,c,h,w] batch gives the mean of its images' losses.  Only the
-    student path carries gradient; the teacher output is detached.
+    A [b,c,h,w] batch gives the mean of its images' losses.  The teacher and
+    student images run through the extractor as one [2b,h,w,c] batch in plain
+    numpy, and each tap's two L1 terms are taken there, channels-last.  The
+    forward keeps, for the student half only and only when the student takes
+    a gradient, each layer's leaky slopes, each tap's differences and its
+    Gram operand.  The backward replays the adjoints of :func:`extract`,
+    :func:`gram` and the L1s for the student half: the sign terms, F (dG +
+    dG^T) / (C*H*W) for each Gram, then each layer's slope and input
+    gradient, on phase kernels built once per extractor; the teacher gets no
+    gradient.  The composed graph is the reference: values
+    and gradients match it to rounding.
     """
     if teacher_out.shape != student_out.shape:
         raise ValueError(f"shape mismatch: {teacher_out.shape} vs {student_out.shape}")
-    t_acts = extract(detach(teacher_out), extractor, taps)
-    s_acts = extract(student_out, extractor, taps)
-    total = None
-    for t_act, s_act in zip(t_acts, s_acts):
-        c, h, w = t_act.shape[-3:]
-        feat = tsum(absolute(t_act - s_act)) * (1.0 / (c * h * w))
-        style = tsum(absolute(gram(t_act) - gram(s_act)))
-        term = feat + style
+    if student_out.ndim not in (3, 4):
+        raise ValueError(f"perceptual_loss expects [c,h,w] images or [b,c,h,w] batches, "
+                         f"got shape {student_out.shape}")
+    t, s = (a.data if a.ndim == 4 else a.data[None] for a in (teacher_out, student_out))
+    bsz = s.shape[0]
+    live = student_out.requires_grad
+    if live and extractor._phases is None:
+        extractor._phases = [_phase_kernels(w.data, st) for w, st in extractor.layers]
+    tape, total = [], None
+    layers = _layer_outputs(np.concatenate((t, s)).transpose(0, 2, 3, 1), extractor)
+    for j, (shape, slope, act) in enumerate(layers):
+        scale = np.asarray(1.0 / act[0].size, act.dtype)
+        flat = act.reshape(2 * bsz, -1, act.shape[-1])          # [2b, H*W, C]
+        grams = (flat.transpose(0, 2, 1) @ flat) * scale
+        diff, g_diff = act[:bsz] - act[bsz:], grams[:bsz] - grams[bsz:]
+        term = np.abs(diff).sum() * scale + np.abs(g_diff).sum()
         total = term if total is None else total + term
-    bsz = student_out.shape[0] if student_out.ndim == 4 else 1
-    return total * (1.0 / bsz) if bsz > 1 else total
+        if live:
+            tape.append((j, (bsz,) + shape[1:], slope[bsz:], diff, flat[bsz:], g_diff, scale))
+    if bsz > 1:
+        total = total * np.asarray(1.0 / bsz, total.dtype)
+
+    def back(g):
+        if bsz > 1:
+            g = g * np.asarray(1.0 / bsz, g.dtype)
+        grad = None
+        for j, shape, slope, diff, flat, g_diff, scale in reversed(tape):
+            # both L1s of a tap weigh the student side by -g/(C*H*W) times a sign
+            sym = np.sign(g_diff)
+            sym = sym + sym.transpose(0, 2, 1)
+            tap = np.sign(diff) + (flat @ sym).reshape(diff.shape)
+            tap *= -(g * scale)
+            grad = tap if grad is None else grad + tap
+            grad *= slope
+            w, stride = extractor.layers[j]
+            grad = _conv_backward(grad, None, shape, w.data, stride, w.shape[0] // 2, True, False,
+                                  extractor._phases[j])[0]
+        student_out._accumulate(
+            np.ascontiguousarray(grad.transpose(0, 3, 1, 2)).reshape(student_out.shape))
+
+    return _result(np.asarray(total), "perceptual", (student_out,), back)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from crdgan.autodiff import Tensor, backward, finite_diff_grad, gradcheck, max_rel_error
+from crdgan import autodiff, perceptual
+from crdgan.autodiff import (
+    Tensor, absolute, backward, detach, finite_diff_grad, gradcheck, max_rel_error, tsum,
+)
 from crdgan.perceptual import FeatureExtractor, extract, gram, perceptual_loss
 
 
@@ -50,6 +53,12 @@ class TestExtract:
     def test_wrong_rank_rejected(self, extractor, shape):
         with pytest.raises(ValueError, match="batch"):
             extract(Tensor(np.zeros(shape)), extractor)
+
+    @pytest.mark.parametrize("taps", [[], [-1], [4], [0, 4]])
+    def test_tap_outside_the_layers_rejected(self, extractor, taps):
+        for shape in ((3, 8, 8), (2, 3, 8, 8)):
+            with pytest.raises(ValueError, match=rf"taps \{taps}"):
+                extract(Tensor(np.zeros(shape)), extractor, taps)
 
     def test_batch_equals_stacked_images(self, extractor):
         rng = np.random.default_rng(11)
@@ -176,6 +185,99 @@ class TestPerceptualLoss:
         t = Tensor(rng.uniform(-1, 1, (2, 3, 8, 8)))
         gradcheck(lambda x: perceptual_loss(t, x, extractor),
                   Tensor(rng.uniform(-1, 1, (2, 3, 8, 8))), tol=1e-5)
+
+
+def composed_loss(t: Tensor, s: Tensor, extractor: FeatureExtractor) -> Tensor:
+    """The perceptual loss as a composed graph of extract, gram and the L1s."""
+    total = None
+    for t_act, s_act in zip(extract(detach(t), extractor), extract(s, extractor)):
+        c, h, w = t_act.shape[-3:]
+        term = tsum(absolute(t_act - s_act)) * (1.0 / (c * h * w)) \
+            + tsum(absolute(gram(t_act) - gram(s_act)))
+        total = term if total is None else total + term
+    bsz = s.shape[0] if s.ndim == 4 else 1
+    return total * (1.0 / bsz) if bsz > 1 else total
+
+
+class TestOneNode:
+    """perceptual_loss is one node; the composed graph is its oracle."""
+
+    # (channels, shape): an image, batches of 1 and 4, and criterion 04's 1-channel image
+    SHAPES = [(3, (3, 16, 16)), (3, (1, 3, 16, 16)), (3, (4, 3, 16, 16)), (1, (1, 8, 8))]
+    TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels, shape", SHAPES)
+    @pytest.mark.parametrize("student_grad", [True, False])
+    def test_matches_the_composed_graph(self, dtype, channels, shape, student_grad):
+        extractor = FeatureExtractor.fixed_random(9, in_channels=channels, dtype=dtype)
+        rng = np.random.default_rng(len(shape) + channels)
+        t_data = rng.uniform(-1, 1, shape).astype(dtype)
+        s_data = rng.uniform(-1, 1, shape).astype(dtype)
+        got = []
+        for fn in (perceptual_loss, composed_loss):
+            t = Tensor(t_data, requires_grad=True)
+            s = Tensor(s_data, requires_grad=student_grad)
+            loss = fn(t, s, extractor)
+            assert loss.dtype == dtype and loss.requires_grad == student_grad
+            if student_grad:
+                backward(loss)
+                assert s.grad.dtype == dtype
+            assert t.grad is None
+            got.append((loss.item(), s.grad))
+        (value, grad), (want, want_grad) = got
+        tol = self.TOL[dtype]
+        assert abs(value - want) <= tol * abs(want)
+        if student_grad:
+            assert np.abs(grad - want_grad).max() <= tol * np.abs(want_grad).max()
+
+    def test_one_result_per_call(self, extractor, monkeypatch):
+        ops = []
+        real = autodiff._result
+
+        def recording(data, op, parents, backward_fn):
+            ops.append(op)
+            return real(data, op, parents, backward_fn)
+
+        monkeypatch.setattr(autodiff, "_result", recording)
+        monkeypatch.setattr(perceptual, "_result", recording)
+        rng = np.random.default_rng(16)
+        t = Tensor(rng.uniform(-1, 1, (2, 3, 16, 16)), requires_grad=True)
+        s = Tensor(rng.uniform(-1, 1, (2, 3, 16, 16)), requires_grad=True)
+        loss = perceptual_loss(t, s, extractor)
+        assert ops == ["perceptual"] and loss._parents == (s,)
+
+    def test_input_gradients_run_on_the_student_half_only(self, extractor, monkeypatch):
+        batches = []
+        kernel = perceptual._conv_backward
+
+        def spy(g, *args):
+            batches.append(g.shape[0])
+            return kernel(g, *args)
+
+        monkeypatch.setattr(perceptual, "_conv_backward", spy)
+        rng = np.random.default_rng(17)
+        t = Tensor(rng.uniform(-1, 1, (3, 3, 16, 16)), requires_grad=True)
+        s = Tensor(rng.uniform(-1, 1, (3, 3, 16, 16)), requires_grad=True)
+        backward(perceptual_loss(t, s, extractor))
+        assert batches == [3] * extractor.num_taps and t.grad is None
+
+    def test_keeps_nothing_without_a_student_gradient(self, extractor):
+        rng = np.random.default_rng(18)
+        t = Tensor(rng.uniform(-1, 1, (3, 16, 16)), requires_grad=True)
+        loss = perceptual_loss(t, Tensor(rng.uniform(-1, 1, (3, 16, 16))), extractor)
+        assert not loss.requires_grad and loss._backward_fn is None
+
+    @pytest.mark.parametrize("shape", [(16, 16), (1, 1, 3, 16, 16)])
+    def test_wrong_rank_rejected(self, extractor, shape):
+        with pytest.raises(ValueError, match="batch"):
+            perceptual_loss(Tensor(np.zeros(shape)), Tensor(np.zeros(shape)), extractor)
+
+
+class TestFeatureExtractor:
+    def test_zero_layers_rejected(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            FeatureExtractor([], [])
 
 
 class TestWeightIO:

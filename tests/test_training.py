@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crdgan import autodiff
+from crdgan import autodiff, models, perceptual, relations, training
 from crdgan.autodiff import Tensor, backward
 from crdgan.config import TrainConfig
 from crdgan.datasets import SyntheticTask, generate_dataset
@@ -362,13 +362,26 @@ class TestDtype:
             results.append((op, out.dtype))
             return out
 
-        monkeypatch.setattr(autodiff, "_result", recording)
+        # the network, relation and perceptual nodes call the _result they imported
+        for module in (autodiff, models, relations, perceptual):
+            monkeypatch.setattr(module, "_result", recording)
+        per_calls = []
+        real_per = training.perceptual_loss
+
+        def per_recording(t_out, s_out, extractor):
+            out = real_per(t_out, s_out, extractor)
+            per_calls.append((out, s_out))
+            return out
+
+        monkeypatch.setattr(training, "perceptual_loss", per_recording)
         trainer.train_step_teacher(batch, 0)
         trainer.train_step_student(batch, 0)
-        assert len(results) > 100
+        ops = {op for op, _ in results}
+        assert {"generator", "discriminator", "relations", "perceptual"} <= ops
         assert [op for op, dtype in results if dtype != np.float32] == []
-        assert all(p.grad.dtype == np.float32 for p in trainer.student.parameters()
-                   if p.grad is not None)
+        (per, fake), = per_calls
+        assert per.dtype == np.float32 and fake.grad.dtype == np.float32
+        assert trainer.student.flat_grad.dtype == np.float32
 
 
 class TestTrainLoop:
