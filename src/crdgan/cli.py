@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 from math import comb
@@ -181,6 +182,20 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
+def _median_ms(fn, iters: int, setup=None) -> float:
+    """Median wall time in ms of iters calls of fn, after one untimed call;
+    setup, when given, runs untimed before every call."""
+    def once() -> float:
+        if setup is not None:
+            setup()
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+
+    once()
+    return statistics.median([once() for _ in range(iters)]) * 1000
+
+
 def _cmd_bench(args) -> int:
     s = args.size
     n, m = args.patch, args.patch
@@ -195,23 +210,20 @@ def _cmd_bench(args) -> int:
     triples_evaluated = sum(min(budget, t) if budget else t for t in triple_totals)
     pairs_evaluated = sum(comb(count, 2) for count in counts)
 
-    t0 = time.perf_counter()
-    for _ in range(args.iters):
+    def sample() -> None:
         for count in counts:                            # one step's triple draws
             sample_tuples(count, 3, budget, args.seed)
-    sample_ms = (time.perf_counter() - t0) * 1000 / args.iters
 
-    t0 = time.perf_counter()
-    for _ in range(args.iters):
-        crd_loss(teacher, student, n, m, cfg)
-    loss_ms = (time.perf_counter() - t0) * 1000 / args.iters
+    sample_ms = _median_ms(sample, args.iters)
+    loss_ms = _median_ms(lambda: crd_loss(teacher, student, n, m, cfg), args.iters)
 
     trainable = Tensor(student.data, requires_grad=True)
-    t0 = time.perf_counter()
-    for _ in range(args.iters):
+
+    def loss_fwd_bwd() -> None:
         trainable.zero_grad()
         backward(crd_loss(teacher, trainable, n, m, cfg))
-    loss_fwd_bwd_ms = (time.perf_counter() - t0) * 1000 / args.iters
+
+    loss_fwd_bwd_ms = _median_ms(loss_fwd_bwd, args.iters)
 
     # the headline teacher generator and discriminator, forward plus backward on one image
     image = Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float32))
@@ -225,39 +237,35 @@ def _cmd_bench(args) -> int:
         net.zero_grad()
         backward(tmean(net(image)))
 
-    def fwd_bwd_ms(net) -> float:
-        t0 = time.perf_counter()
-        for _ in range(args.iters):
-            fwd_bwd(net)
-        return (time.perf_counter() - t0) * 1000 / args.iters
-
-    generator_fwd_bwd_ms = fwd_bwd_ms(generator)
+    generator_fwd_bwd_ms = _median_ms(lambda: fwd_bwd(generator), args.iters)
     # nominally three GEMMs of 2*MACs flops each: forward, input and kernel gradient
     generator_gflops = 6 * generator.mac_count(s, s) / (generator_fwd_bwd_ms * 1e6)
-    discriminator_fwd_bwd_ms = fwd_bwd_ms(discriminator)
+    discriminator_fwd_bwd_ms = _median_ms(lambda: fwd_bwd(discriminator), args.iters)
 
     # a training step's Adam steps: one each for the teacher, the discriminator and the student
     nets = (generator, discriminator, student)
     optimizers = [Adam(net.parameters(), 2e-4) for net in nets]
-    adam_s = 0.0
-    for _ in range(args.iters):
+
+    def backward_all() -> None:
         for net in nets:
             fwd_bwd(net)
-        t0 = time.perf_counter()
+
+    def adam_steps() -> None:
         for opt in optimizers:
             opt.step()
-        adam_s += time.perf_counter() - t0
-    adam_step_ms = adam_s * 1000 / args.iters
+
+    adam_step_ms = _median_ms(adam_steps, args.iters, setup=backward_all)
 
     # the perceptual term on a batch of 4 images with the default extractor widths
     extractor = FeatureExtractor.fixed_random(args.seed, dtype=np.float32)
     t_batch = Tensor(rng.uniform(-1, 1, (4, 3, s, s)).astype(np.float32))
     s_batch = Tensor(rng.uniform(-1, 1, (4, 3, s, s)).astype(np.float32), requires_grad=True)
-    t0 = time.perf_counter()
-    for _ in range(args.iters):
+
+    def perceptual_fwd_bwd() -> None:
         s_batch.zero_grad()
         backward(perceptual_loss(t_batch, s_batch, extractor))
-    perceptual_fwd_bwd_ms = (time.perf_counter() - t0) * 1000 / args.iters
+
+    perceptual_fwd_bwd_ms = _median_ms(perceptual_fwd_bwd, args.iters)
 
     print(f"image_size,{s}")
     print(f"triplet_budget,{args.budget}")

@@ -453,6 +453,11 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        # the gradient views the last step validated, and the vector they tile:
+        # a backward leaves the same view objects every step, and a view's
+        # base and address never change, so those need no second walk
+        self._grads: list = []
+        self._g: Optional[np.ndarray] = None
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -469,11 +474,15 @@ class Adam:
         not its parameter's view of one flat vector (a copy), raises
         ValueError before ``t``, the moments or any parameter change.
         """
-        g = _tiled([p.grad for p in self.params], self._spans)
-        if g is None:
-            raise ValueError("Adam.step needs every parameter's grad as its view of one "
-                             "flat gradient vector, as a backward leaves them in the "
-                             "module's flat_grad; a gradient is missing or copied")
+        grads = [p.grad for p in self.params]
+        if self._g is None or any(a is not b for a, b in zip(grads, self._grads)):
+            g = _tiled(grads, self._spans)
+            if g is None:
+                raise ValueError("Adam.step needs every parameter's grad as its view of one "
+                                 "flat gradient vector, as a backward leaves them in the "
+                                 "module's flat_grad; a gradient is missing or copied")
+            self._grads, self._g = grads, g
+        g = self._g
         self.t += 1
         root_b2t = (1.0 - self.b2 ** self.t) ** 0.5
         step_size = self.lr * root_b2t / (1.0 - self.b1 ** self.t)

@@ -5,7 +5,9 @@ Per step: one teacher phase (discriminator update, then teacher-generator
 update), one student phase (student-generator update against the frozen
 discriminator plus content-relationship and perceptual terms), then a
 snapshot check.  Distillation targets come from the best teacher snapshot
-seen so far; the live teacher is only the thing being snapshotted.
+seen so far; the live teacher is only the thing being snapshotted.  The
+snapshot's output on each training image is computed once per snapshot and
+kept in ``TeacherState.targets`` until the snapshot is replaced.
 
 Every discriminator loss, updating or report-only, goes through
 ``Trainer._disc_step``.  The pretrained modes take D from a throwaway
@@ -22,8 +24,9 @@ Discriminator modes:
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -64,10 +67,34 @@ def lr_at(epoch, cfg: TrainConfig) -> float:
 
 @dataclass
 class TeacherState:
+    """The live teacher, its discriminator and the best snapshot so far.
+
+    ``targets`` maps a training image's key (:func:`image_key`) to the
+    snapshot's frozen output on that image alone, as a [1,c,h,w] array.  A
+    batch-of-one forward gives the same bytes whichever batch the image
+    arrives in, so a cached target is exactly the forward it replaces.
+    ``replace_snapshot`` is the one writer of ``best_generator`` and empties
+    the map with it.
+    """
+
     generator: ResnetGenerator
     discriminator: PatchDiscriminator
     best_generator: ResnetGenerator
     best_score: float = math.inf
+    targets: dict = field(default_factory=dict, repr=False)
+
+    def replace_snapshot(self, score: float) -> None:
+        """Copy the live teacher into the snapshot; its cached outputs go with it."""
+        self.best_generator.flat[...] = self.generator.flat
+        self.best_score = score
+        self.targets.clear()
+
+
+def image_key(img: np.ndarray) -> tuple:
+    """A training image's key in ``TeacherState.targets``: shape, dtype and
+    the SHA-256 of its bytes."""
+    img = np.ascontiguousarray(img)
+    return img.shape, img.dtype.str, hashlib.sha256(img).digest()
 
 
 def _check_finite(phase: str, step: int, **losses) -> None:
@@ -216,9 +243,28 @@ class Trainer:
         _check_finite("teacher phase", step, **out)
         return out
 
-    def _distill_target(self, x: Tensor) -> Tensor:
-        target = self.state.generator if self.cfg.distill_from_live else self.state.best_generator
-        return target(x, frozen=True)
+    def _distill_target(self, x_np: np.ndarray) -> Tensor:
+        """The frozen target output on a [n,c,h,w] batch.
+
+        The live teacher changes every step, so its output is computed afresh.
+        The snapshot's output on each image comes from ``state.targets``, and
+        a miss runs that image alone.  The map is emptied before it would
+        hold more entries than there are training inputs.
+        """
+        state = self.state
+        if self.cfg.distill_from_live:
+            return state.generator(Tensor(x_np), frozen=True)
+        outs = []
+        for img in x_np:
+            key = image_key(img)
+            out = state.targets.get(key)
+            if out is None:
+                out = state.best_generator(Tensor(img[None]), frozen=True).data
+                if len(state.targets) >= len(self.dataset):
+                    state.targets.clear()
+                state.targets[key] = out
+            outs.append(out)
+        return Tensor(np.concatenate(outs))
 
     def student_losses(self, batch, step: int = 0, fake: Optional[Tensor] = None):
         """Student total loss tensor and its reported components (no update).
@@ -231,7 +277,8 @@ class Trainer:
         disc = self.state.discriminator
 
         # the target forward is a full teacher pass: skip it when no term reads it
-        t_out = self._distill_target(x) if cfg.lambda_crd > 0 or cfg.lambda_per > 0 else None
+        distill = cfg.lambda_crd > 0 or cfg.lambda_per > 0
+        t_out = self._distill_target(batch[0]) if distill else None
         if fake is None:
             fake = self.student(x)
 
@@ -307,8 +354,7 @@ class Trainer:
             raise ValueError("empty validation set")
         score = float(metric(self.teacher_generate, val_set))
         if score < self.state.best_score:
-            self.state.best_score = score
-            self.state.best_generator.flat[...] = self.state.generator.flat
+            self.state.replace_snapshot(score)
             return True
         return False
 

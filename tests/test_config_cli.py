@@ -1,6 +1,7 @@
 """Config file parsing, synthetic datasets and the command-line surface."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -429,6 +430,18 @@ class TestCliGradcheck:
 
     def test_indivisible_size_fails_cleanly(self, capsys):
         assert main(["gradcheck", "--size", "9", "--patch", "4"]) == 1
+
+
+class TestMedianMs:
+    def test_one_untimed_call_then_the_median(self, monkeypatch):
+        from crdgan import cli
+        # clock readings around an untimed call of 100 s, then calls of 1, 5 and 2 s
+        ticks = iter([0.0, 100.0, 100.0, 101.0, 101.0, 106.0, 106.0, 108.0])
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        calls, setups = [], []
+        ms = cli._median_ms(lambda: calls.append(1), 3, setup=lambda: setups.append(1))
+        assert ms == 2000.0
+        assert len(calls) == len(setups) == 4
 
 
 class TestCliBench:

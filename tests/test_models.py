@@ -520,6 +520,19 @@ class TestFusedAdam:
                 opt.step()
             assert (net.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.t) == before
 
+    def test_gradient_views_are_walked_once(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        net = self._nets()[0]
+        opt = Adam(net.parameters(), 2e-3)
+        walks = []
+        tiled = models._tiled
+        monkeypatch.setattr(models, "_tiled", lambda arrays, spans: walks.append(1)
+                            or tiled(arrays, spans))
+        for _ in range(3):
+            self._backward(net, rng)
+            opt.step()
+        assert opt.t == 3 and len(walks) == 1
+
     def test_rejects_parameters_that_are_not_one_modules_flat_views(self):
         gen, disc = self._nets()
         params = gen.parameters()

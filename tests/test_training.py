@@ -346,6 +346,127 @@ class TestSnapshot:
             assert all(p.data.base is module.flat for p in module.parameters()), role
 
 
+def _snapshot_forwards(monkeypatch, trainer) -> list:
+    """Record the batch size of every forward of trainer's best snapshot."""
+    sizes = []
+    forward = ResnetGenerator.__call__
+
+    def traced(self, x, frozen=False):
+        if self is trainer.state.best_generator:
+            sizes.append(x.shape[0])
+        return forward(self, x, frozen)
+
+    monkeypatch.setattr(ResnetGenerator, "__call__", traced)
+    return sizes
+
+
+def _perceptual_targets(monkeypatch) -> list:
+    """Record the target array of every perceptual_loss call the trainer makes."""
+    targets = []
+    real = training.perceptual_loss
+
+    def recording(t_out, s_out, extractor):
+        targets.append(t_out.data.copy())
+        return real(t_out, s_out, extractor)
+
+    monkeypatch.setattr(training, "perceptual_loss", recording)
+    return targets
+
+
+class TestTargetCache:
+    def test_cached_target_equals_a_fresh_batch_of_one_forward(self, monkeypatch):
+        cfg = tiny_config(batch_size=2)
+        tr = Trainer(cfg, tiny_dataset(cfg))
+        x = tr.dataset.train_inputs[:2]
+        sizes = _snapshot_forwards(monkeypatch, tr)
+        first = tr._distill_target(x).data
+        assert sizes == [1, 1] and len(tr.state.targets) == 2
+        again = tr._distill_target(x).data
+        assert sizes == [1, 1]              # the second call is all hits
+        for i in range(2):
+            fresh = tr.state.best_generator(Tensor(x[i:i + 1]), frozen=True).data
+            assert first[i].tobytes() == fresh[0].tobytes()
+            assert again[i].tobytes() == fresh[0].tobytes()
+
+    def test_target_does_not_depend_on_batch_mates(self):
+        cfg = tiny_config(batch_size=2)
+        tr = Trainer(cfg, tiny_dataset(cfg))
+        a, b, c = tr.dataset.train_inputs[:3]
+        rows = []
+        for batch, row in ((np.stack([a, b]), 0), (np.stack([c, a]), 1), (a[None], 0)):
+            tr.state.targets.clear()
+            rows.append(tr._distill_target(batch).data[row].tobytes())
+        assert rows[0] == rows[1] == rows[2]
+
+    def test_first_student_step_after_replacement_reads_the_new_snapshot(self, monkeypatch):
+        cfg = tiny_config(teacher_eval_interval=1)
+        tr = Trainer(cfg, tiny_dataset(cfg))
+        val = (tr.dataset.val_inputs, tr.dataset.val_targets)
+        scores = iter([5.0, 3.0])
+        metric = lambda gen, vs: next(scores)
+        batch = first_batch(tr.dataset)
+        targets = _perceptual_targets(monkeypatch)
+        assert tr.maybe_update_snapshot(val, metric, 0)
+        tr.train_step_student(batch, 0)
+        tr.train_step_teacher(batch, 1)
+        assert tr.maybe_update_snapshot(val, metric, 1)
+        tr.train_step_student(batch, 1)
+        new = tr.state.best_generator(Tensor(batch[0]), frozen=True).data
+        assert targets[0].tobytes() != new.tobytes()
+        assert targets[1].tobytes() == new.tobytes()
+
+    def test_live_target_never_fills_the_map(self, monkeypatch):
+        cfg = tiny_config(distill_from_live=True, teacher_eval_interval=1)
+        ds = tiny_dataset(cfg)
+        tr = Trainer(cfg, ds)
+        sizes = _snapshot_forwards(monkeypatch, tr)
+        val = (ds.val_inputs, ds.val_targets)
+        for step in range(3):
+            batch = (ds.train_inputs[step:step + 1], ds.train_targets[step:step + 1])
+            tr.train_step_teacher(batch, step)
+            tr.train_step_student(batch, step)
+            tr.maybe_update_snapshot(val, paired_l2_metric, step)
+            assert tr.state.targets == {}
+        assert sizes == []
+
+    def test_map_holds_at_most_the_training_inputs(self):
+        cfg = tiny_config(batch_size=3)
+        tr = Trainer(cfg, tiny_dataset(cfg))
+        rng = np.random.default_rng(4)
+        images = rng.uniform(-1, 1, (10, 3, 16, 16)).astype(np.float32)
+        for start in range(0, 10, 3):
+            batch = images[start:start + 3]
+            tr._distill_target(batch)
+            assert 0 < len(tr.state.targets) <= len(tr.dataset)
+            assert training.image_key(batch[-1]) in tr.state.targets
+
+    def test_run_equals_the_run_with_the_map_emptied_every_step(self, monkeypatch):
+        # 4 training images and a snapshot check every 5 steps: every snapshot
+        # sees some image twice
+        cfg = tiny_config(epochs=4, teacher_eval_interval=5)
+        ds = tiny_dataset(cfg)
+        val = (ds.val_inputs, ds.val_targets)
+        runs = []
+        for empty in (False, True):
+            tr = Trainer(cfg, ds)
+            sizes = _snapshot_forwards(monkeypatch, tr)
+            rows = []
+            for step, batch in enumerate(training._batches(ds, cfg, tr._order_seed)):
+                if empty:
+                    tr.state.targets.clear()
+                t_losses = tr.train_step_teacher(batch, step)
+                s_losses = tr.train_step_student(batch, step)
+                replaced = tr.maybe_update_snapshot(val, paired_l2_metric, step)
+                rows.append((t_losses, s_losses, replaced, tr.state.best_score))
+            flats = [m.flat.tobytes() for m in tr.modules().values()]
+            runs.append((rows, flats, len(sizes)))
+        (rows_a, flats_a, forwards_a), (rows_b, flats_b, forwards_b) = runs
+        assert rows_a == rows_b
+        assert flats_a == flats_b
+        assert sum(replaced for _, _, replaced, _ in rows_a) >= 2
+        assert forwards_a < forwards_b == len(rows_b)
+
+
 class TestDtype:
     @pytest.mark.parametrize("kind, batch_size", [("invert", 1), ("shapes", 2)])
     def test_float32_step_makes_no_float64_result(self, monkeypatch, kind, batch_size):
