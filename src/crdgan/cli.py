@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, backward, finite_diff_grad, max_rel_error, tmean
-from .config import ConfigError, parse_config, parse_patch
+from .config import ConfigError, TrainConfig, parse_config, parse_patch
 from .datasets import TASK_KINDS, SyntheticTask, generate_dataset
-from .metrics import frechet_between, pixel_error
+from .metrics import frechet_distance, pixel_error, pool_stats
 from .models import (
     Adam, DiscriminatorSpec, GeneratorSpec, build_discriminator, build_generator,
     load_checkpoint,
@@ -79,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--tol", type=_positive_float, default=1e-4)
 
     p_bench = sub.add_parser("bench", help="tuple sampling, loss, generator, discriminator, "
-                                           "Adam and perceptual forward/backward throughput")
+                                           "Adam and perceptual forward/backward throughput, "
+                                           "and a run's set-up")
     p_bench.add_argument("--size", type=_positive_int, default=32)
     p_bench.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
     p_bench.add_argument("--patch", type=_positive_int, default=8)
@@ -112,14 +113,15 @@ def _cmd_eval(args) -> int:
     extractor = FeatureExtractor.fixed_random(cfg.extractor_seed, dtype=np.float32)
 
     inputs, targets = training._val_sets(dataset)
+    target_fit = pool_stats(targets, extractor)
     lines = []
     for name, model in (("teacher", nets["best_snapshot"]),
                         ("student", nets["student_generator"])):
         outs = training.generate(model, inputs, cfg.batch_size)
         if dataset.paired:
             lines.append((f"{name}_val_l2", pixel_error(outs, targets, "L2")))
-        fd = frechet_between(outs, targets, extractor)
-        lines.append((f"{name}_frechet", fd))
+        lines.append((f"{name}_frechet", frechet_distance(pool_stats(outs, extractor),
+                                                          target_fit)))
 
     eval_csv = run_dir / "eval.csv"
     with open(eval_csv, "a") as fh:
@@ -267,6 +269,15 @@ def _cmd_bench(args) -> int:
 
     perceptual_fwd_bwd_ms = _median_ms(perceptual_fwd_bwd, args.iters)
 
+    # a run's set-up at the headline config: the shapes task's four pools, then the Trainer
+    # (last, since the Trainer changes malloc's settings for the rest of the process)
+    run_cfg = TrainConfig(image_size=s, base_width=16, num_res_blocks=2, disc_base_width=16,
+                          patch=(n, m), seed=args.seed)
+    task = SyntheticTask("shapes", s, run_cfg.train_count, run_cfg.val_count, args.seed)
+    dataset = generate_dataset(task)
+    dataset_ms = _median_ms(lambda: generate_dataset(task), args.iters)
+    trainer_ms = _median_ms(lambda: training.Trainer(run_cfg, dataset), args.iters)
+
     print(f"image_size,{s}")
     print(f"triplet_budget,{args.budget}")
     print(f"pairs_evaluated,{pairs_evaluated}")
@@ -279,6 +290,8 @@ def _cmd_bench(args) -> int:
     print(f"generator_gflops,{generator_gflops:.3f}")
     print(f"discriminator_fwd_bwd_ms,{discriminator_fwd_bwd_ms:.3f}")
     print(f"adam_step_ms,{adam_step_ms:.3f}")
+    print(f"dataset_ms,{dataset_ms:.3f}")
+    print(f"trainer_ms,{trainer_ms:.3f}")
     print(f"perceptual_fwd_bwd_ms,{perceptual_fwd_bwd_ms:.3f}")
     return 0
 

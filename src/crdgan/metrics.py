@@ -99,8 +99,11 @@ def pooled_features(images, extractor: FeatureExtractor) -> np.ndarray:
     return act.mean(axis=(1, 2)).astype(np.float64)
 
 
+def pool_stats(images, extractor: FeatureExtractor) -> GaussianStats:
+    """Gaussian fit of an image pool's pooled features."""
+    return fit_gaussian(pooled_features(images, extractor))
+
+
 def frechet_between(images_a, images_b, extractor: FeatureExtractor) -> float:
     """Desk Frechet distance between two image pools."""
-    stats_a = fit_gaussian(pooled_features(images_a, extractor))
-    stats_b = fit_gaussian(pooled_features(images_b, extractor))
-    return frechet_distance(stats_a, stats_b)
+    return frechet_distance(pool_stats(images_a, extractor), pool_stats(images_b, extractor))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .autodiff import Tensor, absolute, backward, tmean
 from .config import TrainConfig, relation_for_step, write_config
-from .metrics import frechet_between, pixel_error
+from .metrics import frechet_distance, pixel_error, pool_stats
 from .models import (
     Adam, DiscriminatorSpec, GeneratorSpec, PatchDiscriminator,
     ResnetGenerator, build_discriminator, build_generator,
@@ -91,8 +91,9 @@ class TeacherState:
 
 
 def image_key(img: np.ndarray) -> tuple:
-    """A training image's key in ``TeacherState.targets``: shape, dtype and
-    the SHA-256 of its bytes."""
+    """An array's content key: shape, dtype and the SHA-256 of its bytes.  It
+    keys training images in ``TeacherState.targets`` and target pools in
+    :func:`make_frechet_metric`."""
     img = np.ascontiguousarray(img)
     return img.shape, img.dtype.str, hashlib.sha256(img).digest()
 
@@ -124,11 +125,20 @@ def paired_l2_metric(generate_fn: Callable, val_set) -> float:
 
 
 def make_frechet_metric(extractor: FeatureExtractor) -> Callable:
-    """Desk Frechet distance between generated outputs and the target pool."""
+    """Desk Frechet distance between generated outputs and the target pool.
+
+    The pool's Gaussian fit is made once per distinct pool content (keyed by
+    :func:`image_key` of the whole pool) and reused by later calls, so each
+    score has the bytes of ``frechet_between(outputs, pool, extractor)``.
+    """
+    pool_fits = {}
 
     def metric(generate_fn: Callable, val_set) -> float:
         inputs, target_pool = val_set
-        return frechet_between(generate_fn(inputs), target_pool, extractor)
+        key = image_key(target_pool)
+        if key not in pool_fits:
+            pool_fits[key] = pool_stats(target_pool, extractor)
+        return frechet_distance(pool_stats(generate_fn(inputs), extractor), pool_fits[key])
 
     return metric
 

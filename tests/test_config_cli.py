@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from crdgan import config
+from crdgan import config, datasets
 from crdgan.cli import main
 from crdgan.config import ConfigError, TrainConfig, parse_config, write_config
 from crdgan.datasets import SyntheticTask, generate_dataset
@@ -116,6 +116,76 @@ class TestValidate:
             parse_config(p)
 
 
+def _reference_coords(s):
+    return np.meshgrid(np.linspace(-1, 1, s), np.linspace(-1, 1, s), indexing="ij")
+
+
+def _reference_textured_image(rng, s):
+    ys, xs = _reference_coords(s)
+    img = np.empty((3, s, s), dtype=np.float64)
+    for c in range(3):
+        gx, gy = rng.uniform(-1, 1, 2)
+        img[c] = 0.4 * (gx * xs + gy * ys) + rng.uniform(-0.2, 0.2)
+    for _ in range(3):
+        cy, cx = rng.uniform(-0.8, 0.8, 2)
+        radius = rng.uniform(0.15, 0.5)
+        blob = np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2 * radius ** 2))
+        color = rng.uniform(-0.9, 0.9, 3)
+        img += color[:, None, None] * blob
+    return np.clip(img, -1.0, 1.0)
+
+
+def _reference_box_blur(img):
+    padded = np.pad(img, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    out = np.zeros_like(img)
+    for dy in range(3):
+        for dx in range(3):
+            out += padded[:, dy:dy + img.shape[1], dx:dx + img.shape[2]]
+    return out / 9.0
+
+
+def _reference_shape_image(rng, s, shape):
+    ys, xs = _reference_coords(s)
+    img = np.empty((3, s, s), dtype=np.float64)
+    if shape == "circle":
+        bg = rng.uniform(-1.0, -0.5, 3)
+        fg = rng.uniform(0.3, 1.0, 3)
+        cy, cx = rng.uniform(-0.4, 0.4, 2)
+        r = rng.uniform(0.25, 0.55)
+        mask = ((ys - cy) ** 2 + (xs - cx) ** 2) <= r * r
+    else:
+        bg = rng.uniform(0.4, 1.0, 3)
+        fg = rng.uniform(-1.0, -0.3, 3)
+        cy, cx = rng.uniform(-0.4, 0.4, 2)
+        half = rng.uniform(0.2, 0.5)
+        mask = (np.abs(ys - cy) <= half) & (np.abs(xs - cx) <= half)
+    for c in range(3):
+        img[c] = np.where(mask, fg[c], bg[c])
+    return img
+
+
+def reference_dataset(task):
+    """The image-by-image generator: the oracle for generate_dataset's bytes."""
+    def stack(fn, count, stream):
+        return np.stack([fn(datasets._image_rng(task.seed, stream, i), task.image_size)
+                         for i in range(count)]).astype(np.float32)
+
+    if task.kind == "invert":
+        train_in = stack(_reference_textured_image, task.train_count, 0)
+        val_in = stack(_reference_textured_image, task.val_count, 1)
+        return train_in, -train_in, val_in, -val_in
+    if task.kind == "blur2sharp":
+        train_t = stack(_reference_textured_image, task.train_count, 0)
+        val_t = stack(_reference_textured_image, task.val_count, 1)
+        train_in = np.stack([_reference_box_blur(t) for t in train_t]).astype(np.float32)
+        val_in = np.stack([_reference_box_blur(t) for t in val_t]).astype(np.float32)
+        return train_in, train_t, val_in, val_t
+    circle = lambda r, s: _reference_shape_image(r, s, "circle")
+    square = lambda r, s: _reference_shape_image(r, s, "square")
+    return (stack(circle, task.train_count, 0), stack(square, task.train_count, 2),
+            stack(circle, task.val_count, 1), stack(square, task.val_count, 3))
+
+
 class TestDatasets:
     def test_invert_target_is_exact_negation(self):
         ds = generate_dataset(SyntheticTask("invert", 16, 5, 2, 0))
@@ -148,6 +218,26 @@ class TestDatasets:
         mean_a = ds.train_a.mean()
         mean_b = ds.train_b.mean()
         assert abs(mean_a - mean_b) > 0.2
+
+    @pytest.mark.parametrize("size", [8, 12, 20, 32])
+    @pytest.mark.parametrize("kind", datasets.TASK_KINDS)
+    def test_arrays_are_byte_identical_to_the_image_by_image_generator(self, kind, size):
+        chunk = datasets._CHUNK
+        # counts below, across and past the painting chunk, none a multiple of it
+        counts = (1, 3, chunk - 1, chunk + 5, 2 * chunk + 3)
+        for seed in range(10):
+            task = SyntheticTask(kind, size, counts[seed % len(counts)], 2 + seed % 3, seed)
+            ds = generate_dataset(task)
+            got = (ds.train_inputs, ds.train_targets, ds.val_inputs, ds.val_targets) \
+                if ds.paired else (ds.train_a, ds.train_b, ds.val_a, ds.val_b)
+            for g, want in zip(got, reference_dataset(task)):
+                assert g.dtype == want.dtype and g.shape == want.shape
+                assert g.tobytes() == want.tobytes(), (kind, size, seed)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_image_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match="image_size"):
+            SyntheticTask("invert", size, 1, 1, 0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown task"):
@@ -461,3 +551,26 @@ class TestCliBench:
             assert value(full, key) > 0, key
         last = full.splitlines()[-1]
         assert last.startswith("perceptual_fwd_bwd_ms,") and float(last.split(",")[1]) > 0
+
+    def test_set_up_lines_time_the_dataset_and_the_trainer(self, monkeypatch, capsys):
+        from crdgan import cli
+        calls = {"dataset": 0, "trainer": 0}
+        generate, trainer = cli.generate_dataset, training.Trainer
+
+        def counted_generate(task):
+            calls["dataset"] += 1
+            assert (task.kind, task.image_size) == ("shapes", 16)
+            return generate(task)
+
+        def counted_trainer(cfg, dataset):
+            calls["trainer"] += 1
+            assert (cfg.image_size, cfg.base_width, cfg.num_res_blocks) == (16, 16, 2)
+            return trainer(cfg, dataset)
+
+        monkeypatch.setattr(cli, "generate_dataset", counted_generate)
+        monkeypatch.setattr(training, "Trainer", counted_trainer)
+        assert main(["bench", "--size", "16", "--iters", "3"]) == 0
+        values = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert float(values["dataset_ms"]) > 0 and float(values["trainer_ms"]) > 0
+        # one dataset for the Trainer, then each figure's untimed call and 3 timed calls
+        assert calls == {"dataset": 1 + 4, "trainer": 4}

@@ -9,7 +9,7 @@ from crdgan import autodiff, models, perceptual, relations, training
 from crdgan.autodiff import Tensor, backward
 from crdgan.config import TrainConfig
 from crdgan.datasets import SyntheticTask, generate_dataset
-from crdgan.metrics import pixel_error
+from crdgan.metrics import frechet_between, pixel_error
 from crdgan.models import ResnetGenerator, discriminator_loss, generator_adv_loss
 from crdgan.relations import RelationConfig
 from crdgan.training import (
@@ -323,6 +323,29 @@ class TestSnapshot:
         monkeypatch.setattr(ResnetGenerator, "__call__", forward)
         want = metric(lambda xs: np.stack([tr.teacher_generate(x) for x in xs]), val)
         assert tr.state.best_score == pytest.approx(want, rel=1e-5)
+
+    def test_frechet_metric_fits_each_pool_content_once(self, monkeypatch):
+        cfg = tiny_config(val_count=4)
+        ds = tiny_dataset(cfg, "shapes")
+        extractor = perceptual.FeatureExtractor.fixed_random(cfg.extractor_seed, dtype=np.float32)
+        metric = make_frechet_metric(extractor)
+        fits = []
+        fit = training.pool_stats
+        monkeypatch.setattr(training, "pool_stats",
+                            lambda images, ext: fits.append(len(images)) or fit(images, ext))
+        generate = lambda xs: 0.5 * xs[::-1]
+        pool = ds.val_b.copy()
+        first = metric(generate, (ds.val_a, pool))
+        for _ in range(2):
+            assert metric(generate, (ds.val_a, pool)) == first
+        assert first == frechet_between(generate(ds.val_a), pool, extractor)
+        assert len(fits) == 4                  # the pool once, the outputs on every call
+        # the same array with new content is refitted, never served the stale fit
+        pool[0] = -pool[0]
+        second = metric(generate, (ds.val_a, pool))
+        assert second == frechet_between(generate(ds.val_a), pool, extractor)
+        assert second != first
+        assert len(fits) == 6
 
     def test_empty_val_set_rejected(self):
         cfg = tiny_config(teacher_eval_interval=1)
