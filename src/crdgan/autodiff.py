@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+NORM_EPS = 1e-5           # instance_norm's variance floor
 _seq_counter = itertools.count()
 _finite_checks = False
 
@@ -555,19 +556,14 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 def _mec(xp: np.ndarray, kw: int) -> np.ndarray:
     """The MEC row columns of a [B,Hp,Wp,C] array: [B, Hp, Wo, kw*C], Wo = Wp-kw+1.
 
-    Each row holds the kw*C floats of one width window of one input row, so
-    the matrix is kh times smaller than the im2col one, and a stride-1 kh x kw
-    window is kh consecutive rows of it, Wo rows apart (Cho & Brand, "MEC:
-    Memory-efficient Convolution", ICML 2017).  Built like :func:`_im2col`:
-    one read-only strided view [B, Hp, Wo, kw, C], then one reshape copy.
+    These are :func:`_im2col`'s 1 x kw windows at stride 1: each row holds
+    the kw*C floats of one width window of one input row, so the matrix is kh
+    times smaller than the kh x kw im2col one, and a stride-1 kh x kw window
+    is kh consecutive rows of it, Wo rows apart (Cho & Brand, "MEC:
+    Memory-efficient Convolution", ICML 2017).
     """
-    xp = np.ascontiguousarray(xp)
     bsz, hp, wp, c = xp.shape
-    wo = wp - kw + 1
-    sb, sh, sw, sc = xp.strides
-    win = np.ndarray((bsz, hp, wo, kw, c), xp.dtype, xp, 0, (sb, sh, sw, sw, sc))
-    win.flags.writeable = False
-    return win.reshape(bsz * hp * wo, kw * c).reshape(bsz, hp, wo, kw * c)
+    return _im2col(xp, 1, kw, 1).reshape(bsz, hp, wp - kw + 1, kw * c)
 
 
 def _mec_conv(cols: np.ndarray, wk: np.ndarray) -> np.ndarray:
@@ -762,12 +758,12 @@ def _norm_mean(a: np.ndarray) -> np.ndarray:
     return (_mean_weights(h * w, a.dtype) @ a.reshape(bsz, h * w, c)).reshape(bsz, 1, 1, c)
 
 
-def _norm_forward(x: np.ndarray, eps: float = 1e-5) -> tuple:
+def _norm_forward(x: np.ndarray) -> tuple:
     """instance_norm's forward on a [B,H,W,C] array: (y, inv), inv = 1/std."""
     if x.ndim != 4:
         raise ValueError(f"instance_norm expects rank-4, got {x.shape}")
     xc = x - _norm_mean(x)
-    inv = 1.0 / np.sqrt(_norm_mean(xc * xc) + eps)
+    inv = 1.0 / np.sqrt(_norm_mean(xc * xc) + NORM_EPS)
     return xc * inv, inv
 
 
@@ -776,9 +772,9 @@ def _norm_backward(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return inv * (g - _norm_mean(g) - y * _norm_mean(g * y))
 
 
-def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+def instance_norm(x: Tensor) -> Tensor:
     """Per-sample, per-channel normalization of [B,H,W,C] over the spatial axes (no affine)."""
-    y, inv = _norm_forward(x.data, eps)
+    y, inv = _norm_forward(x.data)
 
     def back(g):
         if x.requires_grad:

@@ -18,10 +18,7 @@ from .autodiff import Tensor, backward, finite_diff_grad, max_rel_error, tmean
 from .config import ConfigError, TrainConfig, parse_config, parse_patch
 from .datasets import TASK_KINDS, SyntheticTask, generate_dataset
 from .metrics import frechet_distance, pixel_error, pool_stats
-from .models import (
-    Adam, DiscriminatorSpec, GeneratorSpec, build_discriminator, build_generator,
-    load_checkpoint,
-)
+from .models import Adam, load_checkpoint
 from .perceptual import FeatureExtractor, perceptual_loss
 from .relations import RelationConfig, crd_loss, sample_tuples
 from . import slicing, tensor_io, training
@@ -229,11 +226,11 @@ def _cmd_bench(args) -> int:
 
     # the headline teacher generator and discriminator, forward plus backward on one image
     image = Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float32))
-    generator = build_generator(GeneratorSpec(base_width=16, num_res_blocks=2), args.seed)
-    discriminator = build_discriminator(DiscriminatorSpec(num_layers=3, base_width=16),
-                                        args.seed)
-    student = build_generator(GeneratorSpec(base_width=16, width_factor=0.25,
-                                            num_res_blocks=2), args.seed)
+    run_cfg = TrainConfig(image_size=s, base_width=16, num_res_blocks=2, disc_base_width=16,
+                          patch=(n, m), seed=args.seed)
+    nets = training.build_models(run_cfg)
+    generator, discriminator = nets["teacher_generator"], nets["teacher_discriminator"]
+    student = nets["student_generator"]
 
     def fwd_bwd(net) -> None:
         net.zero_grad()
@@ -245,11 +242,11 @@ def _cmd_bench(args) -> int:
     discriminator_fwd_bwd_ms = _median_ms(lambda: fwd_bwd(discriminator), args.iters)
 
     # a training step's Adam steps: one each for the teacher, the discriminator and the student
-    nets = (generator, discriminator, student)
-    optimizers = [Adam(net.parameters(), 2e-4) for net in nets]
+    trained = (generator, discriminator, student)
+    optimizers = [Adam(net.parameters(), 2e-4) for net in trained]
 
     def backward_all() -> None:
-        for net in nets:
+        for net in trained:
             fwd_bwd(net)
 
     def adam_steps() -> None:
@@ -271,8 +268,6 @@ def _cmd_bench(args) -> int:
 
     # a run's set-up at the headline config: the shapes task's four pools, then the Trainer
     # (last, since the Trainer changes malloc's settings for the rest of the process)
-    run_cfg = TrainConfig(image_size=s, base_width=16, num_res_blocks=2, disc_base_width=16,
-                          patch=(n, m), seed=args.seed)
     task = SyntheticTask("shapes", s, run_cfg.train_count, run_cfg.val_count, args.seed)
     dataset = generate_dataset(task)
     dataset_ms = _median_ms(lambda: generate_dataset(task), args.iters)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Tuple
 
-from .relations import RelationConfig
+from .relations import RelationConfig, _derive_seed
 
 DISCRIMINATOR_MODES = (
     "online_updating_freezing",
@@ -216,9 +216,4 @@ def write_config(cfg: TrainConfig, path) -> None:
 
 def relation_for_step(cfg: TrainConfig, step: int) -> RelationConfig:
     """Per-step relation config: fresh tuple samples, same everything else."""
-    import numpy as np
-
-    seed = int(np.random.SeedSequence(
-        [cfg.relation.seed & 0xFFFFFFFFFFFFFFFF, cfg.seed & 0xFFFFFFFFFFFFFFFF, step]
-    ).generate_state(1)[0])
-    return dataclasses.replace(cfg.relation, seed=seed)
+    return dataclasses.replace(cfg.relation, seed=_derive_seed(cfg.relation.seed, cfg.seed, step))

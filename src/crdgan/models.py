@@ -427,7 +427,7 @@ def _tiled(arrays, spans) -> Optional[np.ndarray]:
 
 
 class Adam:
-    """Adaptive moment estimation with the GAN-standard betas (0.5, 0.999).
+    """Adaptive moment estimation with the GAN-standard betas (0.5, 0.999) and eps 1e-8.
 
     params must be one module's parameters in order: views that tile its
     ``flat`` vector.  The moments ``m`` and ``v`` are flat vectors of the
@@ -437,7 +437,9 @@ class Adam:
     gradient vector in place.
     """
 
-    def __init__(self, params, lr: float, betas=(0.5, 0.999), eps: float = 1e-8):
+    b1, b2, eps = 0.5, 0.999, 1e-8
+
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self._spans, start = [], 0
         for p in self.params:
@@ -448,8 +450,6 @@ class Adam:
             raise ValueError("Adam needs all of one module's parameters, in order, "
                              "as the views that tile its flat vector")
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)

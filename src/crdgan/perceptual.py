@@ -1,7 +1,7 @@
 """Feature and style matching over a fixed, non-trainable extractor.
 
-The default extractor is a seeded random four-layer strided conv net
-(LeakyReLU, widths 16/32/64/64) tapped after every layer.  Random features
+The default extractor is a seeded random four-layer stride-2 3x3 conv net
+(LeakyReLU slope 0.2, widths 16/32/64/64) tapped after every layer.  Random features
 keep the loss structure intact without external weight files; real weights
 can be swapped in from a directory of tensor files.  Weights are given and
 stored as [Cout,Cin,k,k] and held as [k,k,Cin,Cout] for the channels-last
@@ -24,20 +24,24 @@ from .autodiff import (
 )
 from . import tensor_io
 
-DEFAULT_WIDTHS = (16, 32, 64, 64)
+WIDTHS = (16, 32, 64, 64)      # fixed_random's layer widths
+KERNEL = 3                     # fixed_random's kernel size
+STRIDE = 2                     # the stride of every layer, random or loaded
+LEAKY_SLOPE = 0.2
 EXTRACTOR_ROLE = "extractor"
 
 
 class FeatureExtractor:
-    """Immutable stack of strided conv + LeakyReLU layers with taps after each.
+    """Stack of strided conv + LeakyReLU(LEAKY_SLOPE) layers with taps after each.
 
-    Weights never require gradients; identical inputs give identical
-    activations.  ``weights`` are [Cout,Cin,k,k] arrays, converted once to
-    the [k,k,Cin,Cout] kernels that ``layers`` holds.
+    The weights never change and never require gradients; identical inputs
+    give identical activations.  ``weights`` are [Cout,Cin,k,k] arrays,
+    converted once to the [k,k,Cin,Cout] kernels that ``layers`` holds.  One
+    field changes: the first :func:`perceptual_loss` with a gradient caches the
+    layers' input-gradient kernels, built from the weights, in ``_phases``.
     """
 
-    def __init__(self, weights: Sequence[np.ndarray], strides: Sequence[int],
-                 alpha: float = 0.2):
+    def __init__(self, weights: Sequence[np.ndarray], strides: Sequence[int]):
         if len(weights) != len(strides):
             raise ValueError(f"{len(weights)} weight stacks but {len(strides)} strides")
         if not weights:
@@ -53,30 +57,27 @@ class FeatureExtractor:
             prev = w.shape[0]
             kernel = Tensor(np.ascontiguousarray(w.transpose(2, 3, 1, 0)), requires_grad=False)
             self.layers.append((kernel, int(s)))
-        self.alpha = alpha
         # each layer's input-gradient kernel, built by the first perceptual_loss with a gradient
         self._phases = None
 
     @classmethod
     def fixed_random(cls, seed: int, in_channels: int = 3,
-                     widths: Sequence[int] = DEFAULT_WIDTHS,
-                     kernel: int = 3, stride: int = 2,
                      dtype=np.float64) -> "FeatureExtractor":
         rng = np.random.default_rng(seed)
         weights = []
         cin = in_channels
-        for cout in widths:
-            std = np.sqrt(2.0 / (cin * kernel * kernel))
-            weights.append(rng.normal(0.0, std, (cout, cin, kernel, kernel)).astype(dtype))
+        for cout in WIDTHS:
+            std = np.sqrt(2.0 / (cin * KERNEL * KERNEL))
+            weights.append(rng.normal(0.0, std, (cout, cin, KERNEL, KERNEL)).astype(dtype))
             cin = cout
-        return cls(weights, [stride] * len(widths))
+        return cls(weights, [STRIDE] * len(WIDTHS))
 
     @classmethod
-    def load(cls, dirpath, alpha: float = 0.2, stride: int = 2) -> "FeatureExtractor":
+    def load(cls, dirpath) -> "FeatureExtractor":
         named = tensor_io.load_named_tensors(dirpath, EXTRACTOR_ROLE)
         if not named:
             raise ValueError(f"no extractor weights found in {dirpath}")
-        return cls([arr for _, arr in named], [stride] * len(named), alpha)
+        return cls([arr for _, arr in named], [STRIDE] * len(named))
 
     def save(self, dirpath) -> None:
         named = [(f"layer{i}", w.data.transpose(3, 2, 0, 1))
@@ -126,7 +127,7 @@ def extract(x: Tensor, extractor: FeatureExtractor,
     h = permute(x.reshape((1,) + x.shape) if single else x, (0, 2, 3, 1))
     for w, s in extractor.layers:
         k = w.shape[0]
-        h = leaky_relu(conv2d(h, w, stride=s, padding=k // 2), extractor.alpha)
+        h = leaky_relu(conv2d(h, w, stride=s, padding=k // 2), LEAKY_SLOPE)
         acts.append(h)
     if taps is not None:
         acts = [acts[t] for t in taps]
@@ -142,7 +143,7 @@ def _layer_outputs(x: np.ndarray, extractor: FeatureExtractor) -> list:
     for w, s in extractor.layers:
         shape = x.shape
         x, _ = _conv_forward(x, w.data, None, s, w.shape[0] // 2, False)
-        slope = _leaky_slope(x, extractor.alpha)
+        slope = _leaky_slope(x, LEAKY_SLOPE)
         x = x * slope
         out.append((shape, slope, x))
     return out
@@ -198,12 +199,10 @@ def perceptual_loss(teacher_out: Tensor, student_out: Tensor,
         total = term if total is None else total + term
         if live:
             tape.append((j, (bsz,) + shape[1:], slope[bsz:], diff, flat[bsz:], g_diff, scale))
-    if bsz > 1:
-        total = total * np.asarray(1.0 / bsz, total.dtype)
+    total = total * np.asarray(1.0 / bsz, total.dtype)
 
     def back(g):
-        if bsz > 1:
-            g = g * np.asarray(1.0 / bsz, g.dtype)
+        g = g * np.asarray(1.0 / bsz, g.dtype)
         grad = None
         for j, shape, slope, diff, flat, g_diff, scale in reversed(tape):
             # both L1s of a tap weigh the student side by -g/(C*H*W) times a sign

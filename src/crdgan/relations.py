@@ -105,7 +105,6 @@ class DistanceStructure:
     pair_i: np.ndarray
     pair_j: np.ndarray
     pair_values: Tensor
-    epsilon: float = EPSILON
 
     @property
     def count(self) -> int:
@@ -113,18 +112,10 @@ class DistanceStructure:
 
 
 @functools.lru_cache(maxsize=64)
-def _triu_pairs(n: int):
-    pi, pj = np.triu_indices(n, k=1)
-    pi.setflags(write=False)
-    pj.setflags(write=False)
-    return pi, pj
-
-
-@functools.lru_cache(maxsize=64)
 def _incidence(count: int, dtype: np.dtype) -> Tensor:
     """[P, count]: row p is +1 at i and -1 at j for the p-th pair i<j."""
     eye = np.eye(count, dtype=dtype)
-    pi, pj = _triu_pairs(count)
+    pi, pj = _tuple_pool(count, 2).T
     a = eye[pi] - eye[pj]
     a.setflags(write=False)
     return Tensor(a)
@@ -174,9 +165,9 @@ class _Side:
     every sum is added in the same order and the bytes match.
     """
 
-    def __init__(self, x: np.ndarray, batch: int, pairs, triples, eps: float):
+    def __init__(self, x: np.ndarray, batch: int, pairs, triples):
         self.a = _incidence(x.shape[0], x.dtype).data
-        self.batch, self.pairs, self.triples, self.eps = batch, pairs, triples, eps
+        self.batch, self.pairs, self.triples = batch, pairs, triples
         self.r = r = self.a @ x                             # rows: exact x_i - x_j
         self.width = x.shape[1] // batch
         sq = (r * r).reshape(-1, self.width).sum(axis=(1,))
@@ -184,12 +175,12 @@ class _Side:
         self.phi = [None, None]                             # phi_d, phi_a
         if pairs is not None:
             self.mean = _mean(d.reshape(-1, batch))
-            self.inv_mu = 1.0 / np.maximum(self.mean, eps)
+            self.inv_mu = 1.0 / np.maximum(self.mean, EPSILON)
             # a unit-weight gather is plain indexing: 1.0 * v is v, bit for bit
             self.g1, self.g2 = d[pairs[0]], self.inv_mu[pairs[1]]
             self.phi[0] = self.g1 * self.g2
         if triples is not None:
-            self.inv = 1.0 / np.maximum(d, eps)
+            self.inv = 1.0 / np.maximum(d, EPSILON)
             self.cosine = np.asarray(_COSINE, dtype=x.dtype)
             self.gs = _gather(sq, triples, self.cosine)
             self.gi, self.gk = self.inv[triples[:, 0]], self.inv[triples[:, 2]]
@@ -199,7 +190,7 @@ class _Side:
     def grad(self, g_phi_d: Optional[np.ndarray], g_phi_a: Optional[np.ndarray]) -> np.ndarray:
         """The gradient of X = [count, B*D] from those of phi_d and phi_a
         (None: that term's graph was not reached)."""
-        d, eps, size = self.d, self.eps, self.d.size
+        d, size = self.d, self.d.size
         one = np.asarray(_ONE, dtype=d.dtype)
         # terms are added in the composed graph's reverse creation order: into
         # d the angle's clamp, the pair gather, then the mean; into sq the
@@ -211,15 +202,15 @@ class _Side:
             g_inv = _scatter(g_phi_a * self.m1, triples[:, 2], one, size)
             g_inv += _scatter(g_m1 * self.gs, triples[:, 0], one, size)
             g_sq = _scatter(g_m1 * self.gi, triples, self.cosine, size)
-            g_d = -g_inv * self.inv * self.inv * (d >= eps)
+            g_d = -g_inv * self.inv * self.inv * (d >= EPSILON)
         if g_phi_d is not None:
             pairs, batch = self.pairs, self.batch
             g_inv_mu = _scatter(g_phi_d * self.g1, pairs[1], one, batch)
             g_pair = _scatter(g_phi_d * self.g2, pairs[0], one, size)
             g_d = g_pair if g_d is None else g_d + g_pair
-            g_mean = -g_inv_mu * self.inv_mu * self.inv_mu * (self.mean >= eps)
+            g_mean = -g_inv_mu * self.inv_mu * self.inv_mu * (self.mean >= EPSILON)
             g_d = (g_d.reshape(-1, batch) + g_mean / (size // batch)).reshape(-1)
-        g_root = g_d / (2.0 * np.maximum(d, eps))
+        g_root = g_d / (2.0 * np.maximum(d, EPSILON))
         g_sq = g_root if g_sq is None else g_sq + g_root
         g_r = (g_sq[:, None] * self.r.reshape(-1, self.width)).reshape(self.r.shape)
         g_r = g_r + g_r                                     # r * r: g*r to each operand
@@ -274,7 +265,7 @@ def _relate(t: Tensor, s: Tensor, groups: list) -> tuple:
                 grid, axes, items = cut
                 x = np.ascontiguousarray(x.reshape(grid).transpose(axes)).reshape(
                     items[0] // batch, -1)
-            sides.append(_Side(x, batch, pairs, triple_idx, EPSILON))
+            sides.append(_Side(x, batch, pairs, triple_idx))
         stacks.append((cut, sides))
     terms = []                              # (0 distance or 1 angle, diff per group, total)
     for term in (0, 1):
@@ -320,30 +311,30 @@ def _relate(t: Tensor, s: Tensor, groups: list) -> tuple:
     return tuple(picks)
 
 
-def pairwise_distances(item_set: ItemsLike, epsilon: float = EPSILON) -> DistanceStructure:
+def pairwise_distances(item_set: ItemsLike) -> DistanceStructure:
     """Euclidean distance for every unordered pair plus their mean, as the
     relation pass computes them."""
     items = _as_items(item_set)
     n = items.shape[0]
     if n < 2:
         raise ValueError(f"pairwise_distances needs >= 2 items, got {n}")
-    pi, pj = _triu_pairs(n)
-    d = _Side(items.data, 1, None, None, epsilon).d
+    pi, pj = _tuple_pool(n, 2).T
+    d = _Side(items.data, 1, None, None).d
     mat = np.zeros((n, n), dtype=d.dtype)
     mat[pi, pj] = d
     mat[pj, pi] = d
-    return DistanceStructure(mat, Tensor(_mean(d)), pi, pj, Tensor(d), epsilon)
+    return DistanceStructure(mat, Tensor(_mean(d)), pi, pj, Tensor(d))
 
 
 def phi_d(structure: DistanceStructure, i: int, j: int) -> float:
     """Mean-normalized distance of pair (i, j); zero when the set is flat."""
     if i == j:
         raise ValueError(f"phi_d is undefined for i == j (got {i})")
-    denom = max(structure.mu.item(), structure.epsilon)
+    denom = max(structure.mu.item(), EPSILON)
     return float(structure.distances[i, j]) / denom
 
 
-def phi_a(vi, vj, vk, epsilon: float = EPSILON) -> Tensor:
+def phi_a(vi, vj, vk) -> Tensor:
     """Cosine of the angle at vj between residues vi-vj and vj-vk, as a
     constant 0-d tensor: the relation pass's angle of the triple (0, 1, 2)
     of the stack [vi; vj; vk] (law of cosines over the exact residues)."""
@@ -352,7 +343,7 @@ def phi_a(vi, vj, vk, epsilon: float = EPSILON) -> Tensor:
     if not (vi.shape == vj.shape == vk.shape) or vi.ndim != 1:
         raise ValueError(f"phi_a needs three equal-length vectors, got "
                          f"{vi.shape}, {vj.shape}, {vk.shape}")
-    side = _Side(np.stack([vi, vj, vk]), 1, None, _pool_index(3, 3, 1), epsilon)
+    side = _Side(np.stack([vi, vj, vk]), 1, None, _pool_index(3, 3, 1))
     return Tensor(side.phi[1].reshape(()))
 
 
@@ -457,10 +448,15 @@ def rkd_angle_loss(teacher_items: ItemsLike, student_items: ItemsLike,
 
 # -- content-level losses -------------------------------------------------------
 
+def _derive_seed(*words: int) -> int:
+    """The one seed derivation: a SeedSequence over the words, each modulo 2**64."""
+    return int(np.random.SeedSequence([w & 0xFFFFFFFFFFFFFFFF for w in words])
+               .generate_state(1)[0])
+
+
 @functools.lru_cache(maxsize=256)
 def _granularity_seed(base: int, granularity: str, arity: int) -> int:
-    gid = GRANULARITIES.index(granularity)              # column 0, row 1, patch 2
-    return int(np.random.SeedSequence([base & 0xFFFFFFFFFFFFFFFF, gid, arity]).generate_state(1)[0])
+    return _derive_seed(base, GRANULARITIES.index(granularity), arity)   # column 0, row 1, patch 2
 
 
 def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,

@@ -7,6 +7,7 @@ dims (little-endian), then float32 payload, little-endian, row-major.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 
@@ -46,7 +47,7 @@ def load_tensor(path) -> np.ndarray:
     (rank,) = struct.unpack_from("<I", raw, 5)
     dims = struct.unpack_from(f"<{rank}I", raw, 9)
     offset = 9 + 4 * rank
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)         # exact, so huge dims cannot wrap around to a small count
     if len(raw) < offset + 4 * count:
         raise ValueError(f"{path}: truncated payload, expected {count} floats")
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)

@@ -197,7 +197,7 @@ class Trainer:
         self.dataset = dataset
         self.dtype = dtype
         self._order_seed = run_seeds(cfg.seed)[3]
-        nets = build_models(cfg, dtype)
+        self._nets = nets = build_models(cfg, dtype)
         teacher = nets["teacher_generator"]
         self.state = TeacherState(teacher, nets["teacher_discriminator"], nets["best_snapshot"])
         self.student = nets["student_generator"]
@@ -207,11 +207,8 @@ class Trainer:
         self.opt_student = Adam(self.student.parameters(), cfg.lr0)
 
     def modules(self) -> dict:
-        """The run's networks by checkpoint role (the keys of build_models)."""
-        return {"teacher_generator": self.state.generator,
-                "teacher_discriminator": self.state.discriminator,
-                "student_generator": self.student,
-                "best_snapshot": self.state.best_generator}
+        """The run's networks by checkpoint role, as build_models made them."""
+        return dict(self._nets)
 
     # -- phases -----------------------------------------------------------
 
@@ -376,20 +373,41 @@ def _val_sets(dataset):
 
 
 def _batches(dataset, cfg: TrainConfig, order_seed: int):
+    """The run's schedule, (step, epoch, lr, batch) per step: each epoch a seeded
+    shuffle cut into whole batches, lr :func:`lr_at` of the step's fractional epoch."""
     count = len(dataset)
     bs = cfg.batch_size
+    steps_per_epoch = count // bs
+    inputs, targets = (dataset.train_inputs, dataset.train_targets) if dataset.paired \
+        else (dataset.train_a, dataset.train_b)
     rng_a = np.random.default_rng(np.random.SeedSequence([order_seed, 0]))
     rng_b = np.random.default_rng(np.random.SeedSequence([order_seed, 1]))
-    for _ in range(cfg.epochs):
+    step = 0
+    for epoch in range(cfg.epochs):
         order_a = rng_a.permutation(count)
         order_b = rng_b.permutation(count) if not dataset.paired else order_a
         for start in range(0, count - bs + 1, bs):
-            ia = order_a[start:start + bs]
-            ib = order_b[start:start + bs]
-            if dataset.paired:
-                yield dataset.train_inputs[ia], dataset.train_targets[ia]
-            else:
-                yield dataset.train_a[ia], dataset.train_b[ib]
+            batch = inputs[order_a[start:start + bs]], targets[order_b[start:start + bs]]
+            yield step, epoch, lr_at(step / steps_per_epoch, cfg), batch
+            step += 1
+
+
+def _check_dataset(cfg: TrainConfig, dataset) -> None:
+    """Reject a dataset that does not fit cfg: pools of [3, image_size, image_size]
+    images, at least batch_size training images (or no step runs), 2 per validation pool."""
+    size = cfg.image_size
+    names = ("train_inputs", "train_targets", "val_inputs", "val_targets") if dataset.paired \
+        else ("train_a", "train_b", "val_a", "val_b")
+    for name in names:
+        shape = np.shape(getattr(dataset, name))
+        if shape[1:] != (3, size, size):
+            raise ValueError(f"dataset pool {name} has shape {shape}, but image_size {size} "
+                             f"needs a stack of [3, {size}, {size}] images")
+        if name.startswith("val") and shape[0] < 2:
+            raise ValueError(f"dataset pool {name} holds {shape[0]} images; validation needs >= 2")
+    if len(dataset) < cfg.batch_size:
+        raise ValueError(f"the training pool holds {len(dataset)} images, fewer than "
+                         f"batch_size {cfg.batch_size}: no step would run")
 
 
 def _write_samples(trainer: Trainer, dataset, path) -> None:
@@ -410,9 +428,10 @@ def _fmt(v: float) -> str:
 def train(cfg: TrainConfig, dataset, out_dir) -> dict:
     """Full training loop; writes config copy, metrics CSV, checkpoints and
     sample grids into out_dir.  Deterministic given cfg.seed.  An invalid
-    config, or an out_dir that already holds a run, is rejected before
-    anything is written."""
+    config, a dataset that does not fit it, or an out_dir that already holds
+    a run, is rejected before anything is written."""
     cfg.validate()
+    _check_dataset(cfg, dataset)
     out_dir = Path(out_dir)
     for name in ("metrics.csv", "config.cfg"):
         if (out_dir / name).exists():
@@ -427,17 +446,14 @@ def train(cfg: TrainConfig, dataset, out_dir) -> dict:
 
     metric = paired_l2_metric if dataset.paired else make_frechet_metric(trainer.extractor)
     val_set = _val_sets(dataset)
-    steps_per_epoch = max(1, len(dataset) // cfg.batch_size)
     samples_dir = out_dir / "samples"
     samples_dir.mkdir(exist_ok=True)
 
     csv_path = out_dir / "metrics.csv"
     with open(csv_path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        step = 0
-        for batch in _batches(dataset, cfg, trainer._order_seed):
-            epoch = step // steps_per_epoch
-            lr = lr_at(step / steps_per_epoch, cfg)
+        sampled_epoch = -1
+        for step, epoch, lr, batch in _batches(dataset, cfg, trainer._order_seed):
             trainer.set_lr(lr)
             t_losses = trainer.train_step_teacher(batch, step)
             s_losses = trainer.train_step_student(batch, step)
@@ -451,16 +467,17 @@ def train(cfg: TrainConfig, dataset, out_dir) -> dict:
                    _fmt(trainer.state.best_score) if evaluated else "",
                    ("1" if replaced else "0") if evaluated else ""]
             fh.write(",".join(row) + "\n")
-            if cfg.sample_every and step % (cfg.sample_every * steps_per_epoch) == 0:
+            # a grid at the first step of every sample_every-th epoch
+            if cfg.sample_every and epoch % cfg.sample_every == 0 and epoch != sampled_epoch:
                 _write_samples(trainer, dataset, samples_dir / f"step_{step:06d}.ppm")
-            step += 1
+                sampled_epoch = epoch
 
     _write_samples(trainer, dataset, samples_dir / "final.ppm")
     save_checkpoint(out_dir / "checkpoints", trainer.modules())
 
     student_score = float(metric(trainer.student_generate, val_set))
     report = {
-        "steps": step,
+        "steps": step + 1,
         "teacher_best_score": trainer.state.best_score,
         "student_val_metric": student_score,
         "out_dir": str(out_dir),
@@ -474,8 +491,7 @@ def _pretrain_discriminator(trainer: Trainer, dataset) -> None:
     its D to trainer; trainer's generators and optimizers stay fresh."""
     cfg = trainer.cfg
     pre = Trainer(replace(cfg, discriminator_mode="pretrained_updating"), dataset, trainer.dtype)
-    steps_per_epoch = max(1, len(dataset) // cfg.batch_size)
-    for step, batch in enumerate(_batches(dataset, cfg, pre._order_seed ^ 0x5EED)):
-        pre.set_lr(lr_at(step / steps_per_epoch, cfg))
+    for step, _, lr, batch in _batches(dataset, cfg, pre._order_seed ^ 0x5EED):
+        pre.set_lr(lr)
         pre.train_step_teacher(batch, step)
     trainer.state.discriminator.flat[...] = pre.state.discriminator.flat

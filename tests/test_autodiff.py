@@ -565,6 +565,16 @@ class TestTensorFile:
             with pytest.raises(ValueError, match="cut.crdt"):
                 tensor_io.load_tensor(p)
 
+    @pytest.mark.parametrize("dims", [(65536,) * 4, (4294967295, 4294967295)])
+    def test_element_count_that_wraps_int64_is_truncation(self, tmp_path, dims):
+        # these dims' product wraps around in int64, to 0 and to a negative count:
+        # sized that way, the file passes the truncation check
+        p = tmp_path / "huge.crdt"
+        header = b"CRDT" + bytes([1]) + len(dims).to_bytes(4, "little")
+        p.write_bytes(header + b"".join(d.to_bytes(4, "little") for d in dims) + bytes(16))
+        with pytest.raises(ValueError, match="huge.crdt.*truncated payload"):
+            tensor_io.load_tensor(p)
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.crdt"
         p.write_bytes(b"NOPE" + bytes(16))

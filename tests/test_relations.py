@@ -162,7 +162,7 @@ class TestPairwiseDistances:
     def test_pair_values_are_the_relation_pass_distances(self, dtype, wrap):
         items = np.random.default_rng(5).normal(size=(7, 9)).astype(dtype)
         got = pairwise_distances(wrap(items)).pair_values.data
-        side = relations._Side(items, 1, None, None, 1e-12)
+        side = relations._Side(items, 1, None, None)
         assert got.dtype == dtype
         assert got.tobytes() == side.d.tobytes()
         composed = sqrt_guarded(composed_pair_sq(Tensor(items), 1), 1e-12)
@@ -222,7 +222,7 @@ class TestPhiA:
         stack = np.random.default_rng(6).normal(size=(3, 8)).astype(dtype)
         got = phi_a(*(Tensor(v) for v in stack)).data
         idx = relations._index(np.array([[0, 1, 2]]), 3, 1)
-        want = relations._Side(stack, 1, None, idx, 1e-12).phi[1]
+        want = relations._Side(stack, 1, None, idx).phi[1]
         assert got.shape == () and got.dtype == dtype
         assert got.tobytes() == want.tobytes()
 

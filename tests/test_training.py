@@ -474,7 +474,7 @@ class TestTargetCache:
             tr = Trainer(cfg, ds)
             sizes = _snapshot_forwards(monkeypatch, tr)
             rows = []
-            for step, batch in enumerate(training._batches(ds, cfg, tr._order_seed)):
+            for step, _, _, batch in training._batches(ds, cfg, tr._order_seed):
                 if empty:
                     tr.state.targets.clear()
                 t_losses = tr.train_step_teacher(batch, step)
@@ -537,6 +537,28 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="image_size"):
             train(cfg, ds, out)
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("pool, match", [("train", "fewer than batch_size 2"),
+                                             ("val", "val_inputs holds 1 images")])
+    def test_too_small_pool_writes_nothing(self, tmp_path, pool, match):
+        # a training pool below batch_size would run 0 steps and still write a run
+        cfg = tiny_config(batch_size=2)
+        ds = tiny_dataset(tiny_config(train_count=1) if pool == "train"
+                          else tiny_config(val_count=1))
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=match):
+            train(cfg, ds, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["invert", "shapes"])
+    def test_images_not_of_image_size_write_nothing(self, tmp_path, kind):
+        # 12x12 images under image_size 16 would fail in the first 8x8 patch split
+        cfg = tiny_config(patch=(8, 8))
+        ds = generate_dataset(SyntheticTask(kind, 12, cfg.train_count, cfg.val_count, cfg.seed))
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=r"shape \(4, 3, 12, 12\), but image_size 16"):
+            train(cfg, ds, out)
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["metrics.csv", "config.cfg"])
     def test_existing_run_directory_rejected(self, tmp_path, name):
