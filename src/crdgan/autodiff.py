@@ -878,6 +878,20 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(a - n) / denom).max(initial=0.0))
 
 
+def _check_gradient(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6) -> tuple:
+    """backward() against finite differences at x, in float64: (loss, flat analytic and
+    numeric gradients, worst relative error, index of the largest absolute difference)."""
+    xt = Tensor(x.data.astype(np.float64), requires_grad=True)
+    loss = f(xt)
+    backward(loss)
+    if xt.grad is None:
+        raise AssertionError("gradcheck: no gradient reached the input")
+    analytic = xt.grad.reshape(-1)
+    numeric = finite_diff_grad(f, xt, eps).data.reshape(-1)
+    worst = int(np.abs(analytic - numeric).argmax())
+    return loss.item(), analytic, numeric, max_rel_error(analytic, numeric), worst
+
+
 def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor,
               eps: float = 1e-6, tol: float = 1e-5) -> float:
     """Check backward() against finite differences; returns the worst error.
@@ -885,18 +899,9 @@ def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor,
     Raises AssertionError naming the worst coordinate when the tolerance is
     exceeded.  Run in float64: finite differences are unreliable in float32.
     """
-    xt = Tensor(x.data.astype(np.float64), requires_grad=True)
-    loss = f(xt)
-    backward(loss)
-    if xt.grad is None:
-        raise AssertionError("gradcheck: no gradient reached the input")
-    numeric = finite_diff_grad(f, xt, eps).data
-    analytic = xt.grad
-    err = max_rel_error(analytic, numeric)
+    _, analytic, numeric, err, worst = _check_gradient(f, x, eps)
     if err > tol:
-        diff = np.abs(analytic - numeric).reshape(-1)
-        worst = int(diff.argmax())
         raise AssertionError(
             f"gradcheck: relative error {err:.3e} > {tol:.1e} at flat index {worst} "
-            f"(analytic {analytic.reshape(-1)[worst]:.6e}, numeric {numeric.reshape(-1)[worst]:.6e})")
+            f"(analytic {analytic[worst]:.6e}, numeric {numeric[worst]:.6e})")
     return err

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, finite_diff_grad, max_rel_error, tmean
+from .autodiff import Tensor, _check_gradient, backward, tmean
 from .config import ConfigError, TrainConfig, parse_config, parse_patch
 from .datasets import TASK_KINDS, SyntheticTask, generate_dataset
 from .metrics import frechet_distance, pixel_error, pool_stats
@@ -24,15 +24,32 @@ from .relations import RelationConfig, crd_loss, sample_tuples
 from . import slicing, tensor_io, training
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for sizes and counts that must be at least 1."""
+def _int_at_least(low: int, kind: str):
+    """argparse type for an int of at least low: sizes and counts 1, budgets 0 (full)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} int, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_budget = _int_at_least(0, "non-negative")
+
+
+def _patch_dims(text: str) -> tuple:
+    """argparse type for ``slice --patch``: a :func:`parse_patch` spec of positive dims."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive int, got {value}")
-    return value
+        n, m = parse_patch(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if n < 1 or m < 1:
+        raise argparse.ArgumentTypeError(f"patch dims must be positive, got {text!r}")
+    return n, m
 
 
 def _positive_float(text: str) -> float:
@@ -66,20 +83,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_slice.add_argument("--out", required=True)
     p_slice.add_argument("--granularity", default="all",
                          choices=("all",) + slicing.GRANULARITIES)
-    p_slice.add_argument("--patch", default="8,8", help="patch dims: n, n,m or nxm")
+    p_slice.add_argument("--patch", type=_patch_dims, default="8,8",
+                         help="patch dims: n, n,m or nxm")
 
     p_grad = sub.add_parser("gradcheck", help="check loss gradients against finite differences")
     p_grad.add_argument("--size", type=_positive_int, default=8)
     p_grad.add_argument("--patch", type=_positive_int, default=4)
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
+    p_grad.add_argument("--budget", type=_budget, default=0, help="triplet budget, 0 = full")
     p_grad.add_argument("--tol", type=_positive_float, default=1e-4)
 
     p_bench = sub.add_parser("bench", help="tuple sampling, loss, generator, discriminator, "
                                            "Adam and perceptual forward/backward throughput, "
                                            "and a run's set-up")
     p_bench.add_argument("--size", type=_positive_int, default=32)
-    p_bench.add_argument("--budget", type=int, default=0, help="triplet budget, 0 = full")
+    p_bench.add_argument("--budget", type=_budget, default=0, help="triplet budget, 0 = full")
     p_bench.add_argument("--patch", type=_positive_int, default=8)
     p_bench.add_argument("--iters", type=_positive_int, default=5)
     p_bench.add_argument("--seed", type=int, default=0)
@@ -132,7 +150,7 @@ def _cmd_slice(args) -> int:
     img = tensor_io.load_tensor(args.input)
     if img.ndim != 3:
         raise ValueError(f"slice needs a [c,h,w] tensor file, got shape {img.shape}")
-    n, m = parse_patch(args.patch)
+    n, m = args.patch
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     grans = slicing.GRANULARITIES if args.granularity == "all" else (args.granularity,)
@@ -161,15 +179,9 @@ def _cmd_gradcheck(args) -> int:
     def loss_fn(x: Tensor) -> Tensor:
         return crd_loss(teacher, x, args.patch, args.patch, cfg)
 
-    student = Tensor(rng.uniform(-1, 1, (1, s, s)), requires_grad=True)
-    value = loss_fn(student)
-    backward(value)
-    numeric = finite_diff_grad(loss_fn, student, 1e-6).data
-    err = max_rel_error(student.grad, numeric)
-    flat_a = student.grad.reshape(-1)
-    flat_n = numeric.reshape(-1)
-    worst = int(np.abs(flat_a - flat_n).argmax())
-    print(f"loss,{value.item():.9g}")
+    student = Tensor(rng.uniform(-1, 1, (1, s, s)))
+    value, flat_a, flat_n, err, worst = _check_gradient(loss_fn, student)
+    print(f"loss,{value:.9g}")
     print(f"max_rel_error,{err:.3e}")
     print(f"worst_coordinate,{worst}")
     print(f"worst_analytic,{flat_a[worst]:.9e}")

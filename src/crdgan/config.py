@@ -1,7 +1,7 @@
 """Training configuration and its flat ``key = value`` file format.
 
-Every key matches a TrainConfig field (relation sub-fields are exposed
-flat, e.g. ``lambda_a`` or ``use_rows``).  Unknown keys and malformed
+Every key is a TrainConfig field, in field order (relation sub-fields are
+exposed flat, e.g. ``lambda_a`` or ``use_rows``).  Unknown keys and malformed
 values are errors that name the offending line.  Budgets accept 0 as
 "no budget" (full enumeration).
 """
@@ -9,11 +9,11 @@ values are errors that name the offending line.  Budgets accept 0 as
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Tuple
 
+from .models import GeneratorSpec
 from .relations import RelationConfig, _derive_seed
 
 DISCRIMINATOR_MODES = (
@@ -83,13 +83,7 @@ class TrainConfig:
         for name in ("seed", "extractor_seed", "sample_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for mult in (1, 2, 4):
-            # the student generator's layer widths, rounded as GeneratorSpec.layer_width does
-            width = self.base_width * mult * self.width_factor
-            if not (math.isfinite(width) and round(width) >= 1):
-                raise ValueError(f"width_factor {self.width_factor} makes a student layer "
-                                 f"{self.base_width}*{mult}*{self.width_factor} channels wide, "
-                                 f"which rounds below 1")
+        GeneratorSpec(self.base_width, self.width_factor, self.num_res_blocks).widths()
         size, (n, m) = self.image_size, self.patch
         if size % 4 != 0:
             raise ValueError(f"image_size must be a multiple of 4 (the generator "
@@ -109,39 +103,22 @@ def parse_patch(text: str) -> Tuple[int, int]:
     return n, m
 
 
-_RELATION_KEYS = {
-    "lambda_a": float,
-    "pair_budget": "budget",
-    "triplet_budget": "budget",
-    "use_columns": bool,
-    "use_rows": bool,
-    "use_patches": bool,
-    "relation_seed": int,
-}
+def _keys(cls) -> dict:
+    """key -> (field name, kind) for each config field of cls, in field order.  A value
+    parses by the type of its field's default, except ``patch`` (:func:`parse_patch`)
+    and the ``*_budget`` fields (0 is None); RelationConfig's seed is ``relation_seed``."""
+    table = {}
+    for f in dataclasses.fields(cls):
+        if f.name != "relation":
+            kind = parse_patch if f.name == "patch" else \
+                "budget" if f.name.endswith("_budget") else type(f.default)
+            key = "relation_seed" if cls is RelationConfig and f.name == "seed" else f.name
+            table[key] = (f.name, kind)
+    return table
 
-_CONFIG_KEYS = {
-    "epochs": int,
-    "lr0": float,
-    "batch_size": int,
-    "lambda_crd": float,
-    "lambda_per": float,
-    "patch": parse_patch,
-    "teacher_eval_interval": int,
-    "gan_mode": str,
-    "seed": int,
-    "discriminator_mode": str,
-    "image_size": int,
-    "base_width": int,
-    "width_factor": float,
-    "num_res_blocks": int,
-    "disc_layers": int,
-    "disc_base_width": int,
-    "train_count": int,
-    "val_count": int,
-    "distill_from_live": bool,
-    "extractor_seed": int,
-    "sample_every": int,
-}
+
+_CONFIG_KEYS = _keys(TrainConfig)
+_RELATION_KEYS = _keys(RelationConfig)
 
 
 class ConfigError(ValueError):
@@ -181,13 +158,12 @@ def parse_config(path) -> TrainConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
         raw = raw.split("#", 1)[0].strip()
-        if key in _CONFIG_KEYS:
-            values[key] = _parse_value(key, _CONFIG_KEYS[key], raw, lineno)
-        elif key in _RELATION_KEYS:
-            dest = "seed" if key == "relation_seed" else key
-            relation_values[dest] = _parse_value(key, _RELATION_KEYS[key], raw, lineno)
-        else:
+        table, dest = (_CONFIG_KEYS, values) if key in _CONFIG_KEYS \
+            else (_RELATION_KEYS, relation_values)
+        if key not in table:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        name, kind = table[key]
+        dest[name] = _parse_value(key, kind, raw, lineno)
     try:
         relation = RelationConfig(**relation_values)
         cfg = TrainConfig(relation=relation, **values)
@@ -199,18 +175,14 @@ def parse_config(path) -> TrainConfig:
 def write_config(cfg: TrainConfig, path) -> None:
     """Round-trippable dump of a TrainConfig in the flat file format."""
     lines = []
-    for key in _CONFIG_KEYS:
-        v = getattr(cfg, key)
-        if key == "patch":
-            v = f"{v[0]},{v[1]}"
-        lines.append(f"{key} = {v}")
-    rel = cfg.relation
-    for key in _RELATION_KEYS:
-        attr = "seed" if key == "relation_seed" else key
-        v = getattr(rel, attr)
-        if key in ("pair_budget", "triplet_budget"):
-            v = 0 if v is None else v
-        lines.append(f"{key} = {v}")
+    for table, owner in ((_CONFIG_KEYS, cfg), (_RELATION_KEYS, cfg.relation)):
+        for key, (name, kind) in table.items():
+            v = getattr(owner, name)
+            if kind is parse_patch:
+                v = f"{v[0]},{v[1]}"
+            elif kind == "budget" and v is None:
+                v = 0
+            lines.append(f"{key} = {v}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

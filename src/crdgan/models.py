@@ -21,6 +21,7 @@ none of them: gradients then reach the input only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,6 +34,7 @@ from .autodiff import (
 from . import tensor_io
 
 INIT_STD = 0.02
+IMAGE_CHANNELS = 3      # the generators' input and output channels (RGB)
 
 
 @dataclass(frozen=True)
@@ -40,15 +42,15 @@ class GeneratorSpec:
     base_width: int = 32
     width_factor: float = 1.0
     num_res_blocks: int = 3
-    in_channels: int = 3
-    out_channels: int = 3
 
-    def layer_width(self, mult: int) -> int:
-        w = int(round(self.base_width * mult * self.width_factor))
-        if w < 1:
-            raise ValueError(
-                f"width {self.base_width}*{mult}*{self.width_factor} rounds to zero")
-        return w
+    def widths(self) -> tuple:
+        """The 1x, 2x and 4x layer widths: base_width * mult * width_factor, rounded."""
+        widths = tuple(self.base_width * mult * self.width_factor for mult in (1, 2, 4))
+        if not all(math.isfinite(w) and round(w) >= 1 for w in widths):
+            raise ValueError(f"width_factor {self.width_factor} makes the generator's layers "
+                             f"{self.base_width}*(1, 2, 4)*{self.width_factor} = {widths} "
+                             f"channels wide; each must be finite and round above zero")
+        return tuple(int(round(w)) for w in widths)
 
 
 @dataclass(frozen=True)
@@ -304,11 +306,9 @@ class ResnetGenerator(_Module):
         super().__init__()
         self.spec = spec
         rng = np.random.default_rng(seed)
-        w1 = spec.layer_width(1)
-        w2 = spec.layer_width(2)
-        w4 = spec.layer_width(4)
+        w1, w2, w4 = spec.widths()
         dt = dtype
-        self.stem = self._add(_ConvLayer(rng, spec.in_channels, w1, 7, 1, 3, bias=False, dtype=dt))
+        self.stem = self._add(_ConvLayer(rng, IMAGE_CHANNELS, w1, 7, 1, 3, bias=False, dtype=dt))
         self.down1 = self._add(_ConvLayer(rng, w1, w2, 3, 2, 1, bias=False, dtype=dt))
         self.down2 = self._add(_ConvLayer(rng, w2, w4, 3, 2, 1, bias=False, dtype=dt))
         self.res = []
@@ -320,7 +320,7 @@ class ResnetGenerator(_Module):
                                           upsample=True))
         self.up2 = self._add(_ConvLayer(rng, w2, w1, 3, 1, 1, bias=False, dtype=dt,
                                           upsample=True))
-        self.head = self._add(_ConvLayer(rng, w1, spec.out_channels, 7, 1, 3, dtype=dt))
+        self.head = self._add(_ConvLayer(rng, w1, IMAGE_CHANNELS, 7, 1, 3, dtype=dt))
 
         steps = []
         for layer in (self.stem, self.down1, self.down2):

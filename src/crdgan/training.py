@@ -105,13 +105,14 @@ def _check_finite(phase: str, step: int, **losses) -> None:
                                      f"aborting")
 
 
-def generate(generator, images, batch_size: int, dtype=np.float32) -> np.ndarray:
-    """Frozen generator outputs for a [c,h,w] image or a [n,c,h,w] stack.
+def generate(generator, images, batch_size: int) -> np.ndarray:
+    """Frozen generator outputs for a [c,h,w] image or a [n,c,h,w] stack,
+    cast to the generator's dtype.
 
     A stack runs in chunks of at most batch_size images, so evaluation never
     holds larger activations (or conv column matrices) than a training step.
     """
-    x = np.asarray(images, dtype=dtype)
+    x = np.asarray(images, dtype=generator.flat.dtype)
     if x.ndim == 3:
         return generator(Tensor(x), frozen=True).data
     return np.concatenate([generator(Tensor(x[i:i + batch_size]), frozen=True).data
@@ -340,13 +341,13 @@ class Trainer:
     def teacher_generate(self, x_np: np.ndarray) -> np.ndarray:
         """Live teacher output for a [c,h,w] image or a [n,c,h,w] stack
         (evaluation only; see :func:`generate`)."""
-        return generate(self.state.generator, x_np, self.cfg.batch_size, self.dtype)
+        return generate(self.state.generator, x_np, self.cfg.batch_size)
 
     def best_generate(self, x_np: np.ndarray) -> np.ndarray:
-        return generate(self.state.best_generator, x_np, self.cfg.batch_size, self.dtype)
+        return generate(self.state.best_generator, x_np, self.cfg.batch_size)
 
     def student_generate(self, x_np: np.ndarray) -> np.ndarray:
-        return generate(self.student, x_np, self.cfg.batch_size, self.dtype)
+        return generate(self.student, x_np, self.cfg.batch_size)
 
     def maybe_update_snapshot(self, val_set, metric: Callable, step: int) -> bool:
         """Evaluate the live teacher every interval steps; keep it if better.
@@ -394,10 +395,12 @@ def _batches(dataset, cfg: TrainConfig, order_seed: int):
 
 def _check_dataset(cfg: TrainConfig, dataset) -> None:
     """Reject a dataset that does not fit cfg: pools of [3, image_size, image_size]
-    images, at least batch_size training images (or no step runs), 2 per validation pool."""
+    images, at least batch_size training images (or no step runs), 2 per validation pool
+    and target pools that line up with their inputs."""
     size = cfg.image_size
     names = ("train_inputs", "train_targets", "val_inputs", "val_targets") if dataset.paired \
         else ("train_a", "train_b", "val_a", "val_b")
+    counts = []
     for name in names:
         shape = np.shape(getattr(dataset, name))
         if shape[1:] != (3, size, size):
@@ -405,6 +408,12 @@ def _check_dataset(cfg: TrainConfig, dataset) -> None:
                              f"needs a stack of [3, {size}, {size}] images")
         if name.startswith("val") and shape[0] < 2:
             raise ValueError(f"dataset pool {name} holds {shape[0]} images; validation needs >= 2")
+        counts.append(shape[0])
+    a, b, val_a, val_b = counts
+    if ((b, val_b) != (a, val_a)) if dataset.paired else b < a:
+        raise ValueError(f"dataset pools {dict(zip(names, counts))} do not line up: a paired "
+                         f"target pool needs one image per input, an unpaired train_b at "
+                         f"least as many images as train_a")
     if len(dataset) < cfg.batch_size:
         raise ValueError(f"the training pool holds {len(dataset)} images, fewer than "
                          f"batch_size {cfg.batch_size}: no step would run")
@@ -459,14 +468,11 @@ def train(cfg: TrainConfig, dataset, out_dir) -> dict:
             s_losses = trainer.train_step_student(batch, step)
             evaluated = step % cfg.teacher_eval_interval == 0
             replaced = trainer.maybe_update_snapshot(val_set, metric, step)
-            row = [str(epoch), str(step), _fmt(lr),
-                   _fmt(t_losses["d_loss_T"]), _fmt(t_losses["g_loss_T"]),
-                   _fmt(s_losses["adv_loss_S"]), _fmt(s_losses["crd_d"]),
-                   _fmt(s_losses["crd_a"]), _fmt(s_losses["per_loss"]),
-                   _fmt(s_losses["total_S"]),
-                   _fmt(trainer.state.best_score) if evaluated else "",
-                   ("1" if replaced else "0") if evaluated else ""]
-            fh.write(",".join(row) + "\n")
+            cells = {"epoch": str(epoch), "step": str(step), "lr": _fmt(lr),
+                     "val_metric": _fmt(trainer.state.best_score) if evaluated else "",
+                     "snapshot_replaced": ("1" if replaced else "0") if evaluated else ""}
+            cells.update((k, _fmt(v)) for k, v in {**t_losses, **s_losses}.items())
+            fh.write(",".join(cells[name] for name in CSV_HEADER.split(",")) + "\n")
             # a grid at the first step of every sample_every-th epoch
             if cfg.sample_every and epoch % cfg.sample_every == 0 and epoch != sampled_epoch:
                 _write_samples(trainer, dataset, samples_dir / f"step_{step:06d}.ppm")

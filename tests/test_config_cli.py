@@ -70,6 +70,27 @@ class TestParseConfig:
         write_config(cfg, p)
         assert parse_config(p) == cfg
 
+    def test_round_trip_every_key(self, tmp_path):
+        # every field differs from its default, so a key that drops out of
+        # write_config or parse_config shows as a default
+        relation = config.RelationConfig(lambda_a=0.5, pair_budget=7, triplet_budget=9,
+                                         use_columns=False, use_rows=False, use_patches=False,
+                                         seed=13)
+        cfg = TrainConfig(epochs=7, lr0=1e-3, batch_size=2, lambda_crd=2.5, lambda_per=0.5,
+                          relation=relation, patch=(4, 8), teacher_eval_interval=3,
+                          gan_mode="vanilla", seed=11, discriminator_mode="pretrained_frozen",
+                          image_size=16, base_width=8, width_factor=0.5, num_res_blocks=1,
+                          disc_layers=2, disc_base_width=4, train_count=6, val_count=3,
+                          distill_from_live=True, extractor_seed=5, sample_every=2)
+        defaults = TrainConfig()
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
+        for f in dataclasses.fields(config.RelationConfig):
+            assert getattr(relation, f.name) != getattr(defaults.relation, f.name), f.name
+        p = tmp_path / "rt.cfg"
+        write_config(cfg, p)
+        assert parse_config(p) == cfg
+
     def test_key_tables_name_every_field_once(self):
         # a field without a key would silently keep its default through write/parse
         train = {f.name for f in dataclasses.fields(TrainConfig)} - {"relation"}
@@ -273,6 +294,24 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage: crdgan gradcheck")
         assert "argument --tol: must be a finite positive float" in err
+
+    @pytest.mark.parametrize("command", ["gradcheck", "bench"])
+    def test_negative_budget_is_usage_error(self, command, capsys):
+        # 0 is full enumeration; below it RelationConfig's message named no flag
+        assert main([command, "--budget", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: crdgan " + command)
+        assert "argument --budget: must be a non-negative int, got -1" in err
+
+    @pytest.mark.parametrize("spec", ["0", "4,-2"])
+    def test_nonpositive_slice_patch_is_usage_error(self, tmp_path, spec, capsys):
+        out = tmp_path / "s"
+        assert main(["slice", "--input", str(tmp_path / "img.crdt"), "--out", str(out),
+                     "--patch", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: crdgan slice")
+        assert f"argument --patch: patch dims must be positive, got {spec!r}" in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -489,12 +528,12 @@ class TestCliSlice:
         assert lines == [f"patch,{i},8" for i in range(8)]
 
     @pytest.mark.parametrize("spec", ["4x2x1", "4,", "four"])
-    def test_bad_patch_spec_exits_1(self, tmp_path, capsys, spec):
+    def test_bad_patch_spec_is_usage_error(self, tmp_path, capsys, spec):
         src = tmp_path / "img.crdt"
         tensor_io.save_tensor(src, np.zeros((1, 8, 8), dtype=np.float32))
         assert main(["slice", "--input", str(src), "--out", str(tmp_path / "s"),
-                     "--patch", spec]) == 1
-        assert capsys.readouterr().err.startswith(f"error: bad patch spec {spec!r}")
+                     "--patch", spec]) == 2
+        assert f"argument --patch: bad patch spec {spec!r}" in capsys.readouterr().err
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(f"patch = {spec}\n")
         with pytest.raises(ConfigError, match="line 1.*patch"):

@@ -560,6 +560,29 @@ class TestTrainLoop:
             train(cfg, ds, out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, pool, count, match", [
+        ("shapes", "train_b", 2, r"'train_a': 4, 'train_b': 2, .* do not line up"),
+        ("invert", "train_targets", 2, r"'train_inputs': 4, 'train_targets': 2, .* do not line"),
+        ("invert", "val_targets", 2, r"'val_inputs': 3, 'val_targets': 2}"),
+    ])
+    def test_misaligned_pools_write_nothing(self, tmp_path, kind, pool, count, match):
+        # a short target pool would fail mid-epoch (or at the first snapshot)
+        # after config.cfg, metrics.csv and samples/ were written
+        cfg = tiny_config(val_count=3)
+        ds = tiny_dataset(cfg, kind)
+        setattr(ds, pool, getattr(ds, pool)[:count])
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=match):
+            train(cfg, ds, out)
+        assert not out.exists()
+
+    def test_longer_unpaired_target_pool_trains(self, tmp_path):
+        # an epoch draws len(train_a) targets; extra train_b images are never picked
+        cfg = tiny_config(val_count=3)
+        ds = tiny_dataset(cfg, "shapes")
+        ds.train_a = ds.train_a[:3]
+        assert train(cfg, ds, tmp_path / "run")["steps"] == 3
+
     @pytest.mark.parametrize("name", ["metrics.csv", "config.cfg"])
     def test_existing_run_directory_rejected(self, tmp_path, name):
         cfg = tiny_config()
