@@ -25,7 +25,7 @@ from . import slicing, tensor_io, training
 
 
 def _int_at_least(low: int, kind: str):
-    """argparse type for an int of at least low: sizes and counts 1, budgets 0 (full)."""
+    """argparse type for an int of at least low: sizes and counts 1, seeds 0, budgets 0 (full)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -38,7 +38,7 @@ def _int_at_least(low: int, kind: str):
 
 
 _positive_int = _int_at_least(1, "positive")
-_budget = _int_at_least(0, "non-negative")
+_nonneg_int = _int_at_least(0, "non-negative")
 
 
 def _patch_dims(text: str) -> tuple:
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True, help="flat key=value config file")
     p_train.add_argument("--task", required=True, choices=TASK_KINDS)
     p_train.add_argument("--out", required=True, help="fresh run directory")
-    p_train.add_argument("--seed", type=int, default=None, help="override config seed")
+    p_train.add_argument("--seed", type=_nonneg_int, default=None, help="override config seed")
 
     p_eval = sub.add_parser("eval", help="evaluate a finished run's checkpoints")
     p_eval.add_argument("--run", required=True, help="run directory from train")
@@ -89,18 +89,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="check loss gradients against finite differences")
     p_grad.add_argument("--size", type=_positive_int, default=8)
     p_grad.add_argument("--patch", type=_positive_int, default=4)
-    p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--budget", type=_budget, default=0, help="triplet budget, 0 = full")
+    p_grad.add_argument("--seed", type=_nonneg_int, default=0)
+    p_grad.add_argument("--budget", type=_nonneg_int, default=0, help="triplet budget, 0 = full")
     p_grad.add_argument("--tol", type=_positive_float, default=1e-4)
 
     p_bench = sub.add_parser("bench", help="tuple sampling, loss, generator, discriminator, "
                                            "Adam and perceptual forward/backward throughput, "
                                            "and a run's set-up")
     p_bench.add_argument("--size", type=_positive_int, default=32)
-    p_bench.add_argument("--budget", type=_budget, default=0, help="triplet budget, 0 = full")
+    p_bench.add_argument("--budget", type=_nonneg_int, default=0, help="triplet budget, 0 = full")
     p_bench.add_argument("--patch", type=_positive_int, default=8)
     p_bench.add_argument("--iters", type=_positive_int, default=5)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_nonneg_int, default=0)
     return parser
 
 

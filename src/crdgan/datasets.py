@@ -81,17 +81,24 @@ def _image_rng(seed: int, stream: int, index: int) -> np.random.Generator:
 _CHUNK = 32
 
 
+# A texture's 27 values in draw order, with the bounds each is drawn between:
+# per channel a ramp (gx, gy, offset), then per blob (cy, cx, radius, three
+# colour weights).
+_TEXTURE_LOW, _TEXTURE_HIGH = np.array(
+    [(-1, 1), (-1, 1), (-0.2, 0.2)] * 3
+    + [(-0.8, 0.8), (-0.8, 0.8), (0.15, 0.5), (-0.9, 0.9), (-0.9, 0.9), (-0.9, 0.9)] * 3).T
+_RADII = (11, 17, 23)     # after the 9 ramp values, the third of each blob's 6
+
+
 def _texture_params(rng: np.random.Generator) -> list:
-    """27 draws: per channel a ramp (gx, gy, offset), then per blob
-    (cy, cx, 2*radius**2, three colour weights)."""
-    params = []
-    for _ in range(3):
-        gx, gy = rng.uniform(-1, 1, 2)
-        params += (gx, gy, rng.uniform(-0.2, 0.2))
-    for _ in range(3):
-        cy, cx = rng.uniform(-0.8, 0.8, 2)
-        radius = rng.uniform(0.15, 0.5)
-        params += (cy, cx, 2 * radius ** 2, *rng.uniform(-0.9, 0.9, 3))
+    """27 values from one uniform draw over per-value bounds: per channel a
+    ramp (gx, gy, offset), then per blob (cy, cx, 2*radius**2, three colour
+    weights).  Each value is numpy's ``low + (high - low) * u`` for the next
+    u of the stream, as the per-value calls gave it, and each radius becomes
+    ``2 * radius ** 2`` as a Python float."""
+    params = rng.uniform(_TEXTURE_LOW, _TEXTURE_HIGH).tolist()
+    for i in _RADII:
+        params[i] = 2 * params[i] ** 2
     return params
 
 

@@ -92,9 +92,10 @@ def _add_grad(p: Tensor, view: np.ndarray, g: np.ndarray) -> None:
 class _Module:
     """Shared parameter bookkeeping and the one-node forward of a network.
 
-    A subclass adds its layers with ``_add``, lists its forward as steps with
-    ``_set_steps`` and then calls ``_pack``, which moves every parameter into
-    ``flat``: one contiguous vector of the module's dtype, in
+    A subclass's ``_build(rng, dtype)`` adds its layers with ``_add``, drawing
+    their initial weights from ``rng``, and lists its forward as steps with
+    ``_set_steps``; ``__init__`` then calls ``_pack``, which moves every
+    parameter into ``flat``: one contiguous vector of the module's dtype, in
     ``named_parameters`` order, with each parameter's ``data`` a C-contiguous
     view into it.  Nothing rebinds ``data`` afterwards: Adam, checkpoint loads
     and snapshot copies write into the views, so a whole module's values are
@@ -108,9 +109,12 @@ class _Module:
 
     kind: str             # "generator" or "discriminator": names the node and its layers
 
-    def __init__(self):
+    def __init__(self, spec, rng, dtype):
+        self.spec = spec
         self._layers: list[_ConvLayer] = []
         self._steps: list = []
+        self._build(rng, dtype)
+        self._pack()
 
     def _add(self, layer: _ConvLayer) -> _ConvLayer:
         self._layers.append(layer)
@@ -303,16 +307,15 @@ class ResnetGenerator(_Module):
     kind = "generator"
 
     def __init__(self, spec: GeneratorSpec, seed: int, dtype=np.float32):
-        super().__init__()
-        self.spec = spec
-        rng = np.random.default_rng(seed)
-        w1, w2, w4 = spec.widths()
-        dt = dtype
+        super().__init__(spec, np.random.default_rng(seed), dtype)
+
+    def _build(self, rng, dt) -> None:
+        w1, w2, w4 = self.spec.widths()
         self.stem = self._add(_ConvLayer(rng, IMAGE_CHANNELS, w1, 7, 1, 3, bias=False, dtype=dt))
         self.down1 = self._add(_ConvLayer(rng, w1, w2, 3, 2, 1, bias=False, dtype=dt))
         self.down2 = self._add(_ConvLayer(rng, w2, w4, 3, 2, 1, bias=False, dtype=dt))
         self.res = []
-        for _ in range(spec.num_res_blocks):
+        for _ in range(self.spec.num_res_blocks):
             c1 = self._add(_ConvLayer(rng, w4, w4, 3, 1, 1, bias=False, dtype=dt))
             c2 = self._add(_ConvLayer(rng, w4, w4, 3, 1, 1, bias=False, dtype=dt))
             self.res.append((c1, c2))
@@ -331,7 +334,6 @@ class ResnetGenerator(_Module):
         for layer in (self.up1, self.up2):
             steps += self._layer_steps(layer, "instance_norm", "relu")
         self._set_steps(steps + self._layer_steps(self.head, "tanh"))
-        self._pack()
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
         return self._run(x, frozen)
@@ -343,14 +345,14 @@ class PatchDiscriminator(_Module):
     kind = "discriminator"
 
     def __init__(self, spec: DiscriminatorSpec, seed: int, dtype=np.float32):
-        super().__init__()
-        self.spec = spec
-        rng = np.random.default_rng(seed)
-        cin = spec.in_channels
-        width = spec.base_width
+        super().__init__(spec, np.random.default_rng(seed), dtype)
+
+    def _build(self, rng, dtype) -> None:
+        cin = self.spec.in_channels
+        width = self.spec.base_width
         self.body = []
         steps = []
-        for i in range(spec.num_layers):
+        for i in range(self.spec.num_layers):
             cout = width * (2 ** i)
             layer = self._add(_ConvLayer(rng, cin, cout, 4, 2, 1, bias=i == 0, dtype=dtype))
             self.body.append(layer)
@@ -358,7 +360,6 @@ class PatchDiscriminator(_Module):
             cin = cout
         self.head = self._add(_ConvLayer(rng, cin, 1, 3, 1, 1, dtype=dtype))
         self._set_steps(steps + self._layer_steps(self.head))
-        self._pack()
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
         return self._run(x, frozen)
@@ -370,6 +371,25 @@ def build_generator(spec: GeneratorSpec, seed: int, dtype=np.float32) -> ResnetG
 
 def build_discriminator(spec: DiscriminatorSpec, seed: int, dtype=np.float32) -> PatchDiscriminator:
     return PatchDiscriminator(spec, seed, dtype)
+
+
+class _Undrawn:
+    """The init generator of a module whose values are written in after it is
+    built: ``normal`` draws nothing and returns zeros."""
+
+    @staticmethod
+    def normal(loc, scale, size) -> np.ndarray:
+        return np.zeros(size)
+
+
+def _copy_module(module: _Module) -> _Module:
+    """A new module of ``module``'s class, spec and dtype holding a copy of its
+    values, built without drawing an initialisation: it owns its ``flat`` and
+    parameter views and has no ``flat_grad``."""
+    twin = object.__new__(type(module))
+    _Module.__init__(twin, module.spec, _Undrawn, module.flat.dtype)
+    twin.flat[...] = module.flat
+    return twin
 
 
 # -- adversarial objective ------------------------------------------------------

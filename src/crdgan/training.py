@@ -37,7 +37,7 @@ from .config import TrainConfig, relation_for_step, write_config
 from .metrics import frechet_distance, pixel_error, pool_stats
 from .models import (
     Adam, DiscriminatorSpec, GeneratorSpec, PatchDiscriminator,
-    ResnetGenerator, build_discriminator, build_generator,
+    ResnetGenerator, _copy_module, build_discriminator, build_generator,
     discriminator_loss, generator_adv_loss, save_checkpoint,
 )
 from .perceptual import FeatureExtractor, perceptual_loss
@@ -150,17 +150,23 @@ def run_seeds(seed: int) -> tuple:
 
 
 def build_models(cfg: TrainConfig, dtype=np.float32) -> dict:
-    """A run's four networks by checkpoint role, initialised from cfg.seed."""
+    """A run's four networks by checkpoint role, initialised from cfg.seed.
+
+    The best snapshot starts as a copy of the teacher's initial parameters,
+    not a second draw from the teacher's seed; it shares no memory with the
+    teacher.
+    """
     t_seed, s_seed, d_seed, _ = run_seeds(cfg.seed)
     gen_spec = GeneratorSpec(base_width=cfg.base_width, width_factor=1.0,
                              num_res_blocks=cfg.num_res_blocks)
     disc_spec = DiscriminatorSpec(num_layers=cfg.disc_layers, base_width=cfg.disc_base_width)
+    teacher = build_generator(gen_spec, t_seed, dtype)
     return {
-        "teacher_generator": build_generator(gen_spec, t_seed, dtype),
+        "teacher_generator": teacher,
         "teacher_discriminator": build_discriminator(disc_spec, d_seed, dtype),
         "student_generator": build_generator(replace(gen_spec, width_factor=cfg.width_factor),
                                              s_seed, dtype),
-        "best_snapshot": build_generator(gen_spec, t_seed, dtype),
+        "best_snapshot": _copy_module(teacher),
     }
 
 

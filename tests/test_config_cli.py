@@ -303,6 +303,21 @@ class TestCliExitCodes:
         assert err.startswith("usage: crdgan " + command)
         assert "argument --budget: must be a non-negative int, got -1" in err
 
+    @pytest.mark.parametrize("command", ["train", "gradcheck", "bench"])
+    def test_negative_or_non_int_seed_is_usage_error(self, tmp_path, tiny_cfg_file, command,
+                                                       capsys):
+        # train's config check and numpy's seeding gave exit 1 without naming the flag
+        out = tmp_path / "out"
+        required = {"train": ["--config", str(tiny_cfg_file), "--task", "invert",
+                              "--out", str(out)]}.get(command, [])
+        for seed, message in (("-1", "must be a non-negative int, got -1"),
+                              ("abc", "invalid int value: 'abc'")):
+            assert main([command, *required, "--seed", seed]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: crdgan " + command)
+            assert f"argument --seed: {message}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", ["0", "4,-2"])
     def test_nonpositive_slice_patch_is_usage_error(self, tmp_path, spec, capsys):
         out = tmp_path / "s"
@@ -374,17 +389,16 @@ class TestCliTrainEval:
         assert err.startswith("error: non-finite g_loss_T=nan in the teacher phase at step 0")
 
     @pytest.mark.parametrize("bad", ["width_factor = 0.01", "seed = -1",
-                                     "extractor_seed = -5", "sample_every = -1", "--seed -1",
+                                     "extractor_seed = -5", "sample_every = -1",
                                      "batch_size = 5", "val_count = 1"])
     def test_train_rejects_a_bad_config_before_writing(self, tiny_cfg_file, tmp_path,
                                                         capsys, bad):
         cfg = tmp_path / "bad.cfg"
-        override = bad.split() if bad.startswith("--") else []
-        cfg.write_text(tiny_cfg_file.read_text() + ("" if override else bad + "\n"))
+        cfg.write_text(tiny_cfg_file.read_text() + bad + "\n")
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--task", "invert",
-                     "--out", str(out)] + override) == 1
-        key = bad.lstrip("-").split()[0]
+                     "--out", str(out)]) == 1
+        key = bad.split()[0]
         assert capsys.readouterr().err.startswith(f"error: {key} ")
         assert not out.exists()
 

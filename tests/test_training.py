@@ -258,6 +258,27 @@ class TestStudentStep:
 
 
 class TestSnapshot:
+    def test_initial_snapshot_is_an_unshared_copy_of_the_teacher_init(self):
+        cfg = tiny_config()
+        nets = build_models(cfg)
+        teacher, snapshot = nets["teacher_generator"], nets["best_snapshot"]
+        gen_spec = models.GeneratorSpec(base_width=cfg.base_width,
+                                        num_res_blocks=cfg.num_res_blocks)
+        drawn = models.build_generator(gen_spec, training.run_seeds(cfg.seed)[0])
+        assert snapshot.flat.tobytes() == drawn.flat.tobytes()
+        assert snapshot.flat_grad is None
+        for arr in [teacher.flat, *(p.data for p in teacher.parameters())]:
+            assert not np.shares_memory(snapshot.flat, arr)
+        for p in snapshot.parameters():
+            assert np.shares_memory(p.data, snapshot.flat)
+
+        before = snapshot.flat.tobytes()
+        x = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 16, 16)).astype(np.float32))
+        backward(autodiff.tmean(teacher(x)))
+        models.Adam(teacher.parameters(), cfg.lr0).step()
+        assert teacher.flat.tobytes() != drawn.flat.tobytes()
+        assert snapshot.flat.tobytes() == before
+
     def test_first_evaluation_always_replaces(self):
         cfg = tiny_config(teacher_eval_interval=1)
         tr = Trainer(cfg, tiny_dataset(cfg))
