@@ -37,6 +37,7 @@ __all__ = [
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 NORM_EPS = 1e-5           # instance_norm's variance floor
+LEAKY_SLOPE = 0.2         # leaky_relu's negative slope: the discriminator's and the extractor's
 _seq_counter = itertools.count()
 _finite_checks = False
 
@@ -268,7 +269,7 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.maximum(a.data, 0), "relu", (a,), back)
 
 
-def _leaky_slope(a: np.ndarray, alpha: float) -> np.ndarray:
+def _leaky_slope(a: np.ndarray, alpha: float = LEAKY_SLOPE) -> np.ndarray:
     """leaky_relu's slope per element of a: its output is a * slope, its
     input gradient g * slope."""
     # taken from a two-entry table (np.where on a random mask runs several
@@ -276,7 +277,7 @@ def _leaky_slope(a: np.ndarray, alpha: float) -> np.ndarray:
     return np.array([alpha, 1.0], dtype=a.dtype).take((a > 0).view(np.uint8))
 
 
-def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
+def leaky_relu(a: Tensor, alpha: float = LEAKY_SLOPE) -> Tensor:
     slope = _leaky_slope(a.data, alpha)
 
     def back(g):
@@ -473,9 +474,7 @@ def huber(a: Tensor, b: Tensor) -> Tensor:
     a, b = _operands(a, b)
     _check_binary_shapes("huber", a, b)
     d = a.data - b.data
-    quad = np.abs(d) <= 1.0
-    y = np.where(quad, 0.5 * d * d, np.abs(d) - 0.5)
-    dd = np.where(quad, d, np.sign(d))
+    dd = _huber_slope(d)
 
     def back(g):
         if a.requires_grad:
@@ -483,13 +482,29 @@ def huber(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_collapse(-g * dd, b.shape))
 
-    return _result(y, "huber", (a, b), back)
+    return _result(_huber(d), "huber", (a, b), back)
+
+
+def _huber(d: np.ndarray) -> np.ndarray:
+    """:func:`huber`'s value at the differences d."""
+    return np.where(np.abs(d) <= 1.0, 0.5 * d * d, np.abs(d) - 0.5)
+
+
+def _huber_slope(d: np.ndarray) -> np.ndarray:
+    """:func:`huber`'s derivative in a at the differences d."""
+    return np.where(np.abs(d) <= 1.0, d, np.sign(d))
 
 
 # -- structured ops for conv nets ---------------------------------------------
 #
 # Activations are channels-last, [B,H,W,C], and conv kernels are
 # [kh,kw,Cin,Cout]: a conv window is then kh runs of kw*C contiguous floats.
+
+
+def _conv_size(n: int, k: int, stride: int = 1, padding: int = 0) -> int:
+    """A conv's output length along an input axis of length n, for kernel
+    length k: floor((n + 2*padding - k) / stride) + 1."""
+    return (n + 2 * padding - k) // stride + 1
 
 
 def _pad(a: np.ndarray, top: int, left: int, bottom: int, right: int) -> np.ndarray:
@@ -545,7 +560,7 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """
     xp = np.ascontiguousarray(xp)
     bsz, h, w, c = xp.shape
-    ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
+    ho, wo = _conv_size(h, kh, stride), _conv_size(w, kw, stride)
     sb, sh, sw, sc = xp.strides
     win = np.ndarray((bsz, ho, wo, kh, kw, c), xp.dtype, xp, 0,
                      (sb, sh * stride, sw * stride, sh, sw, sc))
@@ -634,8 +649,8 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride:
         out = _mec_conv(cols, w.reshape(kh, kw * cin, cout))
     else:
         cols = _im2col(xp, kh, kw, stride)
-        out = (cols @ w.reshape(-1, cout)).reshape(bsz, (hp - kh) // stride + 1,
-                                                   (wp - kw) // stride + 1, cout)
+        out = (cols @ w.reshape(-1, cout)).reshape(bsz, _conv_size(hp, kh, stride),
+                                                   _conv_size(wp, kw, stride), cout)
     if b is not None:
         out += b
     return out, (cols if keep_cols else None)
@@ -696,9 +711,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of [B,H,W,Cin] with kernels [kh,kw,Cin,Cout].
 
-    Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
-    width), and the output is [B,Ho,Wo,Cout].  Gradients are defined for the
-    input, the kernel and the bias.  The arithmetic is the kernel pair
+    The output is [B,Ho,Wo,Cout], its spatial size :func:`_conv_size`.
+    Gradients are defined for the input, the kernel and the bias.  The
+    arithmetic is the kernel pair
     :func:`_conv_forward` / :func:`_conv_backward`, which the networks'
     nodes in ``models`` call as well.
 

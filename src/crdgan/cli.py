@@ -17,7 +17,6 @@ import numpy as np
 from .autodiff import Tensor, _check_gradient, backward, tmean
 from .config import ConfigError, TrainConfig, parse_config, parse_patch
 from .datasets import TASK_KINDS, SyntheticTask, generate_dataset
-from .metrics import frechet_distance, pixel_error, pool_stats
 from .models import Adam, load_checkpoint
 from .perceptual import FeatureExtractor, perceptual_loss
 from .relations import RelationConfig, crd_loss, sample_tuples
@@ -104,14 +103,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dataset(cfg: TrainConfig, kind: str):
+    """The synthetic dataset of task kind at cfg's image size, pool counts and seed."""
+    return generate_dataset(SyntheticTask(kind, cfg.image_size, cfg.train_count,
+                                          cfg.val_count, cfg.seed))
+
+
 def _cmd_train(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.validate()
-    task = SyntheticTask(args.task, cfg.image_size, cfg.train_count, cfg.val_count, cfg.seed)
-    dataset = generate_dataset(task)
-    report = training.train(cfg, dataset, args.out)
+    report = training.train(cfg, _dataset(cfg, args.task), args.out)
     for key in ("steps", "teacher_best_score", "student_val_metric", "out_dir"):
         print(f"{key},{report[key]}")
     return 0
@@ -120,23 +123,21 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run)
     cfg = parse_config(run_dir / "config.cfg")
-    task = SyntheticTask(args.task, cfg.image_size, cfg.train_count, cfg.val_count, cfg.seed)
-    dataset = generate_dataset(task)
+    dataset = _dataset(cfg, args.task)
 
     nets = training.build_models(cfg)
     load_checkpoint(run_dir / "checkpoints", nets)
     extractor = FeatureExtractor.fixed_random(cfg.extractor_seed, dtype=np.float32)
 
-    inputs, targets = training._val_sets(dataset)
-    target_fit = pool_stats(targets, extractor)
+    # train's metric functions; each model's outputs are generated once and read by both
+    val_set = training._val_sets(dataset)
+    scores = [("val_l2", training.paired_l2_metric)] if dataset.paired else []
+    scores.append(("frechet", training.make_frechet_metric(extractor)))
     lines = []
     for name, model in (("teacher", nets["best_snapshot"]),
                         ("student", nets["student_generator"])):
-        outs = training.generate(model, inputs, cfg.batch_size)
-        if dataset.paired:
-            lines.append((f"{name}_val_l2", pixel_error(outs, targets, "L2")))
-        lines.append((f"{name}_frechet", frechet_distance(pool_stats(outs, extractor),
-                                                          target_fit)))
+        outs = training.generate(model, val_set[0], cfg.batch_size)
+        lines += [(f"{name}_{key}", metric(lambda _: outs, val_set)) for key, metric in scores]
 
     eval_csv = run_dir / "eval.csv"
     with open(eval_csv, "a") as fh:
@@ -216,7 +217,8 @@ def _cmd_bench(args) -> int:
     teacher = Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float32))
     student = Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float32))
 
-    counts = (s, s, s * s // (n * m))                   # columns, rows, patches
+    counts = [slicing.layout((3, s, s), g, (n, m) if g == slicing.PATCH else None)[2][0]
+              for g in slicing.GRANULARITIES]           # columns, rows, patches
     triple_totals = [comb(count, 3) for count in counts]
     triples_evaluated = sum(min(budget, t) if budget else t for t in triple_totals)
     pairs_evaluated = sum(comb(count, 2) for count in counts)
@@ -280,9 +282,8 @@ def _cmd_bench(args) -> int:
 
     # a run's set-up at the headline config: the shapes task's four pools, then the Trainer
     # (last, since the Trainer changes malloc's settings for the rest of the process)
-    task = SyntheticTask("shapes", s, run_cfg.train_count, run_cfg.val_count, args.seed)
-    dataset = generate_dataset(task)
-    dataset_ms = _median_ms(lambda: generate_dataset(task), args.iters)
+    dataset = _dataset(run_cfg, "shapes")
+    dataset_ms = _median_ms(lambda: generate_dataset(dataset.task), args.iters)
     trainer_ms = _median_ms(lambda: training.Trainer(run_cfg, dataset), args.iters)
 
     print(f"image_size,{s}")
@@ -326,8 +327,5 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main(sys.argv[1:]))
-
-
-if __name__ == "__main__":
+    """The ``crdgan`` console script and ``python -m crdgan``."""
     raise SystemExit(main(sys.argv[1:]))

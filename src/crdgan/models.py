@@ -7,9 +7,9 @@ and ends in tanh, so output shape equals input shape and values stay in
 parameters scale with the width squared, so a quarter-width student lands
 near 1/16 of the teacher's parameter count.
 
-The discriminator is a strided conv stack with LeakyReLU(0.2) emitting a raw
-patch score map; the sigmoid is folded into a softplus-form loss for
-stability.
+The discriminator is a strided conv stack with LeakyReLU (autodiff's
+LEAKY_SLOPE) emitting a raw patch score map; the sigmoid is folded into a
+softplus-form loss for stability.
 
 Both networks take a [c,h,w] image or a [b,c,h,w] batch and return the
 same layout.  Each call is one autodiff node: its layers run in plain numpy
@@ -28,8 +28,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .autodiff import (
-    Tensor, _check_finite, _conv_backward, _conv_forward, _leaky_slope, _norm_backward,
-    _norm_forward, _result, _upsample_backward, _upsample_forward, detach, softplus, tmean,
+    Tensor, _check_finite, _conv_backward, _conv_forward, _conv_size, _leaky_slope,
+    _norm_backward, _norm_forward, _result, _upsample_backward, _upsample_forward, detach,
+    softplus, tmean,
 )
 from . import tensor_io
 
@@ -183,7 +184,7 @@ class _Module:
                 h, w = 2 * h, 2 * w
             kh, kw, _, _ = layer.weight.shape
             p, s = layer.padding, layer.stride
-            h, w = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
+            h, w = _conv_size(h, kh, s, p), _conv_size(w, kw, s, p)
             macs += layer.weight.size * h * w
         return macs
 
@@ -252,7 +253,7 @@ class _Module:
                 ctx = h > 0 if live else None
                 h = np.maximum(h, 0)
             elif op == "leaky_relu":
-                ctx = _leaky_slope(h, 0.2)
+                ctx = _leaky_slope(h)
                 h = h * ctx
             elif op == "tanh":
                 h = ctx = np.tanh(h)

@@ -1,11 +1,12 @@
 """Feature and style matching over a fixed, non-trainable extractor.
 
 The default extractor is a seeded random four-layer stride-2 3x3 conv net
-(LeakyReLU slope 0.2, widths 16/32/64/64) tapped after every layer.  Random features
-keep the loss structure intact without external weight files; real weights
-can be swapped in from a directory of tensor files.  Weights are given and
-stored as [Cout,Cin,k,k] and held as [k,k,Cin,Cout] for the channels-last
-conv; activations come out as [C,H,W] (or [b,C,H,W]).
+(LeakyReLU of autodiff's LEAKY_SLOPE, widths 16/32/64/64) tapped after every
+layer.  Random features keep the loss structure intact without external
+weight files; real weights can be swapped in from a directory of tensor
+files.  Weights are given and stored as [Cout,Cin,k,k] and held as
+[k,k,Cin,Cout] for the channels-last conv; activations come out as [C,H,W]
+(or [b,C,H,W]).
 
 :func:`perceptual_loss` is one autodiff node that runs the extractor in
 plain numpy; :func:`extract` and :func:`gram` build the same terms as a
@@ -19,20 +20,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import (
-    Tensor, _conv_backward, _conv_forward, _leaky_slope, _phase_kernels, _result, conv2d,
-    leaky_relu, matmul, permute,
+    Tensor, _conv_backward, _conv_forward, _conv_size, _leaky_slope, _phase_kernels, _result,
+    conv2d, leaky_relu, matmul, permute,
 )
 from . import tensor_io
 
 WIDTHS = (16, 32, 64, 64)      # fixed_random's layer widths
 KERNEL = 3                     # fixed_random's kernel size
 STRIDE = 2                     # the stride of every layer, random or loaded
-LEAKY_SLOPE = 0.2
 EXTRACTOR_ROLE = "extractor"
 
 
 class FeatureExtractor:
-    """Stack of strided conv + LeakyReLU(LEAKY_SLOPE) layers with taps after each.
+    """Stack of strided conv + LeakyReLU layers with taps after each.
 
     The weights never change and never require gradients; identical inputs
     give identical activations.  ``weights`` are [Cout,Cin,k,k] arrays,
@@ -95,9 +95,7 @@ class FeatureExtractor:
         out = []
         for wgt, s in self.layers:
             k, _, _, cout = wgt.shape
-            p = k // 2
-            h = (h + 2 * p - k) // s + 1
-            w = (w + 2 * p - k) // s + 1
+            h, w = _conv_size(h, k, s, k // 2), _conv_size(w, k, s, k // 2)
             out.append((cout, h, w))
         return out
 
@@ -127,7 +125,7 @@ def extract(x: Tensor, extractor: FeatureExtractor,
     h = permute(x.reshape((1,) + x.shape) if single else x, (0, 2, 3, 1))
     for w, s in extractor.layers:
         k = w.shape[0]
-        h = leaky_relu(conv2d(h, w, stride=s, padding=k // 2), LEAKY_SLOPE)
+        h = leaky_relu(conv2d(h, w, stride=s, padding=k // 2))
         acts.append(h)
     if taps is not None:
         acts = [acts[t] for t in taps]
@@ -143,7 +141,7 @@ def _layer_outputs(x: np.ndarray, extractor: FeatureExtractor) -> list:
     for w, s in extractor.layers:
         shape = x.shape
         x, _ = _conv_forward(x, w.data, None, s, w.shape[0] // 2, False)
-        slope = _leaky_slope(x, LEAKY_SLOPE)
+        slope = _leaky_slope(x)
         x = x * slope
         out.append((shape, slope, x))
     return out

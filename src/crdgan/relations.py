@@ -45,7 +45,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .autodiff import Tensor, _gather, _result, _scatter
+from .autodiff import Tensor, _gather, _huber, _huber_slope, _result, _scatter
 from . import slicing
 from .slicing import COLUMN, GRANULARITIES, PATCH, ROW, ContentSet
 
@@ -102,13 +102,7 @@ class DistanceStructure:
 
     distances: np.ndarray
     mu: Tensor
-    pair_i: np.ndarray
-    pair_j: np.ndarray
     pair_values: Tensor
-
-    @property
-    def count(self) -> int:
-        return self.distances.shape[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -224,14 +218,6 @@ def _mean(a: np.ndarray):
     return np.add.reduce(a, axis=0) / a.shape[0]
 
 
-def _huber(diff: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(diff) <= 1.0, 0.5 * diff * diff, np.abs(diff) - 0.5)
-
-
-def _huber_slope(diff: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(diff) <= 1.0, diff, np.sign(diff))
-
-
 def _pick(vec: Tensor, k: int, reached: list) -> Tensor:
     """vec[k] as a 0-d tensor; its backward marks term k as reached."""
     def back(g):
@@ -323,7 +309,7 @@ def pairwise_distances(item_set: ItemsLike) -> DistanceStructure:
     mat = np.zeros((n, n), dtype=d.dtype)
     mat[pi, pj] = d
     mat[pj, pi] = d
-    return DistanceStructure(mat, Tensor(_mean(d)), pi, pj, Tensor(d))
+    return DistanceStructure(mat, Tensor(_mean(d)), Tensor(d))
 
 
 def phi_d(structure: DistanceStructure, i: int, j: int) -> float:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -373,10 +373,14 @@ class Trainer:
         return False
 
 
+def _pools(dataset) -> dict:
+    """The dataset's four pools by field name, in role order: train input, train
+    target, val input, val target.  Both dataset classes list them after ``task``."""
+    return {f.name: getattr(dataset, f.name) for f in fields(dataset)[1:]}
+
+
 def _val_sets(dataset):
-    if dataset.paired:
-        return (dataset.val_inputs, dataset.val_targets)
-    return (dataset.val_a, dataset.val_b)
+    return tuple(_pools(dataset).values())[2:]
 
 
 def _batches(dataset, cfg: TrainConfig, order_seed: int):
@@ -385,8 +389,7 @@ def _batches(dataset, cfg: TrainConfig, order_seed: int):
     count = len(dataset)
     bs = cfg.batch_size
     steps_per_epoch = count // bs
-    inputs, targets = (dataset.train_inputs, dataset.train_targets) if dataset.paired \
-        else (dataset.train_a, dataset.train_b)
+    inputs, targets = tuple(_pools(dataset).values())[:2]
     rng_a = np.random.default_rng(np.random.SeedSequence([order_seed, 0]))
     rng_b = np.random.default_rng(np.random.SeedSequence([order_seed, 1]))
     step = 0
@@ -404,11 +407,10 @@ def _check_dataset(cfg: TrainConfig, dataset) -> None:
     images, at least batch_size training images (or no step runs), 2 per validation pool
     and target pools that line up with their inputs."""
     size = cfg.image_size
-    names = ("train_inputs", "train_targets", "val_inputs", "val_targets") if dataset.paired \
-        else ("train_a", "train_b", "val_a", "val_b")
+    pools = _pools(dataset)
     counts = []
-    for name in names:
-        shape = np.shape(getattr(dataset, name))
+    for name, pool in pools.items():
+        shape = np.shape(pool)
         if shape[1:] != (3, size, size):
             raise ValueError(f"dataset pool {name} has shape {shape}, but image_size {size} "
                              f"needs a stack of [3, {size}, {size}] images")
@@ -417,7 +419,7 @@ def _check_dataset(cfg: TrainConfig, dataset) -> None:
         counts.append(shape[0])
     a, b, val_a, val_b = counts
     if ((b, val_b) != (a, val_a)) if dataset.paired else b < a:
-        raise ValueError(f"dataset pools {dict(zip(names, counts))} do not line up: a paired "
+        raise ValueError(f"dataset pools {dict(zip(pools, counts))} do not line up: a paired "
                          f"target pool needs one image per input, an unpaired train_b at "
                          f"least as many images as train_a")
     if len(dataset) < cfg.batch_size:

@@ -1,11 +1,16 @@
 """Config file parsing, synthetic datasets and the command-line surface."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crdgan
 from crdgan import config, datasets
 from crdgan.cli import main
 from crdgan.config import ConfigError, TrainConfig, parse_config, write_config
@@ -125,6 +130,20 @@ class TestValidate:
         (dict(batch_size=5, train_count=4), "batch_size 5 exceeds train_count 4"),
         (dict(val_count=1), "val_count must be >= 2"),
         (dict(val_count=0), "val_count must be >= 2"),
+        (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+        (dict(teacher_eval_interval=0), "teacher_eval_interval must be >= 1, got 0"),
+        (dict(lr0=-1e-4), "lr0 must be >= 0, got -0.0001"),
+        (dict(lambda_crd=-1.0), "lambda_crd must be >= 0, got -1.0"),
+        (dict(lambda_per=-0.5), "lambda_per must be >= 0, got -0.5"),
+        (dict(gan_mode="wasserstein"), "gan_mode must be one of .*, got 'wasserstein'"),
+        (dict(discriminator_mode="offline"), "discriminator_mode must be one of .*, got 'offline'"),
+        (dict(patch=(0, 8)), r"patch must be two positive ints, got \(0, 8\)"),
+        (dict(image_size=0), "image_size must be >= 1, got 0"),
+        (dict(base_width=0), "base_width must be >= 1, got 0"),
+        (dict(num_res_blocks=0), "num_res_blocks must be >= 1, got 0"),
+        (dict(disc_layers=0), "disc_layers must be >= 1, got 0"),
+        (dict(disc_base_width=0), "disc_base_width must be >= 1, got 0"),
+        (dict(train_count=0), "train_count must be >= 1, got 0"),
     ])
     def test_cross_field_checks(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -369,6 +388,17 @@ class TestCliTrainEval:
                 "teacher_frechet", "student_frechet"} <= keys
         assert (out / "eval.csv").is_file()
 
+    def test_seed_flag_equals_the_config_key(self, tiny_cfg_file, tmp_path, capsys):
+        assert main(["train", "--config", str(tiny_cfg_file), "--task", "invert",
+                     "--out", str(tmp_path / "flag"), "--seed", "7"]) == 0
+        keyed = tmp_path / "seed7.cfg"
+        keyed.write_text(tiny_cfg_file.read_text().replace("seed = 5\n", "seed = 7\n"))
+        assert main(["train", "--config", str(keyed), "--task", "invert",
+                     "--out", str(tmp_path / "key")]) == 0
+        assert "seed = 7" in (tmp_path / "flag" / "config.cfg").read_text().splitlines()
+        for name in ("config.cfg", "metrics.csv"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "key" / name).read_bytes()
+
     def test_train_refuses_a_used_run_directory(self, tiny_cfg_file, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
@@ -573,6 +603,38 @@ class TestCliGradcheck:
 
     def test_indivisible_size_fails_cleanly(self, capsys):
         assert main(["gradcheck", "--size", "9", "--patch", "4"]) == 1
+
+    def test_error_above_tol_fails(self, capsys):
+        assert main(["gradcheck", "--tol", "1e-300"]) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("FAIL: relative error ")
+        assert last.endswith(" exceeds tolerance 1.0e-300")
+
+    def test_tol_parses(self, capsys):
+        assert main(["gradcheck", "--tol", "1e-3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
+class TestModuleEntryPoint:
+    """``python -m crdgan``, which runs cli.run, the console script's entry point."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(crdgan.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "crdgan", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_gradcheck_passes(self):
+        proc = self.run("gradcheck", "--size", "4", "--patch", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "PASS"
+
+    def test_usage_error_exits_2(self):
+        proc = self.run("gradcheck", "--size", "0")
+        assert proc.returncode == 2
+        assert "argument --size: must be a positive int, got 0" in proc.stderr
 
 
 class TestMedianMs:

@@ -679,6 +679,39 @@ class TestTrainLoop:
         assert np.isfinite(report["teacher_best_score"])
         assert np.isfinite(report["student_val_metric"])
 
+    @pytest.mark.parametrize("mode", ["pretrained_frozen", "pretrained_updating"])
+    def test_pretrained_modes_train_end_to_end(self, tmp_path, mode):
+        cfg = tiny_config(discriminator_mode=mode)
+        ds = tiny_dataset(cfg)
+        run = tmp_path / "run"
+        assert train(cfg, ds, run)["steps"] == cfg.epochs * cfg.train_count
+        for name in ("config.cfg", "metrics.csv", "checkpoints/manifest.csv",
+                     "samples/final.ppm"):
+            assert (run / name).is_file(), name
+        saved = build_models(cfg)
+        models.load_checkpoint(run / "checkpoints", saved)
+        # the D that pretraining gives a fresh trainer of the same config
+        fresh = Trainer(cfg, ds)
+        from crdgan.training import _pretrain_discriminator
+        _pretrain_discriminator(fresh, ds)
+        same = saved["teacher_discriminator"].flat.tobytes() == \
+            fresh.state.discriminator.flat.tobytes()
+        assert same == (mode == "pretrained_frozen")   # frozen: never updated after pretraining
+
+    def test_sample_every_writes_a_grid_at_each_sampled_epoch(self, tmp_path):
+        from crdgan.ppm import read_ppm
+        cfg = tiny_config(epochs=3, sample_every=2)
+        train(cfg, tiny_dataset(cfg), tmp_path / "run")
+        samples = tmp_path / "run" / "samples"
+        # the first step of epochs 0 and 2, then the final grid
+        first_of_epoch_2 = 2 * cfg.train_count // cfg.batch_size
+        assert sorted(p.name for p in samples.iterdir()) == [
+            "final.ppm", "step_000000.ppm", f"step_{first_of_epoch_2:06d}.ppm"]
+        for path in samples.iterdir():
+            grid = read_ppm(path)
+            assert grid.shape == (4 * cfg.image_size, 2 * cfg.image_size, 3)
+            assert grid.dtype == np.uint8
+
     def test_pretrained_modes_round_trip(self, tmp_path):
         for mode in ("pretrained_frozen", "pretrained_updating"):
             cfg = tiny_config(discriminator_mode=mode)
