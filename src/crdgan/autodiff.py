@@ -578,7 +578,7 @@ def _mec(xp: np.ndarray, kw: int) -> np.ndarray:
     Memory-efficient Convolution", ICML 2017).
     """
     bsz, hp, wp, c = xp.shape
-    return _im2col(xp, 1, kw, 1).reshape(bsz, hp, wp - kw + 1, kw * c)
+    return _im2col(xp, 1, kw, 1).reshape(bsz, hp, _conv_size(wp, kw), kw * c)
 
 
 def _mec_conv(cols: np.ndarray, wk: np.ndarray) -> np.ndarray:
@@ -592,7 +592,7 @@ def _mec_conv(cols: np.ndarray, wk: np.ndarray) -> np.ndarray:
     """
     bsz, hp, wo, kc = cols.shape
     kh, _, cout = wk.shape
-    ho, r = hp - kh + 1, bsz * hp - kh + 1
+    ho, r = _conv_size(hp, kh), _conv_size(bsz * hp, kh)
     row = kc * cols.itemsize
     blocks = np.ndarray((kh, r * wo, kc), cols.dtype, cols, 0, (wo * row, row, cols.itemsize))
     parts = np.matmul(blocks, wk)                                  # [kh, R*Wo, Cout]
@@ -611,7 +611,7 @@ def _mec_kernel_grad(cols: np.ndarray, g: np.ndarray, kh: int) -> np.ndarray:
     [kh, B, Ho*Wo, kw*C] view of those blocks, then a sum over the batch.
     """
     bsz, hp, wo, kc = cols.shape
-    ho, cout = hp - kh + 1, g.shape[-1]
+    ho, cout = _conv_size(hp, kh), g.shape[-1]
     row = kc * cols.itemsize
     blocks = np.ndarray((kh, bsz, ho * wo, kc), cols.dtype, cols, 0,
                         (wo * row, hp * wo * row, row, cols.itemsize))
@@ -679,7 +679,7 @@ def _conv_backward(g: np.ndarray, cols: Optional[np.ndarray], x_shape: tuple, w:
     :func:`_phase_kernels` of w and is built from w when not given.
     """
     bsz, h, wd, cin = x_shape
-    kh, kw, _, cout = w.shape
+    kh, _, _, cout = w.shape
     s = stride
     g2 = g.reshape(-1, cout)
     gx = gw = gb = None
@@ -688,12 +688,12 @@ def _conv_backward(g: np.ndarray, cols: Optional[np.ndarray], x_shape: tuple, w:
         gw = gw.reshape(w.shape)
     if need_x:
         hout, wout = g.shape[1:3]
-        ka, kb = -(-kh // s), -(-kw // s)
+        if phases is None:
+            phases = _phase_kernels(w, s)
+        ka, kb = phases.shape[0], phases.shape[1] // cout     # each phase kernel's size
         # phase rows q0..q1 and columns r0..r1 hold the unpadded input
         q0, r0 = padding // s, padding // s
         q1, r1 = -(-(padding + h) // s), -(-(padding + wd) // s)
-        if phases is None:
-            phases = _phase_kernels(w, s)
         gy = _pad(g, ka - 1 - q0, kb - 1 - r0, q1 - hout, r1 - wout)
         gx = _mec_conv(_mec(gy, kb), phases)
         gx = gx.reshape(bsz, q1 - q0, r1 - r0, s, s, cin).transpose(0, 1, 3, 2, 4, 5)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, _check_gradient, backward, tmean
-from .config import ConfigError, TrainConfig, parse_config, parse_patch
+from .config import ConfigError, TrainConfig, _budget, parse_config, parse_patch
 from .datasets import TASK_KINDS, SyntheticTask, generate_dataset
 from .models import Adam, load_checkpoint
 from .perceptual import FeatureExtractor, perceptual_loss
@@ -173,8 +173,7 @@ def _cmd_gradcheck(args) -> int:
     if s % args.patch:
         raise ValueError(f"--size {s} must be divisible by --patch {args.patch}")
     rng = np.random.default_rng(args.seed)
-    cfg = RelationConfig(triplet_budget=None if args.budget == 0 else args.budget,
-                         seed=args.seed)
+    cfg = RelationConfig(triplet_budget=_budget(args.budget), seed=args.seed)
     teacher = Tensor(rng.uniform(-1, 1, (1, s, s)))
 
     def loss_fn(x: Tensor) -> Tensor:
@@ -211,7 +210,7 @@ def _median_ms(fn, iters: int, setup=None) -> float:
 def _cmd_bench(args) -> int:
     s = args.size
     n, m = args.patch, args.patch
-    budget = None if args.budget == 0 else args.budget
+    budget = _budget(args.budget)
     cfg = RelationConfig(triplet_budget=budget, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     teacher = Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float32))

@@ -125,6 +125,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _budget(value: int):
+    """A tuple budget as RelationConfig holds it: 0 (no budget) is None, full enumeration."""
+    return None if value == 0 else value
+
+
 def _parse_value(key: str, kind, raw: str, lineno: int):
     try:
         if kind is bool:
@@ -135,8 +140,7 @@ def _parse_value(key: str, kind, raw: str, lineno: int):
                 return False
             raise ValueError(raw)
         if kind == "budget":
-            v = int(raw)
-            return None if v == 0 else v
+            return _budget(int(raw))
         return kind(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: bad value {raw!r} for key {key!r}") from None

@@ -36,10 +36,6 @@ class SyntheticTask:
         if self.train_count < 1 or self.val_count < 1:
             raise ValueError("train/val counts must be >= 1")
 
-    @property
-    def paired(self) -> bool:
-        return self.kind in ("invert", "blur2sharp")
-
 
 @dataclass
 class PairedDataset:

@@ -31,6 +31,11 @@ STRIDE = 2                     # the stride of every layer, random or loaded
 EXTRACTOR_ROLE = "extractor"
 
 
+def _padding(kernel: Tensor) -> int:
+    """Every extractor layer's padding: half its [k,k,Cin,Cout] kernel's size."""
+    return kernel.shape[0] // 2
+
+
 class FeatureExtractor:
     """Stack of strided conv + LeakyReLU layers with taps after each.
 
@@ -95,7 +100,8 @@ class FeatureExtractor:
         out = []
         for wgt, s in self.layers:
             k, _, _, cout = wgt.shape
-            h, w = _conv_size(h, k, s, k // 2), _conv_size(w, k, s, k // 2)
+            p = _padding(wgt)
+            h, w = _conv_size(h, k, s, p), _conv_size(w, k, s, p)
             out.append((cout, h, w))
         return out
 
@@ -124,8 +130,7 @@ def extract(x: Tensor, extractor: FeatureExtractor,
     acts = []
     h = permute(x.reshape((1,) + x.shape) if single else x, (0, 2, 3, 1))
     for w, s in extractor.layers:
-        k = w.shape[0]
-        h = leaky_relu(conv2d(h, w, stride=s, padding=k // 2))
+        h = leaky_relu(conv2d(h, w, stride=s, padding=_padding(w)))
         acts.append(h)
     if taps is not None:
         acts = [acts[t] for t in taps]
@@ -140,7 +145,7 @@ def _layer_outputs(x: np.ndarray, extractor: FeatureExtractor) -> list:
     out = []
     for w, s in extractor.layers:
         shape = x.shape
-        x, _ = _conv_forward(x, w.data, None, s, w.shape[0] // 2, False)
+        x, _ = _conv_forward(x, w.data, None, s, _padding(w), False)
         slope = _leaky_slope(x)
         x = x * slope
         out.append((shape, slope, x))
@@ -211,7 +216,7 @@ def perceptual_loss(teacher_out: Tensor, student_out: Tensor,
             grad = tap if grad is None else grad + tap
             grad *= slope
             w, stride = extractor.layers[j]
-            grad = _conv_backward(grad, None, shape, w.data, stride, w.shape[0] // 2, True, False,
+            grad = _conv_backward(grad, None, shape, w.data, stride, _padding(w), True, False,
                                   extractor._phases[j])[0]
         student_out._accumulate(
             np.ascontiguousarray(grad.transpose(0, 3, 1, 2)).reshape(student_out.shape))

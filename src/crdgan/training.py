@@ -26,7 +26,9 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -287,43 +289,35 @@ class Trainer:
         already run that forward with the current parameters.
         """
         cfg = self.cfg
-        x = Tensor(batch[0])
-        disc = self.state.discriminator
-
         # the target forward is a full teacher pass: skip it when no term reads it
-        distill = cfg.lambda_crd > 0 or cfg.lambda_per > 0
-        t_out = self._distill_target(batch[0]) if distill else None
+        t_out = self._distill_target(batch[0]) if cfg.lambda_crd > 0 or cfg.lambda_per > 0 else None
         if fake is None:
-            fake = self.student(x)
+            fake = self.student(Tensor(batch[0]))
 
-        if cfg.discriminator_mode == "online_no_discriminator":
-            adv = None
-        else:
-            adv = generator_adv_loss(disc(fake, frozen=True), cfg.gan_mode)
-
-        rel = relation_for_step(cfg, step)
-        n, m = cfg.patch
-        crd_d = crd_a = per = None
+        # every term's nodes exist before any is weighted: the backward sums the
+        # gradients reaching fake in the order those nodes were made
+        terms = dict.fromkeys(("adv_loss_S", "crd_d", "crd_a", "per_loss"))
+        if cfg.discriminator_mode != "online_no_discriminator":
+            terms["adv_loss_S"] = generator_adv_loss(self.state.discriminator(fake, frozen=True),
+                                                     cfg.gan_mode)
         if cfg.lambda_crd > 0:
-            crd_d, crd_a = crd_terms(t_out, fake, n, m, rel, angle=rel.lambda_a > 0)
+            rel = relation_for_step(cfg, step)
+            terms["crd_d"], terms["crd_a"] = crd_terms(t_out, fake, *cfg.patch, rel,
+                                                       angle=rel.lambda_a > 0)
         if cfg.lambda_per > 0:
-            per = perceptual_loss(t_out, fake, self.extractor)
+            terms["per_loss"] = perceptual_loss(t_out, fake, self.extractor)
 
-        total = adv
-        if crd_d is not None:
-            weighted = cfg.lambda_crd * crd_combine(crd_d, crd_a, rel)
-            total = weighted if total is None else total + weighted
-        if per is not None:
-            weighted = cfg.lambda_per * per
-            total = weighted if total is None else total + weighted
+        # the objective, summed left to right over the terms that ran: adversarial
+        # + lambda_crd * (crd_d + lambda_a * crd_a) + lambda_per * perceptual
+        summands = [terms["adv_loss_S"]] if terms["adv_loss_S"] is not None else []
+        if terms["crd_d"] is not None:
+            summands.append(cfg.lambda_crd * crd_combine(terms["crd_d"], terms["crd_a"], rel))
+        if terms["per_loss"] is not None:
+            summands.append(cfg.lambda_per * terms["per_loss"])
+        total = reduce(operator.add, summands) if summands else None
 
-        parts = {
-            "adv_loss_S": adv.item() if adv is not None else 0.0,
-            "crd_d": crd_d.item() if crd_d is not None else 0.0,
-            "crd_a": crd_a.item() if crd_a is not None else 0.0,
-            "per_loss": per.item() if per is not None else 0.0,
-            "total_S": total.item() if total is not None else 0.0,
-        }
+        parts = {name: 0.0 if t is None else t.item()
+                 for name, t in {**terms, "total_S": total}.items()}
         return total, parts
 
     def train_step_student(self, batch, step: int = 0) -> dict:
@@ -355,14 +349,15 @@ class Trainer:
     def student_generate(self, x_np: np.ndarray) -> np.ndarray:
         return generate(self.student, x_np, self.cfg.batch_size)
 
-    def maybe_update_snapshot(self, val_set, metric: Callable, step: int) -> bool:
+    def maybe_update_snapshot(self, val_set, metric: Callable, step: int) -> Optional[bool]:
         """Evaluate the live teacher every interval steps; keep it if better.
 
-        Returns True when the snapshot was replaced.  best_score starts at
-        +inf, so the first evaluation always replaces.
+        Returns None on a step it does not evaluate, and on one it does, True
+        when the snapshot was replaced and False when it was kept.  best_score
+        starts at +inf, so the first evaluation always replaces.
         """
         if step % self.cfg.teacher_eval_interval != 0:
-            return False
+            return None
         inputs = val_set[0]
         if len(inputs) == 0:
             raise ValueError("empty validation set")
@@ -409,12 +404,12 @@ def _check_dataset(cfg: TrainConfig, dataset) -> None:
     size = cfg.image_size
     pools = _pools(dataset)
     counts = []
-    for name, pool in pools.items():
+    for role, (name, pool) in enumerate(pools.items()):
         shape = np.shape(pool)
         if shape[1:] != (3, size, size):
             raise ValueError(f"dataset pool {name} has shape {shape}, but image_size {size} "
                              f"needs a stack of [3, {size}, {size}] images")
-        if name.startswith("val") and shape[0] < 2:
+        if role >= 2 and shape[0] < 2:                  # the validation input and target
             raise ValueError(f"dataset pool {name} holds {shape[0]} images; validation needs >= 2")
         counts.append(shape[0])
     a, b, val_a, val_b = counts
@@ -474,11 +469,11 @@ def train(cfg: TrainConfig, dataset, out_dir) -> dict:
             trainer.set_lr(lr)
             t_losses = trainer.train_step_teacher(batch, step)
             s_losses = trainer.train_step_student(batch, step)
-            evaluated = step % cfg.teacher_eval_interval == 0
             replaced = trainer.maybe_update_snapshot(val_set, metric, step)
+            evaluated = replaced is not None
             cells = {"epoch": str(epoch), "step": str(step), "lr": _fmt(lr),
                      "val_metric": _fmt(trainer.state.best_score) if evaluated else "",
-                     "snapshot_replaced": ("1" if replaced else "0") if evaluated else ""}
+                     "snapshot_replaced": str(int(replaced)) if evaluated else ""}
             cells.update((k, _fmt(v)) for k, v in {**t_losses, **s_losses}.items())
             fh.write(",".join(cells[name] for name in CSV_HEADER.split(",")) + "\n")
             # a grid at the first step of every sample_every-th epoch

@@ -263,6 +263,7 @@ def _headline_config(lambda_crd, lambda_per, seed):
         disc_layers=3, disc_base_width=16, train_count=100, val_count=8)
 
 
+@pytest.mark.slow
 def test_criterion_07_desk_scale_headline(announce, tmp_path):
     done = _timed(900.0)
     seeds = (101, 102, 103)

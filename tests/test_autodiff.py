@@ -581,6 +581,15 @@ class TestTensorFile:
         with pytest.raises(ValueError, match="magic"):
             tensor_io.load_tensor(p)
 
+    def test_unsupported_version_names_the_path(self, tmp_path):
+        p = tmp_path / "v2.crdt"
+        tensor_io.save_tensor(p, np.zeros((1, 2, 2), dtype=np.float32))
+        raw = bytearray(p.read_bytes())
+        raw[4] = 2
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="v2.crdt: unsupported version 2"):
+            tensor_io.load_tensor(p)
+
 
 # (input shape, kernel shape, stride, padding): batch 3, stride 3, a 3x2
 # kernel, H != W, a kernel that is not a multiple of its stride, an input

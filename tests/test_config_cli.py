@@ -314,6 +314,12 @@ class TestCliExitCodes:
         assert err.startswith("usage: crdgan gradcheck")
         assert "argument --tol: must be a finite positive float" in err
 
+    def test_gradcheck_non_float_tol_is_usage_error(self, capsys):
+        assert main(["gradcheck", "--tol", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: crdgan gradcheck")
+        assert "argument --tol: invalid float value: 'abc'" in err
+
     @pytest.mark.parametrize("command", ["gradcheck", "bench"])
     def test_negative_budget_is_usage_error(self, command, capsys):
         # 0 is full enumeration; below it RelationConfig's message named no flag
@@ -430,6 +436,21 @@ class TestCliTrainEval:
                      "--out", str(out)]) == 1
         key = bad.split()[0]
         assert capsys.readouterr().err.startswith(f"error: {key} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("lambda_per 2", "expected 'key = value', got 'lambda_per 2'"),
+        ("distill_from_live = maybe", "bad value 'maybe' for key 'distill_from_live'")])
+    def test_train_rejects_a_malformed_config_line_before_writing(self, tiny_cfg_file, tmp_path,
+                                                                   capsys, bad, message):
+        cfg = tmp_path / "bad.cfg"
+        text = tiny_cfg_file.read_text()
+        cfg.write_text(text + bad + "\n")
+        lineno = len(text.splitlines()) + 1
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--task", "invert",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: line {lineno}: {message}\n"
         assert not out.exists()
 
     def test_eval_rejects_a_checkpoint_of_oihw_kernels(self, tmp_path, capsys):
@@ -592,6 +613,23 @@ class TestCliSlice:
                      "--granularity", "row"]) == 0
         lines = (out / "manifest.txt").read_text().strip().splitlines()
         assert all(ln.startswith("row,") for ln in lines)
+
+    @pytest.mark.parametrize("case, message", [
+        ("version_2", "img.crdt: unsupported version 2"),
+        ("rank_2", "slice needs a [c,h,w] tensor file, got shape (8, 8)")])
+    def test_unsliceable_input_exits_1_and_writes_nothing(self, tmp_path, capsys, case, message):
+        src = tmp_path / "img.crdt"
+        tensor_io.save_tensor(src, np.zeros((1, 8, 8) if case == "version_2" else (8, 8),
+                                            dtype=np.float32))
+        if case == "version_2":
+            raw = bytearray(src.read_bytes())
+            raw[4] = 2
+            src.write_bytes(bytes(raw))
+        out = tmp_path / "s"
+        assert main(["slice", "--input", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
 
 class TestCliGradcheck:

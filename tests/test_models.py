@@ -447,6 +447,15 @@ class TestFlatLayout:
             disc.load_param_arrays(arrays)
         assert disc.flat.tobytes() == before.tobytes()
 
+    def test_one_array_too_few_writes_nothing(self):
+        disc = build_discriminator(DiscriminatorSpec(num_layers=2, base_width=4), 1)
+        before = disc.flat.copy()
+        arrays = [np.ones_like(a) for a in disc.param_arrays()]
+        count = len(arrays)
+        with pytest.raises(ValueError, match=f"expected {count} arrays, got {count - 1}"):
+            disc.load_param_arrays(arrays[:-1])
+        assert disc.flat.tobytes() == before.tobytes()
+
 
 def _adam_oracle_step(data, ms, vs, grads, t, lr, b1=0.5, b2=0.999, eps=1e-8):
     """The per-tensor Adam update, one array at a time.

@@ -60,6 +60,17 @@ class TestExtract:
             with pytest.raises(ValueError, match=rf"taps \{taps}"):
                 extract(Tensor(np.zeros(shape)), extractor, taps)
 
+    def test_taps_pick_the_full_call_activations_in_order(self, extractor):
+        rng = np.random.default_rng(12)
+        for shape in ((3, 16, 16), (2, 3, 16, 16)):
+            x = Tensor(rng.uniform(-1, 1, shape))
+            full = extract(x, extractor)
+            picked = extract(x, extractor, taps=[1, 3])
+            assert len(picked) == 2
+            for got, want in zip(picked, (full[1], full[3])):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got.data, want.data)
+
     def test_batch_equals_stacked_images(self, extractor):
         rng = np.random.default_rng(11)
         x = rng.uniform(-1, 1, (3, 3, 16, 16))

@@ -298,6 +298,23 @@ class TestRkdAngle:
             rkd_angle_loss(np.ones((2, 2)), np.ones((2, 2)), CFG)
 
 
+@pytest.mark.parametrize("loss", [rkd_distance_loss, rkd_angle_loss])
+def test_rkd_losses_take_content_sets_like_item_stacks(loss):
+    # a ContentSet from split_columns is read as its item stack, in value and gradient
+    rng = np.random.default_rng(13)
+    t_img = Tensor(rng.normal(size=(3, 4, 6)))
+    s_img = Tensor(rng.normal(size=(3, 4, 6)), requires_grad=True)
+    via_sets = loss(slicing.split_columns(t_img), slicing.split_columns(s_img), CFG)
+    backward(via_sets)
+    t_items = Tensor(slicing.split_columns(t_img).items.data)
+    s_items = Tensor(slicing.split_columns(s_img).items.data, requires_grad=True)
+    via_stacks = loss(t_items, s_items, CFG)
+    backward(via_stacks)
+    assert via_sets.item() == via_stacks.item()
+    np.testing.assert_array_equal(slicing.split_columns(Tensor(s_img.grad)).items.data,
+                                  s_items.grad)
+
+
 # -- content-level losses ------------------------------------------------------------
 
 class TestCrdDistance:

@@ -321,6 +321,15 @@ class TestSnapshot:
             tr.maybe_update_snapshot(val, metric, step)
         assert len(calls) == 2     # steps 0 and 5
 
+    def test_returns_none_on_a_step_it_does_not_evaluate(self):
+        cfg = tiny_config(teacher_eval_interval=2)
+        tr = Trainer(cfg, tiny_dataset(cfg))
+        val = (tr.dataset.val_inputs, tr.dataset.val_targets)
+        scores = iter([5.0, 7.0])
+        metric = lambda gen, vs: next(scores)
+        replaced = [tr.maybe_update_snapshot(val, metric, step) for step in range(4)]
+        assert replaced == [True, None, False, None]
+
     @pytest.mark.parametrize("kind", ["invert", "shapes"])
     def test_scoring_runs_the_generator_in_batch_size_chunks(self, monkeypatch, kind):
         cfg = tiny_config(batch_size=2, val_count=5, teacher_eval_interval=1)
@@ -507,7 +516,7 @@ class TestTargetCache:
         (rows_a, flats_a, forwards_a), (rows_b, flats_b, forwards_b) = runs
         assert rows_a == rows_b
         assert flats_a == flats_b
-        assert sum(replaced for _, _, replaced, _ in rows_a) >= 2
+        assert sum(bool(replaced) for _, _, replaced, _ in rows_a) >= 2     # None: not evaluated
         assert forwards_a < forwards_b == len(rows_b)
 
 
@@ -671,6 +680,13 @@ class TestTrainLoop:
         # rows: input / teacher / student / target; columns: min(4, val_count)
         assert grid.shape == (4 * cfg.image_size, 2 * cfg.image_size, 3)
         assert grid.dtype == np.uint8
+
+    def test_read_ppm_rejects_a_file_that_is_not_ppm(self, tmp_path):
+        from crdgan.ppm import read_ppm
+        p = tmp_path / "grid.ppm"
+        p.write_bytes(b"P3\n1 1\n255\n0 0 0\n")         # text PPM, not binary P6
+        with pytest.raises(ValueError, match="grid.ppm: not a binary PPM file"):
+            read_ppm(p)
 
     def test_unpaired_task_trains_with_frechet_metric(self, tmp_path):
         cfg = tiny_config(lambda_crd=25.0)
