@@ -36,6 +36,8 @@ def _int_at_least(low: int, kind: str):
     return parse
 
 
+GRADCHECK_SIZE, GRADCHECK_PATCH = 8, 4       # `gradcheck`'s default image side and patch
+
 _positive_int = _int_at_least(1, "positive")
 _nonneg_int = _int_at_least(0, "non-negative")
 
@@ -86,8 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="patch dims: n, n,m or nxm")
 
     p_grad = sub.add_parser("gradcheck", help="check loss gradients against finite differences")
-    p_grad.add_argument("--size", type=_positive_int, default=8)
-    p_grad.add_argument("--patch", type=_positive_int, default=4)
+    p_grad.add_argument("--size", type=_positive_int, default=GRADCHECK_SIZE)
+    p_grad.add_argument("--patch", type=_positive_int, default=GRADCHECK_PATCH)
     p_grad.add_argument("--seed", type=_nonneg_int, default=0)
     p_grad.add_argument("--budget", type=_nonneg_int, default=0, help="triplet budget, 0 = full")
     p_grad.add_argument("--tol", type=_positive_float, default=1e-4)
@@ -168,18 +170,23 @@ def _cmd_slice(args) -> int:
     return 0
 
 
+def _gradcheck_case(size: int, patch: int, seed: int, budget) -> tuple:
+    """`gradcheck`'s float64 crd_loss of a seeded teacher image, and the student image."""
+    rng = np.random.default_rng(seed)
+    cfg = RelationConfig(triplet_budget=budget, seed=seed)
+    teacher = Tensor(rng.uniform(-1, 1, (1, size, size)))
+
+    def loss_fn(x: Tensor) -> Tensor:
+        return crd_loss(teacher, x, patch, patch, cfg)
+
+    return loss_fn, Tensor(rng.uniform(-1, 1, (1, size, size)))
+
+
 def _cmd_gradcheck(args) -> int:
     s = args.size
     if s % args.patch:
         raise ValueError(f"--size {s} must be divisible by --patch {args.patch}")
-    rng = np.random.default_rng(args.seed)
-    cfg = RelationConfig(triplet_budget=_budget(args.budget), seed=args.seed)
-    teacher = Tensor(rng.uniform(-1, 1, (1, s, s)))
-
-    def loss_fn(x: Tensor) -> Tensor:
-        return crd_loss(teacher, x, args.patch, args.patch, cfg)
-
-    student = Tensor(rng.uniform(-1, 1, (1, s, s)))
+    loss_fn, student = _gradcheck_case(s, args.patch, args.seed, _budget(args.budget))
     value, flat_a, flat_n, err, worst = _check_gradient(loss_fn, student)
     print(f"loss,{value:.9g}")
     print(f"max_rel_error,{err:.3e}")
@@ -237,6 +244,10 @@ def _cmd_bench(args) -> int:
 
     loss_fwd_bwd_ms = _median_ms(loss_fwd_bwd, args.iters)
 
+    # one whole gradient check at `gradcheck`'s defaults: full enumeration, float64
+    gc_loss, gc_student = _gradcheck_case(GRADCHECK_SIZE, GRADCHECK_PATCH, args.seed, None)
+    gradcheck_ms = _median_ms(lambda: _check_gradient(gc_loss, gc_student), args.iters)
+
     # the headline teacher generator and discriminator, forward plus backward on one image
     image = Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float32))
     run_cfg = TrainConfig(image_size=s, base_width=16, num_res_blocks=2, disc_base_width=16,
@@ -292,6 +303,7 @@ def _cmd_bench(args) -> int:
     print(f"tuple_sampling_ms,{sample_ms:.3f}")
     print(f"crd_loss_ms,{loss_ms:.3f}")
     print(f"crd_loss_fwd_bwd_ms,{loss_fwd_bwd_ms:.3f}")
+    print(f"crd_gradcheck_ms,{gradcheck_ms:.3f}")
     print(f"tuples_per_second,{(pairs_evaluated + triples_evaluated) / (loss_ms / 1000):.0f}")
     print(f"generator_fwd_bwd_ms,{generator_fwd_bwd_ms:.3f}")
     print(f"generator_gflops,{generator_gflops:.3f}")

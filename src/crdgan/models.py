@@ -538,8 +538,9 @@ def load_checkpoint(dirpath, modules: dict) -> None:
     """Load every role into its module; if any role, name or shape does not
     match, raise before any module is written."""
     staged = []
+    manifest = tensor_io.read_manifest(dirpath)
     for role, module in modules.items():
-        named = tensor_io.load_named_tensors(dirpath, role)
+        named = tensor_io.load_named_tensors(dirpath, role, manifest)
         if not named:
             raise ValueError(f"checkpoint at {dirpath} has no entries for role {role!r}")
         expected = [name for name, _ in module.named_parameters()]

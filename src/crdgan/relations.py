@@ -7,28 +7,36 @@ translation and positive scaling).  Teacher and student structures are
 compared tuple-by-tuple with a Huber penalty, averaged over the tuples and
 a batch's images, and summed over granularities.
 
-One pass per content set makes both.  X = [count, B*D] holds a batch's
-images side by side; the cached +-1 pair-incidence matrix A = [P, count]
-gives every i<j residual as R = A @ X, each row the exact x_i - x_j
-whatever the BLAS thread count.  Row sums of squares give d2 for every pair
-of every image, and each tuple op is a gather on that vector: the distance
-is sqrt(d2) over its image's mean, the angle at j is (d2_ik - d2_ij -
-d2_jk) / 2 over max(d_ij, EPSILON) * max(d_jk, EPSILON) (law of cosines).
-Every divisor is floored at the constant EPSILON = 1e-12, so a flat set
-(zero mean distance) or a repeated item gives zero, not a NaN.  The Gram
-form G_ij - G_ik - G_jj + G_jk would skip R but cancels catastrophically on
-repeated items (a flat background); exact residuals give exact zeros.
+One pass per source makes both, over every enabled content set at once.
+For each set, X = [count, B*D] holds a batch's images side by side; the
+cached +-1 pair-incidence matrix A = [P, count] gives every i<j residual as
+R = A @ X, each row the exact x_i - x_j whatever the BLAS thread count.  Row
+sums of squares give d2 for every pair of every image.  The sets' d2 vectors
+are laid end to end, each at its own offset, and each tuple op is a gather
+on the concatenated vector through indices shifted by those offsets (cached
+for full enumeration): the distance is sqrt(d2) over its image's mean in its
+own set, the angle at j is (d2_ik - d2_ij - d2_jk) / 2 over max(d_ij,
+EPSILON) * max(d_jk, EPSILON) (law of cosines).  Only the slicing cut, R,
+the row sums and the per-image means are taken set by set.  Every divisor is
+floored at the constant EPSILON = 1e-12, so a flat set (zero mean distance)
+or a repeated item gives zero, not a NaN.  The Gram form G_ij - G_ik - G_jj
++ G_jk would skip R but cancels catastrophically on repeated items (a flat
+background); exact residuals give exact zeros.
 
 The whole computation is one autodiff node (``_relate``), run as plain
-numpy; each term is a 0-d pick of its output vector.  Its backward replays
-the adjoints that the same steps would have as separate autodiff ops
-(matmul, r*r, sum, sqrt_guarded, mean, clamp_min, reciprocal, gather_sum,
-products, huber): in the same order, with gather scatters as float64
-bincounts cast back, and with the sources' gradients added per content set
-from the last to the first, student before teacher.  So values, gradients
-and run bytes are those of the composed graph, which the tests keep as the
-oracle, at a fraction of its per-op bookkeeping.  ``pairwise_distances``
-and ``phi_a`` read the same pass's forward, as constant tensors.
+numpy; each term is a 0-d pick of its output vector, the sum over the sets,
+left to right, of each set's Huber mean on its own block of the
+concatenated mismatches.  Its backward replays the adjoints that the same
+steps would have as separate autodiff ops (matmul, r*r, sum, sqrt_guarded,
+mean, clamp_min, reciprocal, gather_sum, products, huber): in the same
+order, with each gather's scatter one float64 bincount per side over the
+offset indices, cast back, and with the sources' gradients added per
+content set from the last to the first, student before teacher.  Since no
+bin is shared between sets, every sum is added in the same order as set by
+set.  So values, gradients and run bytes are those of the composed graph,
+which the tests keep as the oracle, at a fraction of its per-op
+bookkeeping.  ``pairwise_distances`` and ``phi_a`` read the same pass's
+forward, as constant tensors.
 
 Tuples i<j(<k) are lexicographic ranks unranked through the combinatorial
 number system: a budget draws that many distinct ranks uniformly from the
@@ -38,6 +46,7 @@ seed, and full enumeration is every rank in order.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from math import comb
@@ -137,6 +146,79 @@ def _index(tuples: np.ndarray, count: int, batch: int) -> np.ndarray:
     return _tuple_index(tuples, count, batch)
 
 
+def _blocks(sizes) -> tuple:
+    """(start, stop) of each of consecutive blocks of these sizes."""
+    stops = tuple(itertools.accumulate(sizes))
+    return tuple(zip((0,) + stops[:-1], stops))
+
+
+@functools.lru_cache(maxsize=64)
+def _d_layout(counts: tuple, batch: int) -> tuple:
+    """Where sets of these item counts sit in a pass's concatenated d: each
+    set's (start, stop), and each entry's slot in the concatenated per-image
+    means, set * batch + image."""
+    blocks = _blocks([comb(c, 2) * batch for c in counts])
+    slot = np.concatenate([np.arange(stop - start) % batch + k * batch
+                           for k, (start, stop) in enumerate(blocks)])
+    slot.setflags(write=False)
+    return blocks, slot
+
+
+def _term(tuples: list, counts: tuple, batch: int) -> tuple:
+    """One term's layout for per-set [T, arity] tuple arrays of sets of these
+    item counts: the d entries each tuple reads (``_index``, offset to its
+    set's block of the concatenated d) and each set's (start, stop) in the
+    term's phi.  Pairs give (P, Q, blocks), Q each pair's mean slot;
+    triples give (T, blocks), T each triple's (ij, ik, jk) entries."""
+    d_blocks, slot = _d_layout(counts, batch)
+    index = np.concatenate([_index(t, c, batch) + start
+                            for t, c, (start, _) in zip(tuples, counts, d_blocks)])
+    blocks = _blocks([len(t) * batch for t in tuples])
+    if tuples[0].shape[1] == 2:
+        pairs = index[:, 0]
+        return pairs, slot[pairs], blocks
+    return index, blocks
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_term(counts: tuple, arity: int, batch: int) -> tuple:
+    """``_term`` of every set's full enumeration, read-only."""
+    term = _term([_tuple_pool(c, arity) for c in counts], counts, batch)
+    for index in term[:-1]:
+        index.setflags(write=False)
+    return term
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One pass's content sets laid end to end.
+
+    ``blocks`` holds each set's (start, stop) in the concatenated d and
+    ``slot`` each d entry's per-image mean slot (``_d_layout``); ``pairs``
+    and ``triples`` are the terms' ``_term`` layouts, None for a term not
+    computed.
+    """
+
+    batch: int
+    blocks: tuple
+    slot: np.ndarray
+    pairs: Optional[tuple]
+    triples: Optional[tuple]
+
+
+def _plan(counts: tuple, batch: int, pairs: Optional[list], triples: Optional[list]) -> _Plan:
+    """The plan of sets of these item counts and per-set tuple arrays (None:
+    no such term).  A term whose every set is fully enumerated is cached."""
+    def term(tuples):
+        if tuples is None:
+            return None
+        if all(len(t) == comb(c, t.shape[1]) for t, c in zip(tuples, counts)):
+            return _pool_term(counts, tuples[0].shape[1], batch)
+        return _term(tuples, counts, batch)
+
+    return _Plan(batch, *_d_layout(counts, batch), term(pairs), term(triples))
+
+
 def _as_items(x: ItemsLike) -> Tensor:
     if isinstance(x, ContentSet):
         return x.items
@@ -151,64 +233,79 @@ _COSINE = (-0.5, 0.5, -0.5)      # (d2_ik - d2_ij - d2_jk) / 2 over columns (ij,
 
 
 class _Side:
-    """One side's structures over one content set, and their adjoints.
+    """One source's structures over every content set of a pass, and their adjoints.
 
-    The forward keeps the values its backward reads.  ``grad`` replays the
-    adjoints of the composed graph (matmul, r*r, sum, sqrt, mean, clamps,
+    ``xs`` holds one item stack [count, B*D] per set.  Only R = A @ X, the
+    row sums of squares and the per-image means of d are taken per set; every
+    other step runs once on the sets' concatenated vectors.  ``grad`` replays
+    the adjoints of the composed graph (matmul, r*r, sum, sqrt, mean, clamps,
     reciprocals, gathers and products) in its reverse creation order, so
     every sum is added in the same order and the bytes match.
     """
 
-    def __init__(self, x: np.ndarray, batch: int, pairs, triples):
-        self.a = _incidence(x.shape[0], x.dtype).data
-        self.batch, self.pairs, self.triples = batch, pairs, triples
-        self.r = r = self.a @ x                             # rows: exact x_i - x_j
-        self.width = x.shape[1] // batch
-        sq = (r * r).reshape(-1, self.width).sum(axis=(1,))
+    def __init__(self, xs: list, plan: _Plan):
+        batch = plan.batch
+        self.plan = plan
+        self.a = [_incidence(x.shape[0], x.dtype).data for x in xs]
+        self.r = [a @ x for a, x in zip(self.a, xs)]       # rows: exact x_i - x_j
+        self.widths = [x.shape[1] // batch for x in xs]
+        sq = np.concatenate([np.add.reduce((r * r).reshape(-1, width), axis=1)
+                             for r, width in zip(self.r, self.widths)])
         self.d = d = np.sqrt(np.maximum(sq, 0.0))
         self.phi = [None, None]                             # phi_d, phi_a
-        if pairs is not None:
-            self.mean = _mean(d.reshape(-1, batch))
+        if plan.pairs is not None:
+            pairs, slots, _ = plan.pairs
+            self.mean = np.concatenate([_mean(d[start:stop].reshape(-1, batch))
+                                        for start, stop in plan.blocks])
             self.inv_mu = 1.0 / np.maximum(self.mean, EPSILON)
             # a unit-weight gather is plain indexing: 1.0 * v is v, bit for bit
-            self.g1, self.g2 = d[pairs[0]], self.inv_mu[pairs[1]]
+            self.g1, self.g2 = d[pairs], self.inv_mu[slots]
             self.phi[0] = self.g1 * self.g2
-        if triples is not None:
+        if plan.triples is not None:
+            triples = plan.triples[0]
             self.inv = 1.0 / np.maximum(d, EPSILON)
-            self.cosine = np.asarray(_COSINE, dtype=x.dtype)
+            self.cosine = np.asarray(_COSINE, dtype=d.dtype)
             self.gs = _gather(sq, triples, self.cosine)
             self.gi, self.gk = self.inv[triples[:, 0]], self.inv[triples[:, 2]]
             self.m1 = self.gs * self.gi
             self.phi[1] = self.m1 * self.gk
 
     def grad(self, g_phi_d: Optional[np.ndarray], g_phi_a: Optional[np.ndarray]) -> np.ndarray:
-        """The gradient of X = [count, B*D] from those of phi_d and phi_a
-        (None: that term's graph was not reached)."""
-        d, size = self.d, self.d.size
+        """The gradient of the concatenated row sums of squares from those of
+        phi_d and phi_a (None: that term's graph was not reached)."""
+        d, size, plan = self.d, self.d.size, self.plan
         one = np.asarray(_ONE, dtype=d.dtype)
         # terms are added in the composed graph's reverse creation order: into
         # d the angle's clamp, the pair gather, then the mean; into sq the
         # cosine gather, then the sqrt
         g_d = g_sq = None
         if g_phi_a is not None:
-            triples = self.triples
+            triples = plan.triples[0]
             g_m1 = g_phi_a * self.gk
             g_inv = _scatter(g_phi_a * self.m1, triples[:, 2], one, size)
             g_inv += _scatter(g_m1 * self.gs, triples[:, 0], one, size)
             g_sq = _scatter(g_m1 * self.gi, triples, self.cosine, size)
             g_d = -g_inv * self.inv * self.inv * (d >= EPSILON)
         if g_phi_d is not None:
-            pairs, batch = self.pairs, self.batch
-            g_inv_mu = _scatter(g_phi_d * self.g1, pairs[1], one, batch)
-            g_pair = _scatter(g_phi_d * self.g2, pairs[0], one, size)
+            pairs, slots, _ = plan.pairs
+            g_inv_mu = _scatter(g_phi_d * self.g1, slots, one, self.mean.size)
+            g_pair = _scatter(g_phi_d * self.g2, pairs, one, size)
             g_d = g_pair if g_d is None else g_d + g_pair
             g_mean = -g_inv_mu * self.inv_mu * self.inv_mu * (self.mean >= EPSILON)
-            g_d = (g_d.reshape(-1, batch) + g_mean / (size // batch)).reshape(-1)
+            # each set's mean over its own pair count, then to its image's entries
+            pair_counts = np.asarray([(stop - start) // plan.batch for start, stop in plan.blocks],
+                                     dtype=d.dtype)
+            g_d = g_d + (g_mean / pair_counts.repeat(plan.batch))[plan.slot]
         g_root = g_d / (2.0 * np.maximum(d, EPSILON))
-        g_sq = g_root if g_sq is None else g_sq + g_root
-        g_r = (g_sq[:, None] * self.r.reshape(-1, self.width)).reshape(self.r.shape)
+        return g_root if g_sq is None else g_sq + g_root
+
+    def item_grad(self, k: int, g_sq: np.ndarray) -> np.ndarray:
+        """Set k's gradient of X = [count, B*D] from that of the concatenated sq."""
+        start, stop = self.plan.blocks[k]
+        r = self.r[k]
+        g_r = (g_sq[start:stop, None] * r.reshape(-1, self.widths[k])).reshape(r.shape)
         g_r = g_r + g_r                                     # r * r: g*r to each operand
-        return self.a.swapaxes(-1, -2) @ g_r
+        return self.a[k].swapaxes(-1, -2) @ g_r
 
 
 def _mean(a: np.ndarray):
@@ -229,70 +326,74 @@ def _pick(vec: Tensor, k: int, reached: list) -> Tensor:
     return _result(vec.data[k:k + 1].reshape(()), "pick", (vec,), back)
 
 
-def _relate(t: Tensor, s: Tensor, groups: list) -> tuple:
+def _relate(t: Tensor, s: Tensor, cuts: list, plan: _Plan) -> tuple:
     """(distance term, angle term) of the teacher/student sources as one
     autodiff node and a 0-d pick of it per term; None for an absent term.
 
-    ``groups`` holds one (cut, batch, pair_idx, triple_idx) per content set:
-    ``cut`` is the slicing layout that turns a source into its item stack
-    (None: the sources are item stacks), and the index arrays come from
-    ``_index`` (None: no such tuples).  Each term is the Huber mismatch of
-    the two sides' phi averaged over its tuples and images, summed over the
-    groups left to right.
+    ``cuts`` holds one slicing layout per content set, the one that turns a
+    source into that set's item stack (None: the source is the item stack),
+    and ``plan`` lays the sets end to end.  Each side is one ``_Side`` pass
+    over all the sets.  The teacher-student differences and their Huber
+    values are taken once on the concatenated phi; each set's Huber mean is
+    taken on its own block of them, and a term is those means summed left
+    to right.  The backward scatters each side once over the concatenated
+    offsets, then adds the per-set image gradients from the last set to the
+    first, student before teacher.
     """
-    stacks = []
-    for cut, batch, pair_idx, triple_idx in groups:
-        # the pairs' d2 entries, and their images' entries of the per-image mean
-        pairs = None if pair_idx is None else (pair_idx[:, 0], pair_idx[:, 0] % batch)
-        sides = []
-        for src in (t, s):
+    sides = []
+    for src in (t, s):
+        xs = []
+        for cut in cuts:
             x = src.data
             if cut is not None:                 # the item-major stack slicing.split makes
                 grid, axes, items = cut
                 x = np.ascontiguousarray(x.reshape(grid).transpose(axes)).reshape(
-                    items[0] // batch, -1)
-            sides.append(_Side(x, batch, pairs, triple_idx))
-        stacks.append((cut, sides))
-    terms = []                              # (0 distance or 1 angle, diff per group, total)
-    for term in (0, 1):
-        diffs = [None if ts.phi[term] is None else ts.phi[term] - ss.phi[term]
-                 for _, (ts, ss) in stacks]
-        values = [_mean(_huber(diff)) for diff in diffs if diff is not None]
-        if values:
-            terms.append((term, diffs, functools.reduce(operator.add, values)))
-    vec = np.array([total for _, _, total in terms])
+                    items[0] // plan.batch, -1)
+            xs.append(x)
+        sides.append(_Side(xs, plan))
+    terms = []                              # (0 distance or 1 angle, diff, blocks, total)
+    for term, tuples in enumerate((plan.pairs, plan.triples)):
+        if tuples is not None:
+            blocks = tuples[-1]
+            diff = sides[0].phi[term] - sides[1].phi[term]
+            penalty = _huber(diff)
+            values = [_mean(penalty[start:stop]) for start, stop in blocks]
+            terms.append((term, diff, blocks, functools.reduce(operator.add, values)))
+    vec = np.array([total for *_, total in terms])
     # the backward reads only the sides whose source took a gradient when made
-    stacks = [(cut, [side if src.requires_grad else None for side, src in zip(sides, (t, s))])
-              for cut, sides in stacks]
+    sides = [side if src.requires_grad else None for side, src in zip(sides, (t, s))]
 
     def back(g):
-        g_phi = [[None, None] for _ in stacks]      # per group and term: (teacher, student)
-        for k, (term, diffs, _) in enumerate(terms):
-            if not reached[k]:
-                continue
-            for slot, diff in zip(g_phi, diffs):
-                if diff is not None:
-                    g_mean = g[k] / diff.size               # the mean's adjoint
-                    slope = _huber_slope(diff)
-                    slot[term] = (g_mean * slope, -g_mean * slope)
+        g_phi = [None, None]                        # per term: (teacher, student)
+        for k, (term, diff, blocks, _) in enumerate(terms):
+            if reached[k]:
+                # each set's mean adjoint, over its own tuple count
+                sizes = [stop - start for start, stop in blocks]
+                g_mean = np.array([g[k] / size for size in sizes]).repeat(sizes)
+                slope = _huber_slope(diff)
+                g_phi[term] = (g_mean * slope, -g_mean * slope)
+        g_sq = [None, None]                         # per side: that of the concatenated sq
+        for which, (side, src) in enumerate(zip(sides, (t, s))):
+            if side is not None and src.requires_grad:
+                g_sq[which] = side.grad(*(None if pair is None else
+                                          pair[which].astype(src.dtype, copy=False)
+                                          for pair in g_phi))
         # image gradients arrive per content set in reverse order, student first
-        for (cut, sides), slot in zip(reversed(stacks), reversed(g_phi)):
+        for k in reversed(range(len(cuts))):
             for which, src in ((1, s), (0, t)):
-                side = sides[which]
-                if side is None or not src.requires_grad or slot == [None, None]:
+                if g_sq[which] is None:
                     continue
-                g_x = side.grad(*(None if pair is None else
-                                  pair[which].astype(src.dtype, copy=False) for pair in slot))
-                if cut is not None:
-                    grid, axes, _ = cut
-                    g_x = np.ascontiguousarray(
-                        g_x.reshape([grid[a] for a in axes]).transpose(np.argsort(axes)))
+                g_x = sides[which].item_grad(k, g_sq[which])
+                if cuts[k] is not None:
+                    grid, axes, _ = cuts[k]
+                    undo = [axes.index(a) for a in range(len(axes))]     # the inverse permutation
+                    g_x = np.ascontiguousarray(g_x.reshape([grid[a] for a in axes]).transpose(undo))
                 src._accumulate(g_x.reshape(src.shape))
 
     reached = [False] * len(terms)
     node = _result(vec, "relations", (t, s), back)
     picks = [None, None]
-    for k, (term, _, _) in enumerate(terms):
+    for k, (term, *_) in enumerate(terms):
         picks[term] = _pick(node, k, reached)
     return tuple(picks)
 
@@ -305,7 +406,7 @@ def pairwise_distances(item_set: ItemsLike) -> DistanceStructure:
     if n < 2:
         raise ValueError(f"pairwise_distances needs >= 2 items, got {n}")
     pi, pj = _tuple_pool(n, 2).T
-    d = _Side(items.data, 1, None, None).d
+    d = _Side([items.data], _plan((n,), 1, None, None)).d
     mat = np.zeros((n, n), dtype=d.dtype)
     mat[pi, pj] = d
     mat[pj, pi] = d
@@ -329,7 +430,7 @@ def phi_a(vi, vj, vk) -> Tensor:
     if not (vi.shape == vj.shape == vk.shape) or vi.ndim != 1:
         raise ValueError(f"phi_a needs three equal-length vectors, got "
                          f"{vi.shape}, {vj.shape}, {vk.shape}")
-    side = _Side(np.stack([vi, vj, vk]), 1, None, _pool_index(3, 3, 1))
+    side = _Side([np.stack([vi, vj, vk])], _plan((3,), 1, None, [_tuple_pool(3, 3)]))
     return Tensor(side.phi[1].reshape(()))
 
 
@@ -369,6 +470,11 @@ def _tuple_pool(count: int, arity: int) -> np.ndarray:
     return pool
 
 
+def _enumerates(count: int, arity: int, budget: Optional[int]) -> bool:
+    """Whether a draw of this budget is every tuple, in order, whatever the seed."""
+    return budget is None or budget >= comb(count, arity)
+
+
 def sample_tuples(count: int, arity: int, budget: Optional[int], seed: int) -> np.ndarray:
     """Index tuples i<j(<k) as an [T, arity] int array, in lexicographic order.
 
@@ -384,10 +490,10 @@ def sample_tuples(count: int, arity: int, budget: Optional[int], seed: int) -> n
         raise ValueError(f"need at least {arity} items, got {count}")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1 or None, got {budget}")
-    total = comb(count, arity)
-    if budget is None or budget >= total:
+    if _enumerates(count, arity, budget):
         return _tuple_pool(count, arity)
-    ranks = np.random.default_rng(seed).choice(total, budget, replace=False, shuffle=False)
+    ranks = np.random.default_rng(seed).choice(comb(count, arity), budget, replace=False,
+                                               shuffle=False)
     ranks.sort()
     return _unrank(ranks, count, arity)
 
@@ -415,7 +521,7 @@ def rkd_distance_loss(teacher_items: ItemsLike, student_items: ItemsLike,
     t, s = _as_items(teacher_items), _as_items(student_items)
     n = _check_sides(t, s, 2)
     pairs = sample_tuples(n, 2, cfg.pair_budget, cfg.seed)
-    return _relate(t, s, [(None, 1, _index(pairs, n, 1), None)])[0]
+    return _relate(t, s, [None], _plan((n,), 1, [pairs], None))[0]
 
 
 def rkd_angle_loss(teacher_items: ItemsLike, student_items: ItemsLike,
@@ -429,7 +535,7 @@ def rkd_angle_loss(teacher_items: ItemsLike, student_items: ItemsLike,
     t, s = _as_items(teacher_items), _as_items(student_items)
     n = _check_sides(t, s, 3)
     triples = sample_tuples(n, 3, cfg.triplet_budget, cfg.seed)
-    return _relate(t, s, [(None, 1, None, _index(triples, n, 1))])[1]
+    return _relate(t, s, [None], _plan((n,), 1, None, [triples]))[1]
 
 
 # -- content-level losses -------------------------------------------------------
@@ -440,9 +546,14 @@ def _derive_seed(*words: int) -> int:
                .generate_state(1)[0])
 
 
-@functools.lru_cache(maxsize=256)
 def _granularity_seed(base: int, granularity: str, arity: int) -> int:
     return _derive_seed(base, GRANULARITIES.index(granularity), arity)   # column 0, row 1, patch 2
+
+
+def _draw(count: int, arity: int, budget: Optional[int], base: int, granularity: str):
+    """One granularity's tuples; a seed is derived only for a draw that samples."""
+    seed = 0 if _enumerates(count, arity, budget) else _granularity_seed(base, granularity, arity)
+    return sample_tuples(count, arity, budget, seed)
 
 
 def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
@@ -461,21 +572,19 @@ def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
     grans = cfg.enabled_granularities()
     if not grans:
         raise ValueError("no content granularity enabled: nothing to relate")
-    groups = []
+    cuts, counts, pairs, triples = [], [], [], []
     for g in grans:
         cut = slicing.layout(teacher_img.shape, g, (n, m) if g == PATCH else None)
         batch = cut[0][0]
         count = cut[2][0] // batch
-        pair_idx = triple_idx = None
+        cuts.append(cut)
+        counts.append(count)
         if distance:
-            pairs = sample_tuples(count, 2, cfg.pair_budget, _granularity_seed(cfg.seed, g, 2))
-            pair_idx = _index(pairs, count, batch)
+            pairs.append(_draw(count, 2, cfg.pair_budget, cfg.seed, g))
         if angle:
-            triples = sample_tuples(count, 3, cfg.triplet_budget,
-                                    _granularity_seed(cfg.seed, g, 3))
-            triple_idx = _index(triples, count, batch)
-        groups.append((cut, batch, pair_idx, triple_idx))
-    return _relate(teacher_img, student_img, groups)
+            triples.append(_draw(count, 3, cfg.triplet_budget, cfg.seed, g))
+    plan = _plan(tuple(counts), batch, pairs if distance else None, triples if angle else None)
+    return _relate(teacher_img, student_img, cuts, plan)
 
 
 def crd_combine(crd_d: Tensor, crd_a: Optional[Tensor], cfg: RelationConfig) -> Tensor:

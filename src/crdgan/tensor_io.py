@@ -98,11 +98,12 @@ def save_named_tensors(dirpath, named_arrays, role: str, manifest_entries=None):
     return entries
 
 
-def load_named_tensors(dirpath, role: str):
-    """Load all manifest entries of one role, in manifest order."""
+def load_named_tensors(dirpath, role: str, manifest=None):
+    """Load all manifest entries of one role, in manifest order; ``manifest``
+    is the directory's parsed :func:`read_manifest`, read here when None."""
     dirpath = Path(dirpath)
     out = []
-    for row in read_manifest(dirpath):
+    for row in read_manifest(dirpath) if manifest is None else manifest:
         if row["role"] == role:
             out.append((row["name"], load_tensor(dirpath / row["file"])))
     return out

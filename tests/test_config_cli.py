@@ -688,7 +688,16 @@ class TestMedianMs:
 
 
 class TestCliBench:
-    def test_budget_reduces_triples_evaluated(self, capsys):
+    def test_budget_reduces_triples_evaluated(self, monkeypatch, capsys):
+        from crdgan import cli
+        checks = []
+        real = cli._check_gradient
+
+        def counted(loss_fn, x):
+            checks.append((x.shape, x.dtype))
+            return real(loss_fn, x)
+
+        monkeypatch.setattr(cli, "_check_gradient", counted)
         assert main(["bench", "--size", "16", "--budget", "0", "--iters", "1"]) == 0
         full = capsys.readouterr().out
         assert main(["bench", "--size", "16", "--budget", "64", "--iters", "1"]) == 0
@@ -700,10 +709,20 @@ class TestCliBench:
                     return float(line.split(",")[1])
 
         assert value(budgeted, "triples_evaluated") < value(full, "triples_evaluated")
-        for key in ("generator_fwd_bwd_ms", "discriminator_fwd_bwd_ms", "adam_step_ms"):
+        for key in ("generator_fwd_bwd_ms", "discriminator_fwd_bwd_ms", "adam_step_ms",
+                    "crd_gradcheck_ms"):
             assert value(full, key) > 0, key
         last = full.splitlines()[-1]
         assert last.startswith("perceptual_fwd_bwd_ms,") and float(last.split(",")[1]) > 0
+        assert [line.split(",")[0] for line in full.splitlines()] == [
+            "image_size", "triplet_budget", "pairs_evaluated", "triples_evaluated",
+            "tuple_sampling_ms", "crd_loss_ms", "crd_loss_fwd_bwd_ms", "crd_gradcheck_ms",
+            "tuples_per_second", "generator_fwd_bwd_ms", "generator_gflops",
+            "discriminator_fwd_bwd_ms", "adam_step_ms", "dataset_ms", "trainer_ms",
+            "perceptual_fwd_bwd_ms"]
+        # crd_gradcheck_ms times whole checks at `gradcheck`'s defaults, whatever --size:
+        # per run an untimed check and one timed
+        assert checks == [((1, 8, 8), np.float64)] * 4
 
     def test_set_up_lines_time_the_dataset_and_the_trainer(self, monkeypatch, capsys):
         from crdgan import cli

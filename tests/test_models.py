@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crdgan import models
+from crdgan import models, tensor_io
 from crdgan.autodiff import (
     Tensor, backward, conv2d, finite_diff_grad, gradcheck, instance_norm, leaky_relu,
     max_rel_error, mul, permute, relu, set_finite_checks, tanh, tmean, tsum, upsample2x,
@@ -608,6 +608,16 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="shape"):
             load_checkpoint(tmp_path, target)
         assert {role: m.flat.tobytes() for role, m in target.items()} == before
+
+    def test_reads_the_manifest_once(self, tmp_path, monkeypatch):
+        spec = GeneratorSpec(base_width=8, num_res_blocks=1)
+        nets = {role: build_generator(spec, k) for k, role in enumerate("abcd")}
+        save_checkpoint(tmp_path, nets)
+        reads = []
+        real = tensor_io.read_manifest
+        monkeypatch.setattr(tensor_io, "read_manifest", lambda d: reads.append(d) or real(d))
+        load_checkpoint(tmp_path, {role: build_generator(spec, 9) for role in "abcd"})
+        assert len(reads) == 1
 
     def test_missing_role_rejected(self, tmp_path):
         gen = build_generator(GeneratorSpec(base_width=8), 0)

@@ -162,7 +162,7 @@ class TestPairwiseDistances:
     def test_pair_values_are_the_relation_pass_distances(self, dtype, wrap):
         items = np.random.default_rng(5).normal(size=(7, 9)).astype(dtype)
         got = pairwise_distances(wrap(items)).pair_values.data
-        side = relations._Side(items, 1, None, None)
+        side = relations._Side([items], relations._plan((7,), 1, None, None))
         assert got.dtype == dtype
         assert got.tobytes() == side.d.tobytes()
         composed = sqrt_guarded(composed_pair_sq(Tensor(items), 1), 1e-12)
@@ -221,8 +221,8 @@ class TestPhiA:
     def test_is_the_relation_pass_angle(self, dtype):
         stack = np.random.default_rng(6).normal(size=(3, 8)).astype(dtype)
         got = phi_a(*(Tensor(v) for v in stack)).data
-        idx = relations._index(np.array([[0, 1, 2]]), 3, 1)
-        want = relations._Side(stack, 1, None, idx).phi[1]
+        plan = relations._plan((3,), 1, None, [np.array([[0, 1, 2]])])
+        want = relations._Side([stack], plan).phi[1]
         assert got.shape == () and got.dtype == dtype
         assert got.tobytes() == want.tobytes()
 
@@ -509,6 +509,32 @@ class TestOnePass:
         crd_terms(img, img, 4, 4, RelationConfig(triplet_budget=16))
         assert calls == [((4, 1, 8, 8), g) for g in ("column", "row", "patch")]
 
+    def test_a_seed_is_derived_only_for_a_draw_that_samples(self, monkeypatch):
+        derived = []
+        real = relations._derive_seed
+        monkeypatch.setattr(relations, "_derive_seed",
+                            lambda *words: derived.append(words) or real(*words))
+        img = Tensor(np.random.default_rng(35).uniform(-1, 1, (1, 8, 8)))
+        # all pairs; 50 of the 56 triples of 8 columns or rows, and all 4 of 4 patches
+        crd_terms(img, img, 4, 4, RelationConfig(pair_budget=None, triplet_budget=50, seed=9))
+        assert derived == [(9, 0, 3), (9, 1, 3)]
+        derived.clear()
+        crd_terms(img, img, 4, 4, self.FULL)
+        assert derived == []
+
+    def test_no_cache_grows_with_the_step_seed(self):
+        caches = {name: fn for name, fn in vars(relations).items() if hasattr(fn, "cache_info")}
+        img = Tensor(np.random.default_rng(36).uniform(-1, 1, (2, 3, 8, 12)))
+        configs = [RelationConfig(pair_budget=budget, triplet_budget=budget, seed=seed)
+                   for seed in range(301) for budget in (None, 30)]
+        crd_terms(img, img, 4, 4, configs[0])
+        crd_terms(img, img, 4, 4, configs[1])
+        sizes = {name: fn.cache_info().currsize for name, fn in caches.items()}
+        for cfg in configs[2:]:                 # 300 steps' seeds, full and sampled draws
+            crd_terms(img, img, 4, 4, cfg)
+        assert {name: fn.cache_info().currsize for name, fn in caches.items()} == sizes
+        assert "_pool_term" in caches and "_granularity_seed" not in caches
+
     def test_no_term_asked_for_is_none_none(self):
         img = Tensor(np.zeros((1, 4, 4)))
         assert crd_terms(img, img, 2, 2, CFG, distance=False, angle=False) == (None, None)
@@ -609,7 +635,9 @@ class TestOneNodeMatchesComposedGraph:
     ]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(3, 8, 8), (4, 3, 8, 8)])
+    # (2, 3, 8, 12) with 4x4 patches: 12 columns, 8 rows and 6 patches per image,
+    # three item counts and three item widths, so each set sits at its own offsets
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (4, 3, 8, 8), (2, 3, 8, 12)])
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_values_and_gradients_byte_equal(self, dtype, shape, case):
         opts = dict(cfg=RelationConfig(triplet_budget=50, seed=7), distance=True, angle=True,
@@ -654,6 +682,62 @@ class TestOneNodeMatchesComposedGraph:
                 backward(loss)
                 out.append((loss.data.tobytes(), t.grad.tobytes(), s.grad.tobytes()))
             assert out[0] == out[1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_set_block_is_that_set_composed_alone(self, dtype):
+        """Every set's block of one pass over all three sets (d, the per-image
+        means, phi_d, phi_a) holds the bytes the composed ops give that set."""
+        img = Tensor(np.random.default_rng(43).uniform(-1, 1, (2, 3, 8, 12)).astype(dtype))
+        cfg = RelationConfig(pair_budget=40, triplet_budget=50, seed=5)
+        sets = [slicing.split(img, g, (4, 4) if g == "patch" else None)
+                for g in slicing.GRANULARITIES]
+        pairs = [sample_tuples(c.count, 2, cfg.pair_budget,
+                               relations._granularity_seed(cfg.seed, c.granularity, 2))
+                 for c in sets]
+        triples = [sample_tuples(c.count, 3, cfg.triplet_budget,
+                                 relations._granularity_seed(cfg.seed, c.granularity, 3))
+                   for c in sets]
+        assert [c.count for c in sets] == [12, 8, 6]
+        plan = relations._plan(tuple(c.count for c in sets), 2, pairs, triples)
+        side = relations._Side([c.items.data.reshape(c.count, -1) for c in sets], plan)
+        eps = relations.EPSILON
+        for k, c in enumerate(sets):
+            pair_idx = relations._index(pairs[k], c.count, 2)
+            triple_idx = relations._index(triples[k], c.count, 2)
+            sq = composed_pair_sq(reshape(c.items, (c.count, -1)), 2)
+            d = sqrt_guarded(sq, eps)
+            mean = tmean(reshape(d, (-1, 2)), axes=0)
+            inv_mu = reciprocal(clamp_min(mean, eps))
+            inv = reciprocal(clamp_min(d, eps))
+            want = [d, mean,
+                    gather_sum(d, pair_idx, _ONE) * gather_sum(inv_mu, pair_idx % 2, _ONE),
+                    gather_sum(sq, triple_idx, _COSINE) * gather_sum(inv, triple_idx[:, :1], _ONE)
+                    * gather_sum(inv, triple_idx[:, 2:], _ONE)]
+            (d0, d1), (p0, p1), (t0, t1) = (plan.blocks[k], plan.pairs[-1][k],
+                                            plan.triples[-1][k])
+            got = [side.d[d0:d1], side.mean[2 * k:2 * k + 2], side.phi[0][p0:p1],
+                   side.phi[1][t0:t1]]
+            assert [g.tobytes() for g in got] == [w.data.tobytes() for w in want], c.granularity
+
+    def test_finite_differences_at_the_gradcheck_defaults(self):
+        """`crdgan gradcheck`'s case (8x8, patch 4, full enumeration, float64,
+        seed 0): the central differences of crd_loss, and its backward, are
+        those of the composed graph, byte for byte."""
+        rng = np.random.default_rng(0)
+        cfg = RelationConfig(triplet_budget=None, seed=0)
+        teacher = Tensor(rng.uniform(-1, 1, (1, 8, 8)))
+        student = rng.uniform(-1, 1, (1, 8, 8))
+        out = []
+        for terms in (crd_terms, composed_crd_terms):
+            def f(x):
+                return crd_combine(*terms(teacher, x, 4, 4, cfg), cfg)
+
+            x = Tensor(student.copy(), requires_grad=True)
+            backward(f(x))
+            out.append((x.grad.tobytes(), finite_diff_grad(f, x, 1e-6).data.tobytes()))
+        assert crd_loss(teacher, Tensor(student), 4, 4, cfg).item() == \
+            crd_combine(*composed_crd_terms(teacher, Tensor(student), 4, 4, cfg), cfg).item()
+        assert out[0] == out[1]
 
     def test_one_call_records_at_most_three_results(self, monkeypatch):
         count = [0]
