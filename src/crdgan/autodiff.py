@@ -269,16 +269,16 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.maximum(a.data, 0), "relu", (a,), back)
 
 
-def _leaky_slope(a: np.ndarray, alpha: float = LEAKY_SLOPE) -> np.ndarray:
+def _leaky_slope(a: np.ndarray) -> np.ndarray:
     """leaky_relu's slope per element of a: its output is a * slope, its
     input gradient g * slope."""
     # taken from a two-entry table (np.where on a random mask runs several
     # times slower); a * 1 is a, so a * slope has where()'s bytes
-    return np.array([alpha, 1.0], dtype=a.dtype).take((a > 0).view(np.uint8))
+    return np.array([LEAKY_SLOPE, 1.0], dtype=a.dtype).take((a > 0).view(np.uint8))
 
 
-def leaky_relu(a: Tensor, alpha: float = LEAKY_SLOPE) -> Tensor:
-    slope = _leaky_slope(a.data, alpha)
+def leaky_relu(a: Tensor) -> Tensor:
+    slope = _leaky_slope(a.data)
 
     def back(g):
         if a.requires_grad:

@@ -9,7 +9,6 @@ import argparse
 import statistics
 import sys
 import time
-from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -225,9 +224,8 @@ def _cmd_bench(args) -> int:
 
     counts = [slicing.layout((3, s, s), g, (n, m) if g == slicing.PATCH else None)[2][0]
               for g in slicing.GRANULARITIES]           # columns, rows, patches
-    triple_totals = [comb(count, 3) for count in counts]
-    triples_evaluated = sum(min(budget, t) if budget else t for t in triple_totals)
-    pairs_evaluated = sum(comb(count, 2) for count in counts)
+    pairs_evaluated = sum(len(sample_tuples(c, 2, cfg.pair_budget, args.seed)) for c in counts)
+    triples_evaluated = sum(len(sample_tuples(c, 3, budget, args.seed)) for c in counts)
 
     def sample() -> None:
         for count in counts:                            # one step's triple draws

@@ -9,6 +9,7 @@ values are errors that name the offending line.  Budgets accept 0 as
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Tuple
@@ -61,8 +62,11 @@ class TrainConfig:
         if self.teacher_eval_interval < 1:
             raise ValueError(f"teacher_eval_interval must be >= 1, got {self.teacher_eval_interval}")
         for name in ("lr0", "lambda_crd", "lambda_per"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.gan_mode not in GAN_MODES:
             raise ValueError(f"gan_mode must be one of {GAN_MODES}, got {self.gan_mode!r}")
         if self.discriminator_mode not in DISCRIMINATOR_MODES:

@@ -15,6 +15,7 @@ composed graph, which is its reference.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,9 +42,9 @@ class FeatureExtractor:
 
     The weights never change and never require gradients; identical inputs
     give identical activations.  ``weights`` are [Cout,Cin,k,k] arrays,
-    converted once to the [k,k,Cin,Cout] kernels that ``layers`` holds.  One
-    field changes: the first :func:`perceptual_loss` with a gradient caches the
-    layers' input-gradient kernels, built from the weights, in ``_phases``.
+    converted once to the [k,k,Cin,Cout] kernels that ``layers`` holds and,
+    at the first use, to the layers' input-gradient phase kernels, ``_phases``
+    (an extractor that only scores images never holds them).
     """
 
     def __init__(self, weights: Sequence[np.ndarray], strides: Sequence[int]):
@@ -62,8 +63,10 @@ class FeatureExtractor:
             prev = w.shape[0]
             kernel = Tensor(np.ascontiguousarray(w.transpose(2, 3, 1, 0)), requires_grad=False)
             self.layers.append((kernel, int(s)))
-        # each layer's input-gradient kernel, built by the first perceptual_loss with a gradient
-        self._phases = None
+
+    @cached_property
+    def _phases(self) -> list:
+        return [_phase_kernels(k.data, s) for k, s in self.layers]
 
     @classmethod
     def fixed_random(cls, seed: int, in_channels: int = 3,
@@ -177,7 +180,7 @@ def perceptual_loss(teacher_out: Tensor, student_out: Tensor,
     Gram operand.  The backward replays the adjoints of :func:`extract`,
     :func:`gram` and the L1s for the student half: the sign terms, F (dG +
     dG^T) / (C*H*W) for each Gram, then each layer's slope and input
-    gradient, on phase kernels built once per extractor; the teacher gets no
+    gradient, on the extractor's phase kernels; the teacher gets no
     gradient.  The composed graph is the reference: values
     and gradients match it to rounding.
     """
@@ -189,8 +192,6 @@ def perceptual_loss(teacher_out: Tensor, student_out: Tensor,
     t, s = (a.data if a.ndim == 4 else a.data[None] for a in (teacher_out, student_out))
     bsz = s.shape[0]
     live = student_out.requires_grad
-    if live and extractor._phases is None:
-        extractor._phases = [_phase_kernels(w.data, st) for w, st in extractor.layers]
     tape, total = [], None
     layers = _layer_outputs(np.concatenate((t, s)).transpose(0, 2, 3, 1), extractor)
     for j, (shape, slope, act) in enumerate(layers):

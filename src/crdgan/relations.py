@@ -49,7 +49,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import Optional, Union
 
 import numpy as np
@@ -81,8 +81,8 @@ class RelationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda_a < 0:
-            raise ValueError(f"lambda_a must be >= 0, got {self.lambda_a}")
+        if not 0 <= self.lambda_a < inf:
+            raise ValueError(f"lambda_a must be finite and >= 0, got {self.lambda_a}")
         for name in ("pair_budget", "triplet_budget"):
             v = getattr(self, name)
             if v is not None and v < 1:
@@ -133,19 +133,6 @@ def _tuple_index(tuples: np.ndarray, count: int, batch: int) -> np.ndarray:
     return (rank[:, None, :] * batch + np.arange(batch)[:, None]).reshape(-1, rank.shape[1])
 
 
-@functools.lru_cache(maxsize=64)
-def _pool_index(count: int, arity: int, batch: int) -> np.ndarray:
-    index = _tuple_index(_tuple_pool(count, arity), count, batch)
-    index.setflags(write=False)
-    return index
-
-
-def _index(tuples: np.ndarray, count: int, batch: int) -> np.ndarray:
-    if len(tuples) == comb(count, tuples.shape[1]):      # the full pool: cached
-        return _pool_index(count, tuples.shape[1], batch)
-    return _tuple_index(tuples, count, batch)
-
-
 def _blocks(sizes) -> tuple:
     """(start, stop) of each of consecutive blocks of these sizes."""
     stops = tuple(itertools.accumulate(sizes))
@@ -166,12 +153,12 @@ def _d_layout(counts: tuple, batch: int) -> tuple:
 
 def _term(tuples: list, counts: tuple, batch: int) -> tuple:
     """One term's layout for per-set [T, arity] tuple arrays of sets of these
-    item counts: the d entries each tuple reads (``_index``, offset to its
+    item counts: the d entries each tuple reads (``_tuple_index``, offset to its
     set's block of the concatenated d) and each set's (start, stop) in the
     term's phi.  Pairs give (P, Q, blocks), Q each pair's mean slot;
     triples give (T, blocks), T each triple's (ij, ik, jk) entries."""
     d_blocks, slot = _d_layout(counts, batch)
-    index = np.concatenate([_index(t, c, batch) + start
+    index = np.concatenate([_tuple_index(t, c, batch) + start
                             for t, c, (start, _) in zip(tuples, counts, d_blocks)])
     blocks = _blocks([len(t) * batch for t in tuples])
     if tuples[0].shape[1] == 2:
@@ -330,27 +317,20 @@ def _relate(t: Tensor, s: Tensor, cuts: list, plan: _Plan) -> tuple:
     """(distance term, angle term) of the teacher/student sources as one
     autodiff node and a 0-d pick of it per term; None for an absent term.
 
-    ``cuts`` holds one slicing layout per content set, the one that turns a
-    source into that set's item stack (None: the source is the item stack),
-    and ``plan`` lays the sets end to end.  Each side is one ``_Side`` pass
-    over all the sets.  The teacher-student differences and their Huber
-    values are taken once on the concatenated phi; each set's Huber mean is
-    taken on its own block of them, and a term is those means summed left
-    to right.  The backward scatters each side once over the concatenated
-    offsets, then adds the per-set image gradients from the last set to the
-    first, student before teacher.
+    ``cuts`` holds one slicing layout per content set, by which ``slicing.cut``
+    and ``uncut`` take a source to that set's item stack and back (None: the
+    source is the item stack), and ``plan`` lays the sets end to end.  Each
+    side is one ``_Side`` pass over all the sets.  The teacher-student
+    differences and their Huber values are taken once on the concatenated
+    phi; each set's Huber mean is taken on its own block of them, and a term
+    is those means summed left to right.  The backward scatters each side
+    once over the concatenated offsets, then adds the per-set image
+    gradients from the last set to the first, student before teacher.
     """
     sides = []
     for src in (t, s):
-        xs = []
-        for cut in cuts:
-            x = src.data
-            if cut is not None:                 # the item-major stack slicing.split makes
-                grid, axes, items = cut
-                x = np.ascontiguousarray(x.reshape(grid).transpose(axes)).reshape(
-                    items[0] // plan.batch, -1)
-            xs.append(x)
-        sides.append(_Side(xs, plan))
+        xs = [src.data if cut is None else slicing.cut(src.data, cut) for cut in cuts]
+        sides.append(_Side([x.reshape(x.shape[0] // plan.batch, -1) for x in xs], plan))
     terms = []                              # (0 distance or 1 angle, diff, blocks, total)
     for term, tuples in enumerate((plan.pairs, plan.triples)):
         if tuples is not None:
@@ -384,10 +364,7 @@ def _relate(t: Tensor, s: Tensor, cuts: list, plan: _Plan) -> tuple:
                 if g_sq[which] is None:
                     continue
                 g_x = sides[which].item_grad(k, g_sq[which])
-                if cuts[k] is not None:
-                    grid, axes, _ = cuts[k]
-                    undo = [axes.index(a) for a in range(len(axes))]     # the inverse permutation
-                    g_x = np.ascontiguousarray(g_x.reshape([grid[a] for a in axes]).transpose(undo))
+                g_x = g_x if cuts[k] is None else slicing.uncut(g_x, cuts[k])
                 src._accumulate(g_x.reshape(src.shape))
 
     reached = [False] * len(terms)

@@ -70,8 +70,8 @@ def layout(shape: tuple, granularity: str,
     """How a source of this shape splits: (grid, axes, items).
 
     Reshaping the source to ``grid``, permuting by ``axes`` and reshaping to
-    ``items`` = [count*b, d] gives the item-major stack.  The split functions
-    and the relation losses both cut their items this way.
+    ``items`` = [count*b, d] gives the item-major stack: :func:`cut` on plain
+    arrays, :func:`split` as autodiff ops.
     """
     b, c, h, w = _dims(shape)
     if granularity == COLUMN:
@@ -99,6 +99,20 @@ def layout(shape: tuple, granularity: str,
     return (b, c, h // n, n, w // m, m), (2, 4, 0, 1, 3, 5), (count * b, c * n * m)
 
 
+def cut(x: np.ndarray, layout: tuple) -> np.ndarray:
+    """A source array's item-major stack [count*b, d] by its :func:`layout`, as :func:`split`."""
+    grid, axes, items = layout
+    return np.ascontiguousarray(x.reshape(grid).transpose(axes)).reshape(items)
+
+
+def uncut(items: np.ndarray, layout: tuple) -> np.ndarray:
+    """The inverse of :func:`cut`: from an item stack of any shape, the source's
+    values laid out as ``layout``'s grid, which reshapes to the source's shape."""
+    grid, axes, _ = layout
+    undo = [axes.index(a) for a in range(len(axes))]        # the inverse permutation
+    return np.ascontiguousarray(items.reshape([grid[a] for a in axes]).transpose(undo))
+
+
 def split(img: Tensor, granularity: str, patch_dims: Optional[Tuple[int, int]] = None) -> ContentSet:
     dims = tuple(patch_dims) if granularity == PATCH and patch_dims is not None else None
     grid, axes, stack = layout(img.shape, granularity, dims)
@@ -122,15 +136,10 @@ def split_patches(img: Tensor, n: int, m: int) -> ContentSet:
 
 
 def reassemble(cset: ContentSet) -> np.ndarray:
-    """Exact inverse of the corresponding split (values only, no gradient):
-    splitting the source's flat pixel indices says where each value goes."""
+    """Exact inverse of the corresponding split (values only, no gradient)."""
     shape = cset.source_shape
-    where = split(Tensor(np.arange(np.prod(shape), dtype=np.float64).reshape(shape)),
-                  cset.granularity, cset.patch_dims).items.data
-    items = cset.items.data
-    if items.shape != where.shape:
-        raise ValueError(f"{cset.granularity} items of shape {items.shape} do not match "
+    lay = layout(shape, cset.granularity, cset.patch_dims)
+    if cset.items.shape != lay[2]:
+        raise ValueError(f"{cset.granularity} items of shape {cset.items.shape} do not match "
                          f"source {shape}")
-    out = np.empty(where.size, dtype=items.dtype)
-    out[where.astype(np.intp).reshape(-1)] = items.reshape(-1)
-    return out.reshape(shape)
+    return uncut(cset.items.data, lay).reshape(shape)

@@ -67,8 +67,8 @@ def write_manifest(dirpath, entries) -> None:
 def read_manifest(dirpath):
     """Returns a list of dicts with keys name/file/shape/role.
 
-    A header other than ``MANIFEST_FIELDS``, or a row of another length,
-    raises a ValueError naming the file.
+    A header other than ``MANIFEST_FIELDS``, a row of another length or a
+    shape cell not of ``x``-joined ints raises a ValueError naming the file.
     """
     path = Path(dirpath) / MANIFEST_NAME
     out = []
@@ -81,7 +81,11 @@ def read_manifest(dirpath):
                 raise ValueError(f"{path}: line {reader.line_num} does not have "
                                  f"{len(MANIFEST_FIELDS)} fields")
             row = dict(row)
-            row["shape"] = tuple(int(d) for d in row["shape"].split("x")) if row["shape"] else ()
+            try:
+                row["shape"] = tuple(map(int, row["shape"].split("x"))) if row["shape"] else ()
+            except ValueError:
+                raise ValueError(f"{path}: line {reader.line_num} has shape {row['shape']!r}, "
+                                 f"not x-joined ints") from None
             out.append(row)
     return out
 
@@ -99,11 +103,15 @@ def save_named_tensors(dirpath, named_arrays, role: str, manifest_entries=None):
 
 
 def load_named_tensors(dirpath, role: str, manifest=None):
-    """Load all manifest entries of one role, in manifest order; ``manifest``
-    is the directory's parsed :func:`read_manifest`, read here when None."""
+    """Load all manifest entries of one role, in manifest order, each of its
+    row's shape; ``manifest``: the directory's :func:`read_manifest`, or None."""
     dirpath = Path(dirpath)
     out = []
     for row in read_manifest(dirpath) if manifest is None else manifest:
         if row["role"] == role:
-            out.append((row["name"], load_tensor(dirpath / row["file"])))
+            arr = load_tensor(dirpath / row["file"])
+            if arr.shape != row["shape"]:
+                raise ValueError(f"{dirpath / row['file']}: tensor of shape {arr.shape} but "
+                                 f"the manifest says {row['shape']}")
+            out.append((row["name"], arr))
     return out

@@ -43,7 +43,7 @@ from .models import (
     discriminator_loss, generator_adv_loss, save_checkpoint,
 )
 from .perceptual import FeatureExtractor, perceptual_loss
-from .relations import crd_combine, crd_terms
+from .relations import _derive_seed, crd_combine, crd_terms
 from . import ppm
 
 CSV_HEADER = ("epoch,step,lr,d_loss_T,g_loss_T,adv_loss_S,crd_d,crd_a,"
@@ -500,7 +500,7 @@ def _pretrain_discriminator(trainer: Trainer, dataset) -> None:
     its D to trainer; trainer's generators and optimizers stay fresh."""
     cfg = trainer.cfg
     pre = Trainer(replace(cfg, discriminator_mode="pretrained_updating"), dataset, trainer.dtype)
-    for step, _, lr, batch in _batches(dataset, cfg, pre._order_seed ^ 0x5EED):
+    for step, _, lr, batch in _batches(dataset, cfg, _derive_seed(pre._order_seed, 0x5EED)):
         pre.set_lr(lr)
         pre.train_step_teacher(batch, step)
     trainer.state.discriminator.flat[...] = pre.state.discriminator.flat

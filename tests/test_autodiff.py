@@ -368,7 +368,7 @@ class TestBackward:
         w = _hwio(rng.normal(size=(2, 1, 3, 3)) * 0.5)
 
         def f(t):
-            h = leaky_relu(conv2d(t, Tensor(w), stride=2, padding=1), 0.2)
+            h = leaky_relu(conv2d(t, Tensor(w), stride=2, padding=1))
             h = instance_norm(h)
             return tmean(mul(tanh(h), tanh(h))) + tsum(softplus(tmean(h, axes=(1, 2))))
 
@@ -468,7 +468,7 @@ class TestSupportOps:
         a.reshape(-1)[:5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
         g = rng.normal(size=a.shape).astype(dtype)
         x = Tensor(a, requires_grad=True)
-        y = leaky_relu(x, 0.2)
+        y = leaky_relu(x)
         y._backward_fn(g)
         mask = a > 0
         assert y.dtype == x.grad.dtype == dtype

@@ -144,6 +144,10 @@ class TestValidate:
         (dict(disc_layers=0), "disc_layers must be >= 1, got 0"),
         (dict(disc_base_width=0), "disc_base_width must be >= 1, got 0"),
         (dict(train_count=0), "train_count must be >= 1, got 0"),
+        (dict(lr0=float("nan")), "^lr0 must be finite, got nan$"),
+        (dict(lambda_crd=float("nan")), "^lambda_crd must be finite, got nan$"),
+        (dict(lambda_crd=float("-inf")), "^lambda_crd must be finite, got -inf$"),
+        (dict(lambda_per=float("inf")), "^lambda_per must be finite, got inf$"),
     ])
     def test_cross_field_checks(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -426,7 +430,9 @@ class TestCliTrainEval:
 
     @pytest.mark.parametrize("bad", ["width_factor = 0.01", "seed = -1",
                                      "extractor_seed = -5", "sample_every = -1",
-                                     "batch_size = 5", "val_count = 1"])
+                                     "batch_size = 5", "val_count = 1",
+                                     "lr0 = nan", "lambda_crd = nan", "lambda_per = inf",
+                                     "lambda_a = nan"])
     def test_train_rejects_a_bad_config_before_writing(self, tiny_cfg_file, tmp_path,
                                                         capsys, bad):
         cfg = tmp_path / "bad.cfg"
@@ -496,7 +502,7 @@ class TestCliTrainEval:
         assert "; missing: none)" in err and err.count("\n") == 1
         assert not (run / "eval.csv").exists()
 
-    @pytest.mark.parametrize("corrupt", ["drop_role_column", "short_row"])
+    @pytest.mark.parametrize("corrupt", ["drop_role_column", "short_row", "bad_shape_cell"])
     def test_eval_rejects_a_corrupt_manifest(self, tmp_path, capsys, corrupt):
         cfg = TrainConfig(image_size=16, patch=(4, 4), base_width=4, num_res_blocks=1,
                           disc_layers=2, disc_base_width=4)
@@ -512,13 +518,35 @@ class TestCliTrainEval:
         lines = manifest.read_text().splitlines()
         if corrupt == "drop_role_column":
             lines = [ln.rsplit(",", 1)[0] for ln in lines]
-        else:
+        elif corrupt == "short_row":
             lines[3] = lines[3].rsplit(",", 1)[0]
+        else:
+            name, fname, _, role = lines[3].split(",")
+            lines[3] = ",".join((name, fname, "3xfour", role))
         manifest.write_text("\n".join(lines) + "\n")
         assert main(["eval", "--run", str(run), "--task", "invert"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: ")
         assert ("header" if corrupt == "drop_role_column" else "line 4 ") in err
+        assert not (run / "eval.csv").exists()
+
+    def test_eval_rejects_a_tensor_file_of_another_shape_than_its_row(self, tmp_path, capsys):
+        cfg = TrainConfig(image_size=16, patch=(4, 4), base_width=4, num_res_blocks=1,
+                          disc_layers=2, disc_base_width=4)
+        run = tmp_path / "run"
+        run.mkdir()
+        write_config(cfg, run / "config.cfg")
+        save_checkpoint(run / "checkpoints", training.build_models(cfg))
+        manifest = run / "checkpoints" / tensor_io.MANIFEST_NAME
+        lines = manifest.read_text().splitlines()
+        name, fname, shape, role = lines[1].split(",")
+        assert (name, shape, role) == ("layer00.weight", "7x7x3x4", "teacher_generator")
+        lines[1] = ",".join((name, fname, "1x2x3", role))
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--run", str(run), "--task", "invert"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {run / 'checkpoints' / fname}: tensor of shape (7, 7, 3, 4) but the "
+            f"manifest says (1, 2, 3)\n")
         assert not (run / "eval.csv").exists()
 
     def test_eval_runs_the_generators_in_batch_size_chunks(self, tmp_path, monkeypatch, capsys):
@@ -723,6 +751,27 @@ class TestCliBench:
         # crd_gradcheck_ms times whole checks at `gradcheck`'s defaults, whatever --size:
         # per run an untimed check and one timed
         assert checks == [((1, 8, 8), np.float64)] * 4
+
+    def test_tuple_counts_are_the_lengths_of_the_draws(self, monkeypatch, capsys):
+        from crdgan import cli
+        draws = []
+        real = cli.sample_tuples
+
+        def counted(count, arity, budget, seed):
+            tuples = real(count, arity, budget, seed)
+            draws.append((count, arity, budget, len(tuples)))
+            return tuples
+
+        monkeypatch.setattr(cli, "sample_tuples", counted)
+        # 16 columns and rows sample 64 of their 560 triples; 4 patches give all 4
+        assert main(["bench", "--size", "16", "--patch", "8", "--budget", "64",
+                     "--iters", "1"]) == 0
+        values = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        pairs, triples = draws[:3], draws[3:6]
+        assert pairs == [(16, 2, None, 120), (16, 2, None, 120), (4, 2, None, 6)]
+        assert triples == [(16, 3, 64, 64), (16, 3, 64, 64), (4, 3, 64, 4)]
+        assert values["pairs_evaluated"] == str(sum(d[-1] for d in pairs)) == "246"
+        assert values["triples_evaluated"] == str(sum(d[-1] for d in triples)) == "132"
 
     def test_set_up_lines_time_the_dataset_and_the_trainer(self, monkeypatch, capsys):
         from crdgan import cli

@@ -187,7 +187,7 @@ def composed_forward(net, x, frozen=False):
         else:
             for i, layer in enumerate(net.body):
                 h = _conv(layer, h)
-                h = leaky_relu(instance_norm(h) if i > 0 else h, 0.2)
+                h = leaky_relu(instance_norm(h) if i > 0 else h)
             h = _conv(net.head, h)
         out = permute(h, (0, 3, 1, 2))
         return out.reshape(out.shape[1:]) if x.ndim == 3 else out

@@ -290,6 +290,18 @@ class TestFeatureExtractor:
         with pytest.raises(ValueError, match="at least one layer"):
             FeatureExtractor([], [])
 
+    def test_phase_kernels_are_built_once_by_the_extractor(self, monkeypatch):
+        extractor = FeatureExtractor.fixed_random(seed=3, dtype=np.float32)
+        assert "_phases" not in vars(extractor)      # not built for an extractor that only scores
+        phases = extractor._phases
+        assert [p.tobytes() for p in phases] == [
+            autodiff._phase_kernels(w.data, s).tobytes() for w, s in extractor.layers]
+        monkeypatch.setattr(perceptual, "_phase_kernels", None)     # no loss builds them again
+        x = Tensor(np.random.default_rng(11).uniform(-1, 1, (3, 16, 16)).astype(np.float32),
+                   requires_grad=True)
+        backward(perceptual_loss(Tensor(np.zeros_like(x.data)), x, extractor))
+        assert x.grad is not None and extractor._phases is phases
+
 
 class TestWeightIO:
     def test_save_load_round_trip(self, extractor, tmp_path):

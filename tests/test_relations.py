@@ -587,11 +587,11 @@ def composed_crd_terms(teacher_img, student_img, n, m, cfg, distance=True, angle
         if distance:
             pairs = sample_tuples(count, 2, cfg.pair_budget,
                                   relations._granularity_seed(cfg.seed, g, 2))
-            pair_idx = relations._index(pairs, count, batch)
+            pair_idx = relations._tuple_index(pairs, count, batch)
         if angle:
             triples = sample_tuples(count, 3, cfg.triplet_budget,
                                     relations._granularity_seed(cfg.seed, g, 3))
-            triple_idx = relations._index(triples, count, batch)
+            triple_idx = relations._tuple_index(triples, count, batch)
         t_x, s_x = (reshape(c.items, (c.count, -1)) for c in (t_set, s_set))
         terms.append(composed_compare(t_x, s_x, batch, pair_idx, triple_idx,
                                       relations.EPSILON))
@@ -668,7 +668,7 @@ class TestOneNodeMatchesComposedGraph:
         s_data = rng.uniform(-1, 1, (6, 7)).astype(dtype)     # item lengths may differ
         full = RelationConfig(pair_budget=None, triplet_budget=None)
         for fn, arity in ((rkd_distance_loss, 2), (rkd_angle_loss, 3)):
-            idx = relations._index(sample_tuples(6, arity, None, 0), 6, 1)
+            idx = relations._tuple_index(sample_tuples(6, arity, None, 0), 6, 1)
             out = []
             for composed in (False, True):
                 t = Tensor(t_data.copy(), requires_grad=True)
@@ -702,8 +702,8 @@ class TestOneNodeMatchesComposedGraph:
         side = relations._Side([c.items.data.reshape(c.count, -1) for c in sets], plan)
         eps = relations.EPSILON
         for k, c in enumerate(sets):
-            pair_idx = relations._index(pairs[k], c.count, 2)
-            triple_idx = relations._index(triples[k], c.count, 2)
+            pair_idx = relations._tuple_index(pairs[k], c.count, 2)
+            triple_idx = relations._tuple_index(triples[k], c.count, 2)
             sq = composed_pair_sq(reshape(c.items, (c.count, -1)), 2)
             d = sqrt_guarded(sq, eps)
             mean = tmean(reshape(d, (-1, 2)), axes=0)
@@ -833,6 +833,12 @@ class TestConfig:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError, match="lambda_a"):
             RelationConfig(lambda_a=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, value):
+        # a NaN would make crd_loss NaN, and the Trainer's lambda_a > 0 drop the angle term
+        with pytest.raises(ValueError, match=f"^lambda_a must be finite and >= 0, got {value}$"):
+            RelationConfig(lambda_a=value)
 
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError, match="triplet_budget"):

@@ -5,7 +5,7 @@ import pytest
 
 from crdgan.autodiff import Tensor, backward, tsum
 from crdgan.slicing import (
-    ContentSet, reassemble, split, split_columns, split_patches, split_rows,
+    ContentSet, cut, layout, reassemble, split, split_columns, split_patches, split_rows, uncut,
 )
 
 
@@ -84,6 +84,23 @@ class TestRoundTrip:
                 if g == "patch" and (h * w) // (n * m) < 2:
                     continue
                 assert np.array_equal(reassemble(split(img, g, pd)), img.data)
+
+    @pytest.mark.parametrize("g, pd", [("column", None), ("row", None), ("patch", (4, 4))])
+    def test_cut_is_split_and_uncut_inverts_it(self, g, pd):
+        # non-square: 12 columns, 8 rows and 6 patches per image
+        img = np.random.default_rng(5).normal(size=(2, 3, 8, 12)).astype(np.float32)
+        lay = layout(img.shape, g, pd)
+        items = cut(img, lay)
+        assert items.dtype == np.float32
+        assert items.tobytes() == split(Tensor(img), g, pd).items.data.tobytes()
+        back = uncut(items, lay)
+        assert back.flags.c_contiguous and back.reshape(img.shape).tobytes() == img.tobytes()
+        # the relation pass's [count, b*d] view of the stack un-cuts the same
+        count = items.shape[0] // 2
+        assert uncut(items.reshape(count, -1), lay).tobytes() == img.tobytes()
+        # a lone image
+        lone = layout(img.shape[1:], g, pd)
+        assert uncut(cut(img[1], lone), lone).tobytes() == img[1].tobytes()
 
     def test_permuted_patches_change_the_image(self):
         rng = np.random.default_rng(4)

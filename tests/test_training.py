@@ -728,6 +728,25 @@ class TestTrainLoop:
             assert grid.shape == (4 * cfg.image_size, 2 * cfg.image_size, 3)
             assert grid.dtype == np.uint8
 
+    def test_pretraining_order_seed_comes_from_derive_seed(self, monkeypatch):
+        cfg = tiny_config(discriminator_mode="pretrained_frozen")
+        ds = tiny_dataset(cfg)
+        tr = Trainer(cfg, ds)
+        derived, orders = [], []
+        derive, batches = training._derive_seed, training._batches
+
+        def spy_derive(*words):
+            derived.append((words, derive(*words)))
+            return derived[-1][1]
+
+        monkeypatch.setattr(training, "_derive_seed", spy_derive)
+        monkeypatch.setattr(training, "_batches",
+                            lambda d, c, seed: orders.append(seed) or batches(d, c, seed))
+        training._pretrain_discriminator(tr, ds)
+        # one derivation from the run's batch-order seed, and pretraining's batches use it
+        assert len(derived) == 1 and derived[0][0][0] == tr._order_seed
+        assert orders == [derived[0][1]] and orders[0] != tr._order_seed
+
     def test_pretrained_modes_round_trip(self, tmp_path):
         for mode in ("pretrained_frozen", "pretrained_updating"):
             cfg = tiny_config(discriminator_mode=mode)
