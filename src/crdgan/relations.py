@@ -38,6 +38,16 @@ which the tests keep as the oracle, at a fraction of its per-op
 bookkeeping.  ``pairwise_distances`` and ``phi_a`` read the same pass's
 forward, as constant tensors.
 
+A teacher that takes no gradient only feeds the forward its phi vectors, and
+a gradient check relates the same teacher in each of its 2N+1 calls.  So the
+teacher's phi is memoised, one entry, when its plan is a cached whole-pool
+plan (every term every set's full enumeration; ``_pool_plan``).  The key is
+that plan object (by identity; the entry keeps it alive), the cuts, the
+dtype and shape, and the source's bytes (by equality).  The memo misses on
+any other teacher, a teacher changed in place included, and is bypassed by a
+teacher that takes a gradient and by a sampled plan, which is never stored;
+the student is always related afresh.  A hit gives the bytes of a fresh pass.
+
 Tuples i<j(<k) are lexicographic ranks unranked through the combinatorial
 number system: a budget draws that many distinct ranks uniformly from the
 seed, and full enumeration is every rank in order.
@@ -183,7 +193,8 @@ class _Plan:
     ``blocks`` holds each set's (start, stop) in the concatenated d and
     ``slot`` each d entry's per-image mean slot (``_d_layout``); ``pairs``
     and ``triples`` are the terms' ``_term`` layouts, None for a term not
-    computed.
+    computed.  ``whole`` marks ``_pool_plan``'s cached plans, whose every
+    term is every set's whole pool.
     """
 
     batch: int
@@ -191,19 +202,33 @@ class _Plan:
     slot: np.ndarray
     pairs: Optional[tuple]
     triples: Optional[tuple]
+    whole: bool = False
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_plan(counts: tuple, batch: int, distance: bool, angle: bool) -> _Plan:
+    """The one plan of sets of these item counts whose asked-for terms are
+    every set's whole pool."""
+    return _Plan(batch, *_d_layout(counts, batch),
+                 _pool_term(counts, 2, batch) if distance else None,
+                 _pool_term(counts, 3, batch) if angle else None, whole=True)
 
 
 def _plan(counts: tuple, batch: int, pairs: Optional[list], triples: Optional[list]) -> _Plan:
     """The plan of sets of these item counts and per-set tuple arrays (None:
-    no such term).  A term whose every set is fully enumerated is cached."""
-    def term(tuples):
+    no such term).  A term whose every set is fully enumerated is cached, and
+    so is a plan whose every term is (``_pool_plan``)."""
+    whole = [tuples is None or all(len(t) == comb(c, t.shape[1]) for t, c in zip(tuples, counts))
+             for tuples in (pairs, triples)]
+    if all(whole):
+        return _pool_plan(counts, batch, pairs is not None, triples is not None)
+
+    def term(tuples, full):
         if tuples is None:
             return None
-        if all(len(t) == comb(c, t.shape[1]) for t, c in zip(tuples, counts)):
-            return _pool_term(counts, tuples[0].shape[1], batch)
-        return _term(tuples, counts, batch)
+        return _pool_term(counts, tuples[0].shape[1], batch) if full else _term(tuples, counts, batch)
 
-    return _Plan(batch, *_d_layout(counts, batch), term(pairs), term(triples))
+    return _Plan(batch, *_d_layout(counts, batch), term(pairs, whole[0]), term(triples, whole[1]))
 
 
 def _as_items(x: ItemsLike) -> Tensor:
@@ -313,6 +338,37 @@ def _pick(vec: Tensor, k: int, reached: list) -> Tensor:
     return _result(vec.data[k:k + 1].reshape(()), "pick", (vec,), back)
 
 
+def _side(src: Tensor, cuts: list, plan: _Plan) -> _Side:
+    """One source's ``_Side``, each content set cut straight to [count, B*D]."""
+    return _Side([src.data if cut is None else
+                  slicing.cut(src.data, cut, (cut[2][0] // plan.batch, -1)) for cut in cuts], plan)
+
+
+_memo = None      # the last constant teacher's (plan, (cuts, dtype, shape), bytes, phi)
+
+
+def _teacher(t: Tensor, cuts: list, plan: _Plan) -> tuple:
+    """The teacher's (phi, side): its side only when it takes a gradient.
+
+    A teacher that takes none under a whole-pool plan is served from a
+    one-entry memo of its phi vectors when the plan is the same object and
+    the cuts, dtype, shape and bytes are equal, as for every call of a
+    gradient check; any other teacher is a miss and replaces the entry.  A
+    sampled plan is a fresh object each call, so it is never stored."""
+    global _memo
+    if t.requires_grad or not plan.whole:
+        side = _side(t, cuts, plan)
+        return side.phi, side if t.requires_grad else None
+    key, data = (tuple(cuts), t.dtype, t.shape), t.data.tobytes()
+    if _memo is None or _memo[0] is not plan or _memo[1] != key or _memo[2] != data:
+        phi = _side(t, cuts, plan).phi
+        for vec in phi:
+            if vec is not None:
+                vec.setflags(write=False)
+        _memo = (plan, key, data, phi)
+    return _memo[3], None
+
+
 def _relate(t: Tensor, s: Tensor, cuts: list, plan: _Plan) -> tuple:
     """(distance term, angle term) of the teacher/student sources as one
     autodiff node and a 0-d pick of it per term; None for an absent term.
@@ -320,28 +376,27 @@ def _relate(t: Tensor, s: Tensor, cuts: list, plan: _Plan) -> tuple:
     ``cuts`` holds one slicing layout per content set, by which ``slicing.cut``
     and ``uncut`` take a source to that set's item stack and back (None: the
     source is the item stack), and ``plan`` lays the sets end to end.  Each
-    side is one ``_Side`` pass over all the sets.  The teacher-student
-    differences and their Huber values are taken once on the concatenated
-    phi; each set's Huber mean is taken on its own block of them, and a term
-    is those means summed left to right.  The backward scatters each side
-    once over the concatenated offsets, then adds the per-set image
-    gradients from the last set to the first, student before teacher.
+    side is one ``_Side`` pass over all the sets, the teacher's memoised
+    (``_teacher``).  The teacher-student differences and their Huber values
+    are taken once on the concatenated phi; each set's Huber mean is taken on
+    its own block of them, and a term is those means summed left to right.
+    The backward scatters each side once over the concatenated offsets, then
+    adds the per-set image gradients from the last set to the first, student
+    before teacher.
     """
-    sides = []
-    for src in (t, s):
-        xs = [src.data if cut is None else slicing.cut(src.data, cut) for cut in cuts]
-        sides.append(_Side([x.reshape(x.shape[0] // plan.batch, -1) for x in xs], plan))
+    t_phi, t_side = _teacher(t, cuts, plan)
+    s_side = _side(s, cuts, plan)
     terms = []                              # (0 distance or 1 angle, diff, blocks, total)
     for term, tuples in enumerate((plan.pairs, plan.triples)):
         if tuples is not None:
             blocks = tuples[-1]
-            diff = sides[0].phi[term] - sides[1].phi[term]
+            diff = t_phi[term] - s_side.phi[term]
             penalty = _huber(diff)
             values = [_mean(penalty[start:stop]) for start, stop in blocks]
             terms.append((term, diff, blocks, functools.reduce(operator.add, values)))
     vec = np.array([total for *_, total in terms])
     # the backward reads only the sides whose source took a gradient when made
-    sides = [side if src.requires_grad else None for side, src in zip(sides, (t, s))]
+    sides = [t_side, s_side if s.requires_grad else None]
 
     def back(g):
         g_phi = [None, None]                        # per term: (teacher, student)
@@ -549,18 +604,18 @@ def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
     grans = cfg.enabled_granularities()
     if not grans:
         raise ValueError("no content granularity enabled: nothing to relate")
-    cuts, counts, pairs, triples = [], [], [], []
-    for g in grans:
-        cut = slicing.layout(teacher_img.shape, g, (n, m) if g == PATCH else None)
-        batch = cut[0][0]
-        count = cut[2][0] // batch
-        cuts.append(cut)
-        counts.append(count)
-        if distance:
-            pairs.append(_draw(count, 2, cfg.pair_budget, cfg.seed, g))
-        if angle:
-            triples.append(_draw(count, 3, cfg.triplet_budget, cfg.seed, g))
-    plan = _plan(tuple(counts), batch, pairs if distance else None, triples if angle else None)
+    cuts = [slicing.layout(teacher_img.shape, g, (n, m) if g == PATCH else None) for g in grans]
+    batch = cuts[0][0][0]
+    counts = tuple(cut[2][0] // batch for cut in cuts)
+    asked = [(2, cfg.pair_budget)] * distance + [(3, cfg.triplet_budget)] * angle
+    if all(_enumerates(c, arity, budget) for c in counts for arity, budget in asked):
+        plan = _pool_plan(counts, batch, distance, angle)
+    else:
+        def draws(arity, budget):
+            return [_draw(c, arity, budget, cfg.seed, g) for c, g in zip(counts, grans)]
+
+        plan = _plan(counts, batch, draws(2, cfg.pair_budget) if distance else None,
+                     draws(3, cfg.triplet_budget) if angle else None)
     return _relate(teacher_img, student_img, cuts, plan)
 
 

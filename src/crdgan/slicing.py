@@ -99,10 +99,12 @@ def layout(shape: tuple, granularity: str,
     return (b, c, h // n, n, w // m, m), (2, 4, 0, 1, 3, 5), (count * b, c * n * m)
 
 
-def cut(x: np.ndarray, layout: tuple) -> np.ndarray:
-    """A source array's item-major stack [count*b, d] by its :func:`layout`, as :func:`split`."""
+def cut(x: np.ndarray, layout: tuple, shape: Optional[tuple] = None) -> np.ndarray:
+    """A source array's item-major stack [count*b, d] by its :func:`layout`, as
+    :func:`split`; with ``shape``, the same values in that shape (the relation
+    pass's [count, b*d], each item's images side by side)."""
     grid, axes, items = layout
-    return np.ascontiguousarray(x.reshape(grid).transpose(axes)).reshape(items)
+    return np.ascontiguousarray(x.reshape(grid).transpose(axes)).reshape(shape or items)
 
 
 def uncut(items: np.ndarray, layout: tuple) -> np.ndarray:

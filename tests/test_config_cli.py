@@ -773,6 +773,31 @@ class TestCliBench:
         assert values["pairs_evaluated"] == str(sum(d[-1] for d in pairs)) == "246"
         assert values["triples_evaluated"] == str(sum(d[-1] for d in triples)) == "132"
 
+    def test_each_timed_crd_loss_relates_both_sides(self, monkeypatch, capsys):
+        from crdgan import cli, relations
+        passes, per_call = [0], []
+        real_loss = cli.crd_loss
+
+        class Counted(relations._Side):
+            def __init__(self, xs, plan):
+                passes[0] += 1
+                super().__init__(xs, plan)
+
+        def counted_loss(teacher, student, *args):
+            before = passes[0]
+            loss = real_loss(teacher, student, *args)
+            if teacher.shape == (3, 16, 16):            # not the gradient check's [1,8,8]
+                per_call.append(passes[0] - before)
+            return loss
+
+        monkeypatch.setattr(relations, "_Side", Counted)
+        monkeypatch.setattr(cli, "crd_loss", counted_loss)
+        # full enumeration, the memo's case: crd_loss_ms and crd_loss_fwd_bwd_ms,
+        # each an untimed call and 3 timed
+        assert main(["bench", "--size", "16", "--budget", "0", "--iters", "3"]) == 0
+        capsys.readouterr()
+        assert per_call == [2] * 8
+
     def test_set_up_lines_time_the_dataset_and_the_trainer(self, monkeypatch, capsys):
         from crdgan import cli
         calls = {"dataset": 0, "trainer": 0}

@@ -540,6 +540,109 @@ class TestOnePass:
         assert crd_terms(img, img, 2, 2, CFG, distance=False, angle=False) == (None, None)
 
 
+@pytest.fixture
+def side_passes(monkeypatch):
+    """Counts the relation pass's _Side passes, starting from an empty teacher memo."""
+    passes = []
+
+    class Counted(relations._Side):
+        def __init__(self, xs, plan):
+            passes.append(xs[0].dtype)
+            super().__init__(xs, plan)
+
+    monkeypatch.setattr(relations, "_Side", Counted)
+    monkeypatch.setattr(relations, "_memo", None, raising=False)
+    return passes
+
+
+class TestTeacherMemo:
+    FULL = RelationConfig(seed=0, pair_budget=None, triplet_budget=None)
+
+    def grad_and_value(self, teacher, student, cfg=FULL):
+        x = Tensor(student.copy(), requires_grad=True)
+        loss = crd_loss(teacher, x, 4, 4, cfg)
+        backward(loss)
+        return loss.data.tobytes(), x.grad.tobytes()
+
+    def test_a_gradient_check_relates_its_teacher_once(self, side_passes):
+        # 8x8: the backward's call and 2 * 64 central differences, each relating
+        # the student; the constant teacher only on the first
+        rng = np.random.default_rng(50)
+        teacher = Tensor(rng.uniform(-1, 1, (1, 8, 8)))
+        autodiff._check_gradient(lambda x: crd_loss(teacher, x, 4, 4, self.FULL),
+                                 Tensor(rng.uniform(-1, 1, (1, 8, 8))))
+        assert len(side_passes) == 130
+
+    @pytest.mark.parametrize("dtype, shape", [(np.float64, (1, 8, 8)),
+                                              (np.float32, (2, 3, 8, 8))])
+    def test_a_hit_gives_the_bytes_of_a_fresh_pass(self, side_passes, monkeypatch, dtype, shape):
+        rng = np.random.default_rng(51)
+        t = rng.uniform(-1, 1, shape).astype(dtype)
+        first, second = (rng.uniform(-1, 1, shape).astype(dtype) for _ in range(2))
+        self.grad_and_value(Tensor(t), first)
+        del side_passes[:]
+        hit = self.grad_and_value(Tensor(t.copy()), second)     # another tensor, the same bytes
+        assert len(side_passes) == 1
+        monkeypatch.setattr(relations, "_memo", None)
+        assert self.grad_and_value(Tensor(t), second) == hit
+        assert len(side_passes) == 3
+
+    def test_a_teacher_changed_in_place_misses(self, side_passes, monkeypatch):
+        rng = np.random.default_rng(52)
+        teacher = Tensor(rng.uniform(-1, 1, (1, 8, 8)))
+        student = rng.uniform(-1, 1, (1, 8, 8))
+        self.grad_and_value(teacher, student)
+        teacher.data[0, 3, 5] += 0.25
+        del side_passes[:]
+        changed = self.grad_and_value(teacher, student)
+        assert len(side_passes) == 2
+        monkeypatch.setattr(relations, "_memo", None)
+        assert self.grad_and_value(teacher, student) == changed
+
+    def test_a_teacher_taking_a_gradient_is_never_served(self, side_passes):
+        rng = np.random.default_rng(53)
+        t, s = rng.uniform(-1, 1, (2, 1, 8, 8))
+        self.grad_and_value(Tensor(t), s)
+        entry = relations._memo
+        got = []
+        for _ in range(2):
+            del side_passes[:]
+            teacher = Tensor(t.copy(), requires_grad=True)
+            backward(crd_loss(teacher, Tensor(s), 4, 4, self.FULL))
+            assert len(side_passes) == 2
+            got.append(teacher.grad.tobytes())
+        assert relations._memo is entry and got[0] == got[1]
+        # the teacher's gradient is the student's with the sides swapped
+        assert got[0] == self.grad_and_value(Tensor(s), t)[1]
+
+    def test_a_sampled_plan_is_never_stored(self, side_passes):
+        rng = np.random.default_rng(54)
+        t, s = rng.uniform(-1, 1, (2, 1, 8, 8))
+        sampled = RelationConfig(seed=3, pair_budget=None, triplet_budget=30)
+        for _ in range(2):
+            self.grad_and_value(Tensor(t), s, sampled)
+        assert relations._memo is None and len(side_passes) == 4
+        self.grad_and_value(Tensor(t), s)
+        entry = relations._memo
+        self.grad_and_value(Tensor(t), s, sampled)
+        assert relations._memo is entry
+
+    def test_one_entry_of_phi_only(self, side_passes):
+        rng = np.random.default_rng(55)
+        a, b, s = rng.uniform(-1, 1, (3, 1, 8, 8))
+        for t in (a, b, a):
+            self.grad_and_value(Tensor(t), s)
+        assert len(side_passes) == 6             # one entry: a, then b, then a again all miss
+        plan, key, data, phi = relations._memo
+        assert plan is relations._pool_plan((8, 8, 4), 1, True, True)
+        assert data == a.tobytes()
+        fresh = relations._Side([slicing.cut(a, cut, (cut[2][0], -1)) for cut in key[0]], plan)
+        assert [v.tobytes() for v in phi] == [v.tobytes() for v in fresh.phi]
+        # no r, no sq: the only arrays held beside the plan are phi_d and phi_a
+        assert not any(isinstance(v, relations._Side) for v in (plan, key, data, *phi))
+        assert all(isinstance(v, np.ndarray) and not v.flags.writeable for v in phi)
+
+
 # -- the composed graph the one-node loss replays --------------------------------
 
 _ONE = (1.0,)
