@@ -48,6 +48,15 @@ any other teacher, a teacher changed in place included, and is bypassed by a
 teacher that takes a gradient and by a sampled plan, which is never stored;
 the student is always related afresh.  A hit gives the bytes of a fresh pass.
 
+A call does only the work its inputs' values need.  ``_resolve`` (an
+``lru_cache`` of 64) maps the shape, patch dims, granularities, budgets and
+terms, never the seed, to the read-only cuts, the set counts and, when every
+draw is its whole pool, the ``_pool_plan``.  Each plan keeps what a pass
+derives from it alone (``_Constants``: incidence matrices, gather weights and
+mean divisors), built on first use once per dtype; a cached plan builds them
+once, a sampled plan, made per call, once per call.  Neither cache's key
+holds a seed, so neither grows with the training step.
+
 Tuples i<j(<k) are lexicographic ranks unranked through the combinatorial
 number system: a budget draws that many distinct ranks uniformly from the
 seed, and full enumeration is every rank in order.
@@ -58,7 +67,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, inf
 from typing import Optional, Union
 
@@ -190,26 +199,65 @@ def _pool_term(counts: tuple, arity: int, batch: int) -> tuple:
 class _Plan:
     """One pass's content sets laid end to end.
 
-    ``blocks`` holds each set's (start, stop) in the concatenated d and
-    ``slot`` each d entry's per-image mean slot (``_d_layout``); ``pairs``
-    and ``triples`` are the terms' ``_term`` layouts, None for a term not
-    computed.  ``whole`` marks ``_pool_plan``'s cached plans, whose every
-    term is every set's whole pool.
+    ``counts`` holds each set's item count per image, ``blocks`` each set's
+    (start, stop) in the concatenated d and ``slot`` each d entry's
+    per-image mean slot (``_d_layout``); ``pairs`` and ``triples`` are the
+    terms' ``_term`` layouts, None for a term not computed.  ``whole`` marks
+    ``_pool_plan``'s cached plans, whose every term is every set's whole
+    pool.  ``constants`` builds what a pass derives from the plan alone once
+    per dtype and keeps it with the plan, so a cached plan builds it once.
     """
 
+    counts: tuple
     batch: int
     blocks: tuple
     slot: np.ndarray
     pairs: Optional[tuple]
     triples: Optional[tuple]
     whole: bool = False
+    _constants: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def constants(self, dtype: np.dtype) -> "_Constants":
+        found = self._constants.get(dtype)
+        if found is None:
+            found = self._constants[dtype] = _Constants(self, dtype)
+        return found
+
+
+class _Constants:
+    """What a pass in one dtype derives from its plan alone, all read-only:
+    each set's incidence matrix A and its transpose, the unit and cosine
+    gather weights, each d entry's mean divisor (its set's pair count, per
+    image) and, per term, each tuple's mean divisor (its set's block size)."""
+
+    __slots__ = ("incidence", "incidence_t", "one", "cosine", "pair_counts", "divisors")
+
+    def __init__(self, plan: _Plan, dtype: np.dtype):
+        self.incidence = [_incidence(count, dtype).data for count in plan.counts]
+        self.incidence_t = [a.swapaxes(-1, -2) for a in self.incidence]
+        self.one = np.asarray(_ONE, dtype=dtype)
+        self.cosine = np.asarray(_COSINE, dtype=dtype)
+        self.pair_counts = np.asarray([(stop - start) // plan.batch for start, stop in plan.blocks],
+                                      dtype=dtype).repeat(plan.batch)
+        self.divisors = [None if term is None else _divisors(term[-1], dtype)
+                         for term in (plan.pairs, plan.triples)]
+        for vec in [self.one, self.cosine, self.pair_counts, *self.divisors]:
+            if vec is not None:
+                vec.setflags(write=False)
+
+
+def _divisors(blocks: tuple, dtype: np.dtype) -> np.ndarray:
+    """Each entry's block size, in the dtype: g / size over a block is the
+    adjoint of that block's mean, the bytes of g / size at one size a time."""
+    sizes = [stop - start for start, stop in blocks]
+    return np.asarray(sizes, dtype=dtype).repeat(sizes)
 
 
 @functools.lru_cache(maxsize=64)
 def _pool_plan(counts: tuple, batch: int, distance: bool, angle: bool) -> _Plan:
     """The one plan of sets of these item counts whose asked-for terms are
     every set's whole pool."""
-    return _Plan(batch, *_d_layout(counts, batch),
+    return _Plan(counts, batch, *_d_layout(counts, batch),
                  _pool_term(counts, 2, batch) if distance else None,
                  _pool_term(counts, 3, batch) if angle else None, whole=True)
 
@@ -228,7 +276,8 @@ def _plan(counts: tuple, batch: int, pairs: Optional[list], triples: Optional[li
             return None
         return _pool_term(counts, tuples[0].shape[1], batch) if full else _term(tuples, counts, batch)
 
-    return _Plan(batch, *_d_layout(counts, batch), term(pairs, whole[0]), term(triples, whole[1]))
+    return _Plan(counts, batch, *_d_layout(counts, batch), term(pairs, whole[0]),
+                 term(triples, whole[1]))
 
 
 def _as_items(x: ItemsLike) -> Tensor:
@@ -258,8 +307,8 @@ class _Side:
     def __init__(self, xs: list, plan: _Plan):
         batch = plan.batch
         self.plan = plan
-        self.a = [_incidence(x.shape[0], x.dtype).data for x in xs]
-        self.r = [a @ x for a, x in zip(self.a, xs)]       # rows: exact x_i - x_j
+        self.constants = constants = plan.constants(xs[0].dtype)
+        self.r = [a @ x for a, x in zip(constants.incidence, xs)]     # rows: exact x_i - x_j
         self.widths = [x.shape[1] // batch for x in xs]
         sq = np.concatenate([np.add.reduce((r * r).reshape(-1, width), axis=1)
                              for r, width in zip(self.r, self.widths)])
@@ -276,8 +325,7 @@ class _Side:
         if plan.triples is not None:
             triples = plan.triples[0]
             self.inv = 1.0 / np.maximum(d, EPSILON)
-            self.cosine = np.asarray(_COSINE, dtype=d.dtype)
-            self.gs = _gather(sq, triples, self.cosine)
+            self.gs = _gather(sq, triples, constants.cosine)
             self.gi, self.gk = self.inv[triples[:, 0]], self.inv[triples[:, 2]]
             self.m1 = self.gs * self.gi
             self.phi[1] = self.m1 * self.gk
@@ -285,8 +333,8 @@ class _Side:
     def grad(self, g_phi_d: Optional[np.ndarray], g_phi_a: Optional[np.ndarray]) -> np.ndarray:
         """The gradient of the concatenated row sums of squares from those of
         phi_d and phi_a (None: that term's graph was not reached)."""
-        d, size, plan = self.d, self.d.size, self.plan
-        one = np.asarray(_ONE, dtype=d.dtype)
+        d, size, plan, constants = self.d, self.d.size, self.plan, self.constants
+        one = constants.one
         # terms are added in the composed graph's reverse creation order: into
         # d the angle's clamp, the pair gather, then the mean; into sq the
         # cosine gather, then the sqrt
@@ -296,7 +344,7 @@ class _Side:
             g_m1 = g_phi_a * self.gk
             g_inv = _scatter(g_phi_a * self.m1, triples[:, 2], one, size)
             g_inv += _scatter(g_m1 * self.gs, triples[:, 0], one, size)
-            g_sq = _scatter(g_m1 * self.gi, triples, self.cosine, size)
+            g_sq = _scatter(g_m1 * self.gi, triples, constants.cosine, size)
             g_d = -g_inv * self.inv * self.inv * (d >= EPSILON)
         if g_phi_d is not None:
             pairs, slots, _ = plan.pairs
@@ -305,9 +353,7 @@ class _Side:
             g_d = g_pair if g_d is None else g_d + g_pair
             g_mean = -g_inv_mu * self.inv_mu * self.inv_mu * (self.mean >= EPSILON)
             # each set's mean over its own pair count, then to its image's entries
-            pair_counts = np.asarray([(stop - start) // plan.batch for start, stop in plan.blocks],
-                                     dtype=d.dtype)
-            g_d = g_d + (g_mean / pair_counts.repeat(plan.batch))[plan.slot]
+            g_d = g_d + (g_mean / constants.pair_counts)[plan.slot]
         g_root = g_d / (2.0 * np.maximum(d, EPSILON))
         return g_root if g_sq is None else g_sq + g_root
 
@@ -317,7 +363,7 @@ class _Side:
         r = self.r[k]
         g_r = (g_sq[start:stop, None] * r.reshape(-1, self.widths[k])).reshape(r.shape)
         g_r = g_r + g_r                                     # r * r: g*r to each operand
-        return self.a[k].swapaxes(-1, -2) @ g_r
+        return self.constants.incidence_t[k] @ g_r
 
 
 def _mean(a: np.ndarray):
@@ -340,8 +386,8 @@ def _pick(vec: Tensor, k: int, reached: list) -> Tensor:
 
 def _side(src: Tensor, cuts: list, plan: _Plan) -> _Side:
     """One source's ``_Side``, each content set cut straight to [count, B*D]."""
-    return _Side([src.data if cut is None else
-                  slicing.cut(src.data, cut, (cut[2][0] // plan.batch, -1)) for cut in cuts], plan)
+    return _Side([src.data if cut is None else slicing.cut(src.data, cut, (count, -1))
+                  for cut, count in zip(cuts, plan.counts)], plan)
 
 
 _memo = None      # the last constant teacher's (plan, (cuts, dtype, shape), bytes, phi)
@@ -386,25 +432,24 @@ def _relate(t: Tensor, s: Tensor, cuts: list, plan: _Plan) -> tuple:
     """
     t_phi, t_side = _teacher(t, cuts, plan)
     s_side = _side(s, cuts, plan)
-    terms = []                              # (0 distance or 1 angle, diff, blocks, total)
+    terms = []                              # (0 distance or 1 angle, diff, total)
     for term, tuples in enumerate((plan.pairs, plan.triples)):
         if tuples is not None:
-            blocks = tuples[-1]
             diff = t_phi[term] - s_side.phi[term]
             penalty = _huber(diff)
-            values = [_mean(penalty[start:stop]) for start, stop in blocks]
-            terms.append((term, diff, blocks, functools.reduce(operator.add, values)))
+            values = [_mean(penalty[start:stop]) for start, stop in tuples[-1]]
+            terms.append((term, diff, functools.reduce(operator.add, values)))
     vec = np.array([total for *_, total in terms])
     # the backward reads only the sides whose source took a gradient when made
     sides = [t_side, s_side if s.requires_grad else None]
 
     def back(g):
+        divisors = plan.constants(vec.dtype).divisors
         g_phi = [None, None]                        # per term: (teacher, student)
-        for k, (term, diff, blocks, _) in enumerate(terms):
+        for k, (term, diff, _) in enumerate(terms):
             if reached[k]:
                 # each set's mean adjoint, over its own tuple count
-                sizes = [stop - start for start, stop in blocks]
-                g_mean = np.array([g[k] / size for size in sizes]).repeat(sizes)
+                g_mean = g[k] / divisors[term]
                 slope = _huber_slope(diff)
                 g_phi[term] = (g_mean * slope, -g_mean * slope)
         g_sq = [None, None]                         # per side: that of the concatenated sq
@@ -588,6 +633,22 @@ def _draw(count: int, arity: int, budget: Optional[int], base: int, granularity:
     return sample_tuples(count, arity, budget, seed)
 
 
+@functools.lru_cache(maxsize=64)
+def _resolve(shape: tuple, n: int, m: int, grans: tuple, pair_budget: Optional[int],
+             triplet_budget: Optional[int], distance: bool, angle: bool) -> tuple:
+    """What ``crd_terms`` derives from its arguments other than the images'
+    values and the seed: (cuts, batch, counts, plan), one read-only slicing
+    layout per granularity, the images per source, each set's item count and,
+    when every asked-for draw is its whole pool, the ``_pool_plan`` (else
+    None: the draws sample, per call)."""
+    cuts = tuple(slicing.layout(shape, g, (n, m) if g == PATCH else None) for g in grans)
+    batch = cuts[0][0][0]
+    counts = tuple(cut[2][0] // batch for cut in cuts)
+    asked = [(2, pair_budget)] * distance + [(3, triplet_budget)] * angle
+    whole = all(_enumerates(c, arity, budget) for c in counts for arity, budget in asked)
+    return cuts, batch, counts, _pool_plan(counts, batch, distance, angle) if whole else None
+
+
 def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
               cfg: RelationConfig, distance: bool = True, angle: bool = True) -> tuple:
     """(crd_d, crd_a) of a [c,h,w] image or [b,c,h,w] batch pair, in one pass.
@@ -604,13 +665,9 @@ def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
     grans = cfg.enabled_granularities()
     if not grans:
         raise ValueError("no content granularity enabled: nothing to relate")
-    cuts = [slicing.layout(teacher_img.shape, g, (n, m) if g == PATCH else None) for g in grans]
-    batch = cuts[0][0][0]
-    counts = tuple(cut[2][0] // batch for cut in cuts)
-    asked = [(2, cfg.pair_budget)] * distance + [(3, cfg.triplet_budget)] * angle
-    if all(_enumerates(c, arity, budget) for c in counts for arity, budget in asked):
-        plan = _pool_plan(counts, batch, distance, angle)
-    else:
+    cuts, batch, counts, plan = _resolve(teacher_img.shape, n, m, grans, cfg.pair_budget,
+                                         cfg.triplet_budget, distance, angle)
+    if plan is None:
         def draws(arity, budget):
             return [_draw(c, arity, budget, cfg.seed, g) for c, g in zip(counts, grans)]
 
@@ -621,8 +678,23 @@ def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
 
 def crd_combine(crd_d: Tensor, crd_a: Optional[Tensor], cfg: RelationConfig) -> Tensor:
     """The content-relationship loss: crd_d + lambda_a * crd_a (crd_d alone
-    when the angle term was not computed, as for lambda_a = 0)."""
-    return crd_d if crd_a is None else crd_d + cfg.lambda_a * crd_a
+    when the angle term was not computed, as for lambda_a = 0).
+
+    One autodiff node with the bytes of the composed constant, mul and add:
+    lambda_a in crd_a's dtype times crd_a, added to crd_d; the backward
+    gives g to crd_d, then g (in crd_a's dtype, as the mul node's gradient
+    is) times lambda_a to crd_a."""
+    if crd_a is None:
+        return crd_d
+    lam = np.asarray(cfg.lambda_a, dtype=crd_a.dtype)
+
+    def back(g):
+        if crd_d.requires_grad:
+            crd_d._accumulate(g)
+        if crd_a.requires_grad:
+            crd_a._accumulate(g.astype(lam.dtype, copy=False) * lam)
+
+    return _result(crd_d.data + crd_a.data * lam, "crd_combine", (crd_d, crd_a), back)
 
 
 def crd_distance_loss(teacher_img: Tensor, student_img: Tensor, n: int, m: int,

@@ -34,7 +34,8 @@ def save_tensor(path, array) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    """Read a tensor file; a bad or truncated file raises a ValueError naming it."""
+    """Read a tensor file; a bad or truncated file, or one with bytes after its
+    payload, raises a ValueError naming it."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
@@ -50,6 +51,9 @@ def load_tensor(path) -> np.ndarray:
     count = math.prod(dims)         # exact, so huge dims cannot wrap around to a small count
     if len(raw) < offset + 4 * count:
         raise ValueError(f"{path}: truncated payload, expected {count} floats")
+    if len(raw) > offset + 4 * count:
+        raise ValueError(f"{path}: {len(raw) - offset - 4 * count} bytes after the payload "
+                         f"of {count} floats")
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
     return np.ascontiguousarray(data.reshape(dims))
 

@@ -565,6 +565,15 @@ class TestTensorFile:
             with pytest.raises(ValueError, match="cut.crdt"):
                 tensor_io.load_tensor(p)
 
+    @pytest.mark.parametrize("extra", [1, 4, 8])
+    def test_bytes_after_the_payload_name_the_path_and_their_count(self, tmp_path, extra):
+        p = tmp_path / "long.crdt"
+        tensor_io.save_tensor(p, np.arange(6, dtype=np.float32).reshape(2, 3))
+        p.write_bytes(p.read_bytes() + bytes(extra))
+        with pytest.raises(ValueError, match=f"long.crdt: {extra} bytes after the payload "
+                                             f"of 6 floats"):
+            tensor_io.load_tensor(p)
+
     @pytest.mark.parametrize("dims", [(65536,) * 4, (4294967295, 4294967295)])
     def test_element_count_that_wraps_int64_is_truncation(self, tmp_path, dims):
         # these dims' product wraps around in int64, to 0 and to a negative count:

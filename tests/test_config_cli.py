@@ -549,6 +549,21 @@ class TestCliTrainEval:
             f"manifest says (1, 2, 3)\n")
         assert not (run / "eval.csv").exists()
 
+    def test_eval_rejects_a_tensor_file_with_bytes_after_its_payload(self, tmp_path, capsys):
+        cfg = TrainConfig(image_size=16, patch=(4, 4), base_width=4, num_res_blocks=1,
+                          disc_layers=2, disc_base_width=4)
+        run = tmp_path / "run"
+        run.mkdir()
+        write_config(cfg, run / "config.cfg")
+        save_checkpoint(run / "checkpoints", training.build_models(cfg))
+        fname = tensor_io.read_manifest(run / "checkpoints")[0]["file"]
+        path = run / "checkpoints" / fname
+        path.write_bytes(path.read_bytes() + bytes(8))
+        assert main(["eval", "--run", str(run), "--task", "invert"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: 8 bytes after the payload of ")
+        assert not (run / "eval.csv").exists()
+
     def test_eval_runs_the_generators_in_batch_size_chunks(self, tmp_path, monkeypatch, capsys):
         cfg = TrainConfig(batch_size=2, val_count=5, image_size=16, patch=(4, 4),
                           base_width=4, num_res_blocks=1, disc_layers=2, disc_base_width=4)

@@ -493,6 +493,7 @@ class TestOnePass:
         assert crd_terms(t, s, 4, 4, cfg, angle=False)[1] is None
 
     def test_one_layout_per_granularity_and_no_split(self, monkeypatch):
+        relations._resolve.cache_clear()        # a resolved call asks for no layout at all
         calls = []
         real = slicing.layout
 
@@ -533,7 +534,28 @@ class TestOnePass:
         for cfg in configs[2:]:                 # 300 steps' seeds, full and sampled draws
             crd_terms(img, img, 4, 4, cfg)
         assert {name: fn.cache_info().currsize for name, fn in caches.items()} == sizes
-        assert "_pool_term" in caches and "_granularity_seed" not in caches
+        assert "_pool_term" in caches and "_resolve" in caches
+        assert "_granularity_seed" not in caches
+
+    @pytest.mark.parametrize("cfg", [FULL, RelationConfig(pair_budget=30, triplet_budget=40, seed=6)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_resolved_call_gives_the_bytes_of_a_fresh_one(self, monkeypatch, cfg, dtype):
+        rng = np.random.default_rng(37)
+        t_data, s_data = rng.uniform(-1, 1, (2, 2, 3, 8, 12)).astype(dtype)
+
+        def run():
+            monkeypatch.setattr(relations, "_memo", None)   # relate the teacher afresh too
+            s = Tensor(s_data.copy(), requires_grad=True)
+            loss = crd_loss(Tensor(t_data.copy()), s, 4, 4, cfg)
+            backward(loss)
+            return loss.data.tobytes(), s.grad.tobytes()
+
+        relations._resolve.cache_clear()
+        relations._pool_plan.cache_clear()      # and a whole-pool plan builds its constants anew
+        miss = run()
+        assert relations._resolve.cache_info()[:2] == (0, 1)       # hits, misses
+        assert run() == miss
+        assert relations._resolve.cache_info()[:2] == (1, 1)
 
     def test_no_term_asked_for_is_none_none(self):
         img = Tensor(np.zeros((1, 4, 4)))
@@ -855,6 +877,57 @@ class TestOneNodeMatchesComposedGraph:
         img = Tensor(np.random.default_rng(42).uniform(-1, 1, (2, 3, 8, 8)), requires_grad=True)
         crd_terms(img, img, 4, 4, CFG)
         assert 0 < count[0] <= 3
+
+
+def composed_combine(crd_d, crd_a, cfg):
+    """crd_combine as the constant, mul and add ops it replaces."""
+    return crd_d if crd_a is None else crd_d + cfg.lambda_a * crd_a
+
+
+class TestCombineNode:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lambda_a", [0.5, 2.0, 0.3])
+    def test_value_and_gradients_are_the_composed_bytes(self, dtype, lambda_a):
+        cfg = RelationConfig(lambda_a=lambda_a, triplet_budget=30, seed=8)
+        rng = np.random.default_rng(60)
+        t_data, s_data = rng.uniform(-1, 1, (2, 2, 3, 8, 8)).astype(dtype)
+        out = []
+        for combine in (crd_combine, composed_combine):
+            s = Tensor(s_data.copy(), requires_grad=True)
+            crd_d, crd_a = crd_terms(Tensor(t_data), s, 4, 4, cfg)
+            early = crd_d * 0.7                 # crd_d also on its own, before and after
+            total = combine(crd_d, crd_a, cfg)
+            backward(early + total * 3.0 + crd_d)
+            out.append([v.tobytes() for v in (total.data, crd_d.grad, crd_a.grad, s.grad)])
+        assert out[0] == out[1]
+
+    # (crd_d's dtype, crd_a's): a mixed pair gives crd_a g in its own dtype, as mul does
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
+                                        (np.float64, np.float32), (np.float32, np.float64)])
+    @pytest.mark.parametrize("lambda_a", [0.5, 2.0, 0.3])
+    def test_leaf_terms(self, dtypes, lambda_a):
+        cfg = RelationConfig(lambda_a=lambda_a)
+        rng = np.random.default_rng(61)
+        values = rng.uniform(0, 2, (3, 50))
+        out = []
+        for combine in (crd_combine, composed_combine):
+            got = []
+            for d, a, weight in values.T:
+                crd_d, crd_a = (Tensor(v, requires_grad=True, dtype=dt) for v, dt in zip((d, a), dtypes))
+                total = combine(crd_d, crd_a, cfg)
+                backward(crd_d * 1.3 + total * weight)
+                got.append([(v.dtype, v.tobytes()) for v in (total.data, crd_d.grad, crd_a.grad)])
+            out.append(got)
+        assert out[0] == out[1]
+
+    def test_one_result_and_distance_alone(self, monkeypatch):
+        crd_d, crd_a = (Tensor(np.float64(v), requires_grad=True) for v in (0.25, 0.5))
+        count = [0]
+        real = relations._result
+        monkeypatch.setattr(relations, "_result",
+                            lambda *args: count.__setitem__(0, count[0] + 1) or real(*args))
+        assert crd_combine(crd_d, None, CFG) is crd_d
+        assert crd_combine(crd_d, crd_a, CFG).item() == 1.25 and count[0] == 1
 
 
 class TestSampling:
