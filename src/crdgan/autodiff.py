@@ -450,10 +450,12 @@ def gather_sum(a: Tensor, idx, weights) -> Tensor:
 
 
 def _gather(a: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """gather_sum's values: sum_k w[k] * a[idx[:, k]], added left to right."""
-    out = w[0] * a[idx[:, 0]]
+    """gather_sum's values: sum_k w[k] * a[idx[:, k]], added left to right,
+    from one fancy index of a."""
+    terms = a[idx] * w
+    out = terms[:, 0]
     for k in range(1, w.size):
-        out = out + w[k] * a[idx[:, k]]
+        out = out + terms[:, k]
     return out
 
 
@@ -487,7 +489,8 @@ def huber(a: Tensor, b: Tensor) -> Tensor:
 
 def _huber(d: np.ndarray) -> np.ndarray:
     """:func:`huber`'s value at the differences d."""
-    return np.where(np.abs(d) <= 1.0, 0.5 * d * d, np.abs(d) - 0.5)
+    size = np.abs(d)
+    return np.where(size <= 1.0, 0.5 * d * d, size - 0.5)
 
 
 def _huber_slope(d: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
+import os
 import statistics
 import sys
 import time
@@ -214,6 +216,17 @@ def _median_ms(fn, iters: int, setup=None) -> float:
     return statistics.median([once() for _ in range(iters)]) * 1000
 
 
+def _blas_threads() -> str:
+    """The thread count of numpy's bundled OpenBLAS, or ``unknown`` when the
+    BLAS numpy links has no ``scipy_openblas_get_num_threads64_``."""
+    try:
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return "unknown"
+    get.argtypes, get.restype = [], ctypes.c_int
+    return str(get())
+
+
 def _cmd_bench(args) -> int:
     s = args.size
     n, m = args.patch, args.patch
@@ -319,6 +332,10 @@ def _cmd_bench(args) -> int:
     print(f"dataset_ms,{dataset_ms:.3f}")
     print(f"trainer_ms,{trainer_ms:.3f}")
     print(f"perceptual_fwd_bwd_ms,{perceptual_fwd_bwd_ms:.3f}")
+    # what the figures ran on: run bytes and times follow the BLAS thread count
+    print(f"cpu_count,{len(os.sched_getaffinity(0))}")
+    print(f"numpy_version,{np.__version__}")
+    print(f"blas_threads,{_blas_threads()}")
     return 0
 
 

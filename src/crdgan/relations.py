@@ -24,38 +24,44 @@ or a repeated item gives zero, not a NaN.  The Gram form G_ij - G_ik - G_jj
 background); exact residuals give exact zeros.
 
 The whole computation is one autodiff node (``_relate``), run as plain
-numpy; each term is a 0-d pick of its output vector, the sum over the sets,
-left to right, of each set's Huber mean on its own block of the
-concatenated mismatches.  Its backward replays the adjoints that the same
-steps would have as separate autodiff ops (matmul, r*r, sum, sqrt_guarded,
-mean, clamp_min, reciprocal, gather_sum, products, huber): in the same
-order, with each gather's scatter one float64 bincount per side over the
-offset indices, cast back, and with the sources' gradients added per
-content set from the last to the first, student before teacher.  Since no
-bin is shared between sets, every sum is added in the same order as set by
-set.  So values, gradients and run bytes are those of the composed graph,
-which the tests keep as the oracle, at a fraction of its per-op
-bookkeeping.  ``pairwise_distances`` and ``phi_a`` read the same pass's
-forward, as constant tensors.
+numpy.  Each side writes phi_d and phi_a into one vector, so the mismatch,
+its Huber values and, in the backward, the Huber slope are taken once over
+both terms; each term is a 0-d pick of the node's output, the sum over the
+sets, left to right, of each set's Huber mean on its own block of the
+mismatches.  Its backward replays the adjoints that the same steps would
+have as separate autodiff ops (matmul, r*r, sum, sqrt_guarded, mean,
+clamp_min, reciprocal, gather_sum, products, huber): in the same order,
+with each gather's scatter one float64 bincount per side over the offset
+indices, cast back, and with the sources' gradients added per content set
+from the last to the first, student before teacher.  Since no bin is
+shared between sets, every sum is added in the same order as set by set.
+So values, gradients and run bytes are those of the composed graph, which
+the tests keep as the oracle, at a fraction of its per-op bookkeeping.  A
+pass that no gradient can reach (neither source takes one, as in every
+finite-difference call) builds no node: its terms are constant tensors
+with the same bytes.  ``pairwise_distances`` and ``phi_a`` read the same
+pass's forward, as constant tensors.
 
-A teacher that takes no gradient only feeds the forward its phi vectors, and
-a gradient check relates the same teacher in each of its 2N+1 calls.  So the
-teacher's phi is memoised, one entry, when its plan is a cached whole-pool
-plan (every term every set's full enumeration; ``_pool_plan``).  The key is
-that plan object (by identity; the entry keeps it alive), the cuts, the
-dtype and shape, and the source's bytes (by equality).  The memo misses on
-any other teacher, a teacher changed in place included, and is bypassed by a
-teacher that takes a gradient and by a sampled plan, which is never stored;
-the student is always related afresh.  A hit gives the bytes of a fresh pass.
+A teacher that takes no gradient only feeds the forward its phi vector, and
+a gradient check relates the same teacher in each of its 2N+1 calls.  So
+each cached whole-pool plan (every term every set's full enumeration;
+``_pool_plan``) keeps a one-entry memo of a constant teacher's phi vector,
+keyed by the cuts, the dtype and shape, and the source's bytes (by
+equality).  It misses on any other teacher, a teacher changed in place
+included, and is bypassed by a teacher that takes a gradient and by a
+sampled plan, which stores nothing; the student is always related afresh.
+A hit gives the bytes of a fresh pass.  The module holds no mutable state
+of its own beyond its caches.
 
 A call does only the work its inputs' values need.  ``_resolve`` (an
 ``lru_cache`` of 64) maps the shape, patch dims, granularities, budgets and
 terms, never the seed, to the read-only cuts, the set counts and, when every
 draw is its whole pool, the ``_pool_plan``.  Each plan keeps what a pass
-derives from it alone (``_Constants``: incidence matrices, gather weights and
-mean divisors), built on first use once per dtype; a cached plan builds them
-once, a sampled plan, made per call, once per call.  Neither cache's key
-holds a seed, so neither grows with the training step.
+derives from it alone (``_Constants``: incidence matrices, gather weights,
+the phi vector's layout and mean divisors), built on first use once per
+dtype; a cached plan builds them once, a sampled plan, made per call, once
+per call.  Neither cache's key holds a seed, so neither grows with the
+training step.
 
 Tuples i<j(<k) are lexicographic ranks unranked through the combinatorial
 number system: a budget draws that many distinct ranks uniformly from the
@@ -73,7 +79,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .autodiff import Tensor, _gather, _huber, _huber_slope, _result, _scatter
+from .autodiff import (Tensor, _check_finite, _gather, _huber, _huber_slope, _result,
+                       _scatter)
 from . import slicing
 from .slicing import COLUMN, GRANULARITIES, PATCH, ROW, ContentSet
 
@@ -204,8 +211,10 @@ class _Plan:
     per-image mean slot (``_d_layout``); ``pairs`` and ``triples`` are the
     terms' ``_term`` layouts, None for a term not computed.  ``whole`` marks
     ``_pool_plan``'s cached plans, whose every term is every set's whole
-    pool.  ``constants`` builds what a pass derives from the plan alone once
-    per dtype and keeps it with the plan, so a cached plan builds it once.
+    pool; only such a plan keeps ``memo``, the one-entry teacher memo
+    (``_teacher``).  ``constants`` builds what a pass derives from the plan
+    alone once per dtype and keeps it with the plan, so a cached plan builds
+    it once.
     """
 
     counts: tuple
@@ -215,6 +224,7 @@ class _Plan:
     pairs: Optional[tuple]
     triples: Optional[tuple]
     whole: bool = False
+    memo: list = field(default_factory=list, compare=False, repr=False)
     _constants: dict = field(default_factory=dict, compare=False, repr=False)
 
     def constants(self, dtype: np.dtype) -> "_Constants":
@@ -227,10 +237,16 @@ class _Plan:
 class _Constants:
     """What a pass in one dtype derives from its plan alone, all read-only:
     each set's incidence matrix A and its transpose, the unit and cosine
-    gather weights, each d entry's mean divisor (its set's pair count, per
-    image) and, per term, each tuple's mean divisor (its set's block size)."""
+    gather weights, each set's pair count per image (the divisor of its
+    per-image distance sums), and the layout of the one phi vector: the
+    terms computed (0 distance, 1 angle), each one's (start, stop) in it,
+    each set's block of each term (``spans``, term by term), the tuple count
+    of each such block and each entry's block size (the divisors of the
+    Huber sums and of their adjoint).  Every count is held in the dtype, so
+    a division by it does not promote."""
 
-    __slots__ = ("incidence", "incidence_t", "one", "cosine", "pair_counts", "divisors")
+    __slots__ = ("incidence", "incidence_t", "one", "cosine", "pair_counts", "terms",
+                 "term_spans", "spans", "tuple_counts", "divisors")
 
     def __init__(self, plan: _Plan, dtype: np.dtype):
         self.incidence = [_incidence(count, dtype).data for count in plan.counts]
@@ -239,18 +255,17 @@ class _Constants:
         self.cosine = np.asarray(_COSINE, dtype=dtype)
         self.pair_counts = np.asarray([(stop - start) // plan.batch for start, stop in plan.blocks],
                                       dtype=dtype).repeat(plan.batch)
-        self.divisors = [None if term is None else _divisors(term[-1], dtype)
-                         for term in (plan.pairs, plan.triples)]
-        for vec in [self.one, self.cosine, self.pair_counts, *self.divisors]:
-            if vec is not None:
-                vec.setflags(write=False)
-
-
-def _divisors(blocks: tuple, dtype: np.dtype) -> np.ndarray:
-    """Each entry's block size, in the dtype: g / size over a block is the
-    adjoint of that block's mean, the bytes of g / size at one size a time."""
-    sizes = [stop - start for start, stop in blocks]
-    return np.asarray(sizes, dtype=dtype).repeat(sizes)
+        laid = [(term, layout[-1]) for term, layout in enumerate((plan.pairs, plan.triples))
+                if layout is not None]
+        self.terms = [term for term, _ in laid]
+        self.term_spans = _blocks([blocks[-1][1] for _, blocks in laid])
+        self.spans = [(base + start, base + stop) for (base, _), (_, blocks)
+                      in zip(self.term_spans, laid) for start, stop in blocks]
+        sizes = [stop - start for start, stop in self.spans]
+        self.tuple_counts = np.asarray(sizes, dtype=dtype)
+        self.divisors = self.tuple_counts.repeat(sizes)
+        for vec in (self.one, self.cosine, self.pair_counts, self.tuple_counts, self.divisors):
+            vec.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -313,22 +328,31 @@ class _Side:
         sq = np.concatenate([np.add.reduce((r * r).reshape(-1, width), axis=1)
                              for r, width in zip(self.r, self.widths)])
         self.d = d = np.sqrt(np.maximum(sq, 0.0))
-        self.phi = [None, None]                             # phi_d, phi_a
+        # phi_d then phi_a in one vector, phi[0] and phi[1] views of it
+        self.vec = vec = np.empty(constants.divisors.size, dtype=d.dtype)
+        self.phi = [None, None]
+        for term, (start, stop) in zip(constants.terms, constants.term_spans):
+            self.phi[term] = vec[start:stop]
         if plan.pairs is not None:
             pairs, slots, _ = plan.pairs
-            self.mean = np.concatenate([_mean(d[start:stop].reshape(-1, batch))
-                                        for start, stop in plan.blocks])
+            # each set's per-image distance sums, then one division by the pair counts
+            sums = np.empty(constants.pair_counts.size, dtype=d.dtype)
+            for k, (start, stop) in enumerate(plan.blocks):
+                np.add.reduce(d[start:stop].reshape(-1, batch), axis=0,
+                              out=sums[k * batch:(k + 1) * batch])
+            self.mean = sums / constants.pair_counts
             self.inv_mu = 1.0 / np.maximum(self.mean, EPSILON)
             # a unit-weight gather is plain indexing: 1.0 * v is v, bit for bit
             self.g1, self.g2 = d[pairs], self.inv_mu[slots]
-            self.phi[0] = self.g1 * self.g2
+            np.multiply(self.g1, self.g2, out=self.phi[0])
         if plan.triples is not None:
             triples = plan.triples[0]
             self.inv = 1.0 / np.maximum(d, EPSILON)
             self.gs = _gather(sq, triples, constants.cosine)
-            self.gi, self.gk = self.inv[triples[:, 0]], self.inv[triples[:, 2]]
+            gik = self.inv[triples[:, ::2]]                 # inv at i and at k, one index
+            self.gi, self.gk = gik[:, 0], gik[:, 1]
             self.m1 = self.gs * self.gi
-            self.phi[1] = self.m1 * self.gk
+            np.multiply(self.m1, self.gk, out=self.phi[1])
 
     def grad(self, g_phi_d: Optional[np.ndarray], g_phi_a: Optional[np.ndarray]) -> np.ndarray:
         """The gradient of the concatenated row sums of squares from those of
@@ -366,13 +390,6 @@ class _Side:
         return self.constants.incidence_t[k] @ g_r
 
 
-def _mean(a: np.ndarray):
-    """a.mean(axis=0) without np.mean's Python wrapper.  The bytes are the
-    same: np.mean divides the same sum by the count, for float32 in float64
-    and rounded back, which rounds as a float32 division does."""
-    return np.add.reduce(a, axis=0) / a.shape[0]
-
-
 def _pick(vec: Tensor, k: int, reached: list) -> Tensor:
     """vec[k] as a 0-d tensor; its backward marks term k as reached."""
     def back(g):
@@ -390,74 +407,78 @@ def _side(src: Tensor, cuts: list, plan: _Plan) -> _Side:
                   for cut, count in zip(cuts, plan.counts)], plan)
 
 
-_memo = None      # the last constant teacher's (plan, (cuts, dtype, shape), bytes, phi)
-
-
 def _teacher(t: Tensor, cuts: list, plan: _Plan) -> tuple:
-    """The teacher's (phi, side): its side only when it takes a gradient.
+    """The teacher's (phi vector, side): its side only when it takes a gradient.
 
-    A teacher that takes none under a whole-pool plan is served from a
-    one-entry memo of its phi vectors when the plan is the same object and
-    the cuts, dtype, shape and bytes are equal, as for every call of a
-    gradient check; any other teacher is a miss and replaces the entry.  A
-    sampled plan is a fresh object each call, so it is never stored."""
-    global _memo
+    A teacher that takes none under a whole-pool plan is served from that
+    plan's one-entry memo of its phi vector when the cuts, dtype, shape and
+    bytes are equal, as for every call of a gradient check; any other teacher
+    is a miss and replaces the entry.  A sampled plan is made per call and
+    never stores one."""
     if t.requires_grad or not plan.whole:
         side = _side(t, cuts, plan)
-        return side.phi, side if t.requires_grad else None
+        return side.vec, side if t.requires_grad else None
     key, data = (tuple(cuts), t.dtype, t.shape), t.data.tobytes()
-    if _memo is None or _memo[0] is not plan or _memo[1] != key or _memo[2] != data:
-        phi = _side(t, cuts, plan).phi
-        for vec in phi:
-            if vec is not None:
-                vec.setflags(write=False)
-        _memo = (plan, key, data, phi)
-    return _memo[3], None
+    memo = plan.memo
+    if not memo or memo[0] != key or memo[1] != data:
+        phi = _side(t, cuts, plan).vec
+        phi.setflags(write=False)
+        memo[:] = key, data, phi
+    return memo[2], None
 
 
 def _relate(t: Tensor, s: Tensor, cuts: list, plan: _Plan) -> tuple:
-    """(distance term, angle term) of the teacher/student sources as one
-    autodiff node and a 0-d pick of it per term; None for an absent term.
+    """(distance term, angle term) of the teacher/student sources, each a 0-d
+    pick of one autodiff node; None for an absent term.
 
     ``cuts`` holds one slicing layout per content set, by which ``slicing.cut``
     and ``uncut`` take a source to that set's item stack and back (None: the
     source is the item stack), and ``plan`` lays the sets end to end.  Each
     side is one ``_Side`` pass over all the sets, the teacher's memoised
     (``_teacher``).  The teacher-student differences and their Huber values
-    are taken once on the concatenated phi; each set's Huber mean is taken on
-    its own block of them, and a term is those means summed left to right.
-    The backward scatters each side once over the concatenated offsets, then
-    adds the per-set image gradients from the last set to the first, student
-    before teacher.
+    are taken once on the one phi vector; each set's Huber mean is taken on
+    its own block of them, and a term is its sets' means summed left to
+    right.  A pass no gradient can reach (neither source takes one) builds no
+    node: its terms are constant tensors with the node's bytes.  The backward
+    scatters each side once over the concatenated offsets, then adds the
+    per-set image gradients from the last set to the first, student before
+    teacher.
     """
     t_phi, t_side = _teacher(t, cuts, plan)
     s_side = _side(s, cuts, plan)
-    terms = []                              # (0 distance or 1 angle, diff, total)
-    for term, tuples in enumerate((plan.pairs, plan.triples)):
-        if tuples is not None:
-            diff = t_phi[term] - s_side.phi[term]
-            penalty = _huber(diff)
-            values = [_mean(penalty[start:stop]) for start, stop in tuples[-1]]
-            terms.append((term, diff, functools.reduce(operator.add, values)))
-    vec = np.array([total for *_, total in terms])
+    diff = t_phi - s_side.vec
+    penalty = _huber(diff)
+    constants = plan.constants(diff.dtype)
+    sums = np.empty(constants.tuple_counts.size, dtype=diff.dtype)
+    for k, (start, stop) in enumerate(constants.spans):
+        sums[k] = np.add.reduce(penalty[start:stop])
+    means = (sums / constants.tuple_counts).reshape(len(constants.terms), -1)
+    vec = functools.reduce(operator.add, means.T)         # each term, set by set
+    picks = [None, None]
+    if not (t.requires_grad or s.requires_grad):
+        _check_finite(vec, "result of relations")
+        for k, term in enumerate(constants.terms):
+            picks[term] = Tensor(vec[k])
+        return tuple(picks)
     # the backward reads only the sides whose source took a gradient when made
     sides = [t_side, s_side if s.requires_grad else None]
 
     def back(g):
-        divisors = plan.constants(vec.dtype).divisors
-        g_phi = [None, None]                        # per term: (teacher, student)
-        for k, (term, diff, _) in enumerate(terms):
-            if reached[k]:
-                # each set's mean adjoint, over its own tuple count
-                g_mean = g[k] / divisors[term]
-                slope = _huber_slope(diff)
-                g_phi[term] = (g_mean * slope, -g_mean * slope)
+        # each set's mean adjoint, over its own tuple count, then the Huber slope
+        g_mean = g.repeat([stop - start for start, stop in constants.term_spans]) \
+            / constants.divisors
+        slope = _huber_slope(diff)
+        g_phi = (g_mean * slope, -g_mean * slope)   # per side, every term's
+        spans = [span if reached[k] else None for k, span in enumerate(constants.term_spans)]
         g_sq = [None, None]                         # per side: that of the concatenated sq
         for which, (side, src) in enumerate(zip(sides, (t, s))):
             if side is not None and src.requires_grad:
-                g_sq[which] = side.grad(*(None if pair is None else
-                                          pair[which].astype(src.dtype, copy=False)
-                                          for pair in g_phi))
+                g_side = g_phi[which].astype(src.dtype, copy=False)
+                g_terms = [None, None]              # None: that term was not reached
+                for term, span in zip(constants.terms, spans):
+                    if span is not None:
+                        g_terms[term] = g_side[span[0]:span[1]]
+                g_sq[which] = side.grad(*g_terms)
         # image gradients arrive per content set in reverse order, student first
         for k in reversed(range(len(cuts))):
             for which, src in ((1, s), (0, t)):
@@ -467,10 +488,9 @@ def _relate(t: Tensor, s: Tensor, cuts: list, plan: _Plan) -> tuple:
                 g_x = g_x if cuts[k] is None else slicing.uncut(g_x, cuts[k])
                 src._accumulate(g_x.reshape(src.shape))
 
-    reached = [False] * len(terms)
+    reached = [False] * len(constants.terms)
     node = _result(vec, "relations", (t, s), back)
-    picks = [None, None]
-    for k, (term, *_) in enumerate(terms):
+    for k, term in enumerate(constants.terms):
         picks[term] = _pick(node, k, reached)
     return tuple(picks)
 
@@ -483,11 +503,12 @@ def pairwise_distances(item_set: ItemsLike) -> DistanceStructure:
     if n < 2:
         raise ValueError(f"pairwise_distances needs >= 2 items, got {n}")
     pi, pj = _tuple_pool(n, 2).T
-    d = _Side([items.data], _plan((n,), 1, None, None)).d
+    side = _Side([items.data], _plan((n,), 1, [_tuple_pool(n, 2)], None))
+    d = side.d
     mat = np.zeros((n, n), dtype=d.dtype)
     mat[pi, pj] = d
     mat[pj, pi] = d
-    return DistanceStructure(mat, Tensor(_mean(d)), Tensor(d))
+    return DistanceStructure(mat, Tensor(side.mean.reshape(())), Tensor(d))
 
 
 def phi_d(structure: DistanceStructure, i: int, j: int) -> float:
@@ -683,10 +704,14 @@ def crd_combine(crd_d: Tensor, crd_a: Optional[Tensor], cfg: RelationConfig) -> 
     One autodiff node with the bytes of the composed constant, mul and add:
     lambda_a in crd_a's dtype times crd_a, added to crd_d; the backward
     gives g to crd_d, then g (in crd_a's dtype, as the mul node's gradient
-    is) times lambda_a to crd_a."""
+    is) times lambda_a to crd_a.  Of two constants it is a constant."""
     if crd_a is None:
         return crd_d
     lam = np.asarray(cfg.lambda_a, dtype=crd_a.dtype)
+    value = crd_d.data + crd_a.data * lam
+    if not (crd_d.requires_grad or crd_a.requires_grad):
+        _check_finite(value, "result of crd_combine")
+        return Tensor(value)
 
     def back(g):
         if crd_d.requires_grad:
@@ -694,7 +719,7 @@ def crd_combine(crd_d: Tensor, crd_a: Optional[Tensor], cfg: RelationConfig) -> 
         if crd_a.requires_grad:
             crd_a._accumulate(g.astype(lam.dtype, copy=False) * lam)
 
-    return _result(crd_d.data + crd_a.data * lam, "crd_combine", (crd_d, crd_a), back)
+    return _result(value, "crd_combine", (crd_d, crd_a), back)
 
 
 def crd_distance_loss(teacher_img: Tensor, student_img: Tensor, n: int, m: int,

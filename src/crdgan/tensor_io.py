@@ -71,8 +71,10 @@ def write_manifest(dirpath, entries) -> None:
 def read_manifest(dirpath):
     """Returns a list of dicts with keys name/file/shape/role.
 
-    A header other than ``MANIFEST_FIELDS``, a row of another length or a
-    shape cell not of ``x``-joined ints raises a ValueError naming the file.
+    A header other than ``MANIFEST_FIELDS``, a row of another length, a
+    shape cell not of ``x``-joined ints or a file cell that is not a bare
+    file name in the manifest's directory (empty, ``.`` or ``..``, holding a
+    path separator, or absolute) raises a ValueError naming the file.
     """
     path = Path(dirpath) / MANIFEST_NAME
     out = []
@@ -85,6 +87,9 @@ def read_manifest(dirpath):
                 raise ValueError(f"{path}: line {reader.line_num} does not have "
                                  f"{len(MANIFEST_FIELDS)} fields")
             row = dict(row)
+            if row["file"] in ("", ".", "..") or any(sep in row["file"] for sep in "/\\"):
+                raise ValueError(f"{path}: line {reader.line_num} has file {row['file']!r}, "
+                                 f"not a file name in {path.parent}")
             try:
                 row["shape"] = tuple(map(int, row["shape"].split("x"))) if row["shape"] else ()
             except ValueError:

@@ -530,6 +530,33 @@ class TestCliTrainEval:
         assert ("header" if corrupt == "drop_role_column" else "line 4 ") in err
         assert not (run / "eval.csv").exists()
 
+    @pytest.mark.parametrize("where", ["other_run", "absolute", "subdir", "empty", "dot",
+                                       "dotdot"])
+    def test_eval_rejects_a_manifest_file_cell_outside_its_directory(self, tmp_path, capsys,
+                                                                      where):
+        cfg = TrainConfig(image_size=16, patch=(4, 4), base_width=4, num_res_blocks=1,
+                          disc_layers=2, disc_base_width=4)
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            run.mkdir()
+            write_config(cfg, run / "config.cfg")
+            save_checkpoint(run / "checkpoints", training.build_models(cfg))
+        run, other = runs
+        manifest = run / "checkpoints" / tensor_io.MANIFEST_NAME
+        lines = manifest.read_text().splitlines()
+        name, fname, shape, role = lines[1].split(",")
+        # the first two load the other run's tensor of the same name and shape unless rejected
+        cell = {"other_run": f"../../b/checkpoints/{fname}",
+                "absolute": str(other / "checkpoints" / fname),
+                "subdir": f"sub/{fname}", "empty": "", "dot": ".", "dotdot": ".."}[where]
+        lines[1] = ",".join((name, cell, shape, role))
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--run", str(run), "--task", "invert"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 2 has file {cell!r}, not a file name in "
+            f"{manifest.parent}\n")
+        assert not (run / "eval.csv").exists()
+
     def test_eval_rejects_a_tensor_file_of_another_shape_than_its_row(self, tmp_path, capsys):
         cfg = TrainConfig(image_size=16, patch=(4, 4), base_width=4, num_res_blocks=1,
                           disc_layers=2, disc_base_width=4)
@@ -755,14 +782,17 @@ class TestCliBench:
         for key in ("generator_fwd_bwd_ms", "discriminator_fwd_bwd_ms", "adam_step_ms",
                     "crd_gradcheck_ms"):
             assert value(full, key) > 0, key
-        last = full.splitlines()[-1]
-        assert last.startswith("perceptual_fwd_bwd_ms,") and float(last.split(",")[1]) > 0
+        assert value(full, "perceptual_fwd_bwd_ms") > 0
         assert [line.split(",")[0] for line in full.splitlines()] == [
             "image_size", "triplet_budget", "pairs_evaluated", "triples_evaluated",
             "tuple_sampling_ms", "crd_loss_ms", "crd_loss_fwd_bwd_ms", "crd_gradcheck_ms",
             "tuples_per_second", "generator_fwd_bwd_ms", "generator_gflops",
             "discriminator_fwd_bwd_ms", "adam_step_ms", "dataset_ms", "trainer_ms",
-            "perceptual_fwd_bwd_ms"]
+            "perceptual_fwd_bwd_ms", "cpu_count", "numpy_version", "blas_threads"]
+        platform = dict(line.split(",") for line in full.splitlines()[-3:])
+        assert platform["cpu_count"] == str(len(os.sched_getaffinity(0)))
+        assert platform["numpy_version"] == np.__version__
+        assert platform["blas_threads"] == "unknown" or int(platform["blas_threads"]) >= 1
         # crd_gradcheck_ms times whole checks at `gradcheck`'s defaults, whatever --size:
         # per run an untimed check and one timed
         assert checks == [((1, 8, 8), np.float64)] * 4
@@ -835,3 +865,8 @@ class TestCliBench:
         assert float(values["dataset_ms"]) > 0 and float(values["trainer_ms"]) > 0
         # one dataset for the Trainer, then each figure's untimed call and 3 timed calls
         assert calls == {"dataset": 1 + 4, "trainer": 4}
+
+    def test_blas_threads_is_unknown_without_the_openblas_symbol(self, monkeypatch):
+        from crdgan import cli
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        assert cli._blas_threads() == "unknown"

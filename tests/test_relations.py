@@ -544,7 +544,8 @@ class TestOnePass:
         t_data, s_data = rng.uniform(-1, 1, (2, 2, 3, 8, 12)).astype(dtype)
 
         def run():
-            monkeypatch.setattr(relations, "_memo", None)   # relate the teacher afresh too
+            # relate the teacher afresh too: empty the memo of the whole-pool plan
+            relations._pool_plan((12, 8, 6), 2, True, True).memo.clear()
             s = Tensor(s_data.copy(), requires_grad=True)
             loss = crd_loss(Tensor(t_data.copy()), s, 4, 4, cfg)
             backward(loss)
@@ -564,7 +565,8 @@ class TestOnePass:
 
 @pytest.fixture
 def side_passes(monkeypatch):
-    """Counts the relation pass's _Side passes, starting from an empty teacher memo."""
+    """Counts the relation pass's _Side passes, starting from fresh plans with
+    empty teacher memos."""
     passes = []
 
     class Counted(relations._Side):
@@ -573,8 +575,17 @@ def side_passes(monkeypatch):
             super().__init__(xs, plan)
 
     monkeypatch.setattr(relations, "_Side", Counted)
-    monkeypatch.setattr(relations, "_memo", None, raising=False)
+    relations._resolve.cache_clear()
+    relations._pool_plan.cache_clear()
     return passes
+
+
+def _whole_plan(shape, distance=True, angle=True):
+    """The cached whole-pool plan crd_terms relates a source of this shape under,
+    4x4 patches and every granularity."""
+    plan = relations._resolve(shape, 4, 4, slicing.GRANULARITIES, None, None, distance, angle)[3]
+    assert plan.whole
+    return plan
 
 
 class TestTeacherMemo:
@@ -597,7 +608,7 @@ class TestTeacherMemo:
 
     @pytest.mark.parametrize("dtype, shape", [(np.float64, (1, 8, 8)),
                                               (np.float32, (2, 3, 8, 8))])
-    def test_a_hit_gives_the_bytes_of_a_fresh_pass(self, side_passes, monkeypatch, dtype, shape):
+    def test_a_hit_gives_the_bytes_of_a_fresh_pass(self, side_passes, dtype, shape):
         rng = np.random.default_rng(51)
         t = rng.uniform(-1, 1, shape).astype(dtype)
         first, second = (rng.uniform(-1, 1, shape).astype(dtype) for _ in range(2))
@@ -605,11 +616,11 @@ class TestTeacherMemo:
         del side_passes[:]
         hit = self.grad_and_value(Tensor(t.copy()), second)     # another tensor, the same bytes
         assert len(side_passes) == 1
-        monkeypatch.setattr(relations, "_memo", None)
+        _whole_plan(shape).memo.clear()
         assert self.grad_and_value(Tensor(t), second) == hit
         assert len(side_passes) == 3
 
-    def test_a_teacher_changed_in_place_misses(self, side_passes, monkeypatch):
+    def test_a_teacher_changed_in_place_misses(self, side_passes):
         rng = np.random.default_rng(52)
         teacher = Tensor(rng.uniform(-1, 1, (1, 8, 8)))
         student = rng.uniform(-1, 1, (1, 8, 8))
@@ -618,14 +629,15 @@ class TestTeacherMemo:
         del side_passes[:]
         changed = self.grad_and_value(teacher, student)
         assert len(side_passes) == 2
-        monkeypatch.setattr(relations, "_memo", None)
+        _whole_plan((1, 8, 8)).memo.clear()
         assert self.grad_and_value(teacher, student) == changed
 
     def test_a_teacher_taking_a_gradient_is_never_served(self, side_passes):
         rng = np.random.default_rng(53)
         t, s = rng.uniform(-1, 1, (2, 1, 8, 8))
         self.grad_and_value(Tensor(t), s)
-        entry = relations._memo
+        memo = _whole_plan((1, 8, 8)).memo
+        entry = list(memo)
         got = []
         for _ in range(2):
             del side_passes[:]
@@ -633,36 +645,97 @@ class TestTeacherMemo:
             backward(crd_loss(teacher, Tensor(s), 4, 4, self.FULL))
             assert len(side_passes) == 2
             got.append(teacher.grad.tobytes())
-        assert relations._memo is entry and got[0] == got[1]
+        assert memo[:2] == entry[:2] and memo[2] is entry[2] and got[0] == got[1]
         # the teacher's gradient is the student's with the sides swapped
         assert got[0] == self.grad_and_value(Tensor(s), t)[1]
 
-    def test_a_sampled_plan_is_never_stored(self, side_passes):
+    def test_a_sampled_plan_stores_nothing(self, side_passes, monkeypatch):
+        plans = []
+        real = relations._relate
+        monkeypatch.setattr(relations, "_relate",
+                            lambda t, s, cuts, plan: plans.append(plan) or real(t, s, cuts, plan))
         rng = np.random.default_rng(54)
         t, s = rng.uniform(-1, 1, (2, 1, 8, 8))
         sampled = RelationConfig(seed=3, pair_budget=None, triplet_budget=30)
         for _ in range(2):
             self.grad_and_value(Tensor(t), s, sampled)
-        assert relations._memo is None and len(side_passes) == 4
+        assert len(side_passes) == 4
+        assert [(plan.whole, plan.memo) for plan in plans] == [(False, [])] * 2
         self.grad_and_value(Tensor(t), s)
-        entry = relations._memo
+        memo = _whole_plan((1, 8, 8)).memo
+        entry = list(memo)
         self.grad_and_value(Tensor(t), s, sampled)
-        assert relations._memo is entry
+        assert plans[-1].memo == [] and memo[:2] == entry[:2] and memo[2] is entry[2]
 
-    def test_one_entry_of_phi_only(self, side_passes):
+    def test_two_whole_plans_used_in_turn_each_keep_their_own_entry(self, side_passes):
         rng = np.random.default_rng(55)
+        t, s = rng.uniform(-1, 1, (2, 1, 8, 8))
+        # the distance and the angle loss relate under two plans, each with its own memo
+        for _ in range(3):
+            crd_distance_loss(Tensor(t), Tensor(s), 4, 4, self.FULL)
+            crd_angle_loss(Tensor(t), Tensor(s), 4, 4, self.FULL)
+        assert len(side_passes) == 2 + 2 + 4          # each teacher once, every student
+        for distance, angle in ((True, False), (False, True)):
+            plan = _whole_plan((1, 8, 8), distance, angle)
+            key, data, phi = plan.memo
+            assert key == (relations._resolve((1, 8, 8), 4, 4, slicing.GRANULARITIES, None, None,
+                                              distance, angle)[0], t.dtype, t.shape)
+            assert data == t.tobytes()
+            fresh = relations._Side([slicing.cut(t, cut, (cut[2][0], -1)) for cut in key[0]], plan)
+            # the one phi vector only: no r, no sq, no side
+            assert isinstance(phi, np.ndarray) and not phi.flags.writeable
+            assert phi.tobytes() == fresh.vec.tobytes()
+
+    def test_one_entry_per_plan(self, side_passes):
+        rng = np.random.default_rng(56)
         a, b, s = rng.uniform(-1, 1, (3, 1, 8, 8))
         for t in (a, b, a):
             self.grad_and_value(Tensor(t), s)
         assert len(side_passes) == 6             # one entry: a, then b, then a again all miss
-        plan, key, data, phi = relations._memo
-        assert plan is relations._pool_plan((8, 8, 4), 1, True, True)
-        assert data == a.tobytes()
-        fresh = relations._Side([slicing.cut(a, cut, (cut[2][0], -1)) for cut in key[0]], plan)
-        assert [v.tobytes() for v in phi] == [v.tobytes() for v in fresh.phi]
-        # no r, no sq: the only arrays held beside the plan are phi_d and phi_a
-        assert not any(isinstance(v, relations._Side) for v in (plan, key, data, *phi))
-        assert all(isinstance(v, np.ndarray) and not v.flags.writeable for v in phi)
+        assert _whole_plan((1, 8, 8)).memo[1] == a.tobytes()
+
+    def test_no_mutable_module_global(self, side_passes):
+        # the memo lives on the plans: a memoised call rebinds no name of the
+        # module, and no module-level value is a container it could fill
+        before = dict(vars(relations))
+        rng = np.random.default_rng(57)
+        t, s = rng.uniform(-1, 1, (2, 1, 8, 8))
+        for student in (s, t):
+            self.grad_and_value(Tensor(t), student)
+        assert len(side_passes) == 3 and _whole_plan((1, 8, 8)).memo
+        assert vars(relations).keys() == before.keys()
+        assert all(vars(relations)[name] is value for name, value in before.items())
+        assert not [name for name, value in before.items() if not name.startswith("__")
+                    and isinstance(value, (list, dict, set, np.ndarray))]
+
+
+class TestGradientFreePass:
+    """A pass that no gradient can reach builds no node, and its terms hold
+    the bytes of the same call with a student that takes a gradient."""
+
+    @pytest.mark.parametrize("cfg", [TestOnePass.FULL,
+                                     RelationConfig(pair_budget=30, triplet_budget=40, seed=6)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fn", [crd_terms, crd_loss, crd_distance_loss, crd_angle_loss])
+    def test_constant_terms_with_the_node_bytes(self, monkeypatch, fn, dtype, cfg):
+        rng = np.random.default_rng(57)
+        t_data, s_data = rng.uniform(-1, 1, (2, 2, 3, 8, 12)).astype(dtype)
+
+        def run(grad):
+            out = fn(Tensor(t_data), Tensor(s_data.copy(), requires_grad=grad), 4, 4, cfg)
+            return out if isinstance(out, tuple) else (out,)
+
+        graded = run(True)
+        with monkeypatch.context() as patch:
+            def no_node(*args):
+                raise AssertionError("a gradient-free pass built a node")
+
+            patch.setattr(relations, "_result", no_node)
+            free = run(False)
+        assert [(v.dtype, v.data.tobytes()) for v in free] == \
+            [(v.dtype, v.data.tobytes()) for v in graded]
+        assert all(v.shape == () and v._parents == () and not v.requires_grad for v in free)
+        assert all(v._parents for v in graded)
 
 
 # -- the composed graph the one-node loss replays --------------------------------
