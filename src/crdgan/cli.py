@@ -155,16 +155,15 @@ def _cmd_slice(args) -> int:
     img = tensor_io.load_tensor(args.input)
     if img.ndim != 3:
         raise ValueError(f"slice needs a [c,h,w] tensor file, got shape {img.shape}")
-    n, m = args.patch
+    grans = slicing.GRANULARITIES if args.granularity == "all" else (args.granularity,)
+    # every granularity's layout first: one that does not split writes nothing
+    layouts = [slicing.layout(img.shape, g, args.patch if g == slicing.PATCH else None)
+               for g in grans]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grans = slicing.GRANULARITIES if args.granularity == "all" else (args.granularity,)
     manifest_lines = []
-    t = Tensor(img)
-    for g in grans:
-        cset = slicing.split(t, g, (n, m) if g == slicing.PATCH else None)
-        for i in range(len(cset)):
-            item = cset.item(i)
+    for g, layout in zip(grans, layouts):
+        for i, item in enumerate(slicing.cut(img, layout)):
             tensor_io.save_tensor(out_dir / f"{g}_{i:04d}.crdt", item)
             manifest_lines.append(f"{g},{i},{item.size}")
     (out_dir / "manifest.txt").write_text("\n".join(manifest_lines) + "\n")

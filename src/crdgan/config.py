@@ -1,9 +1,9 @@
 """Training configuration and its flat ``key = value`` file format.
 
 Every key is a TrainConfig field, in field order (relation sub-fields are
-exposed flat, e.g. ``lambda_a`` or ``use_rows``).  Unknown keys and malformed
-values are errors that name the offending line.  Budgets accept 0 as
-"no budget" (full enumeration).
+exposed flat, e.g. ``lambda_a`` or ``use_rows``).  Unknown keys, malformed
+values and a key set twice are errors that name the offending lines.
+Budgets accept 0 as "no budget" (full enumeration).
 """
 
 from __future__ import annotations
@@ -157,6 +157,7 @@ def parse_config(path) -> TrainConfig:
         raise ConfigError(f"config file not found: {path}")
     values = {}
     relation_values = {}
+    seen = {}                                           # key -> the line it was set on
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -170,6 +171,9 @@ def parse_config(path) -> TrainConfig:
             else (_RELATION_KEYS, relation_values)
         if key not in table:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         name, kind = table[key]
         dest[name] = _parse_value(key, kind, raw, lineno)
     try:

@@ -42,26 +42,25 @@ finite-difference call) builds no node: its terms are constant tensors
 with the same bytes.  ``pairwise_distances`` and ``phi_a`` read the same
 pass's forward, as constant tensors.
 
-A teacher that takes no gradient only feeds the forward its phi vector, and
-a gradient check relates the same teacher in each of its 2N+1 calls.  So
-each cached whole-pool plan (every term every set's full enumeration;
-``_pool_plan``) keeps a one-entry memo of a constant teacher's phi vector,
-keyed by the cuts, the dtype and shape, and the source's bytes (by
-equality).  It misses on any other teacher, a teacher changed in place
-included, and is bypassed by a teacher that takes a gradient and by a
-sampled plan, which stores nothing; the student is always related afresh.
-A hit gives the bytes of a fresh pass.  The module holds no mutable state
-of its own beyond its caches.
-
-A call does only the work its inputs' values need.  ``_resolve`` (an
-``lru_cache`` of 64) maps the shape, patch dims, granularities, budgets and
-terms, never the seed, to the read-only cuts, the set counts and, when every
-draw is its whole pool, the ``_pool_plan``.  Each plan keeps what a pass
-derives from it alone (``_Constants``: incidence matrices, gather weights,
-the phi vector's layout and mean divisors), built on first use once per
-dtype; a cached plan builds them once, a sampled plan, made per call, once
-per call.  Neither cache's key holds a seed, so neither grows with the
+A pass's geometry is one ``_Layout`` per set counts, batch and asked
+terms' budgets (``_layout``, an ``lru_cache`` of 64): each set's block of
+d, each term's per-set tuple counts (where ``_enumerates`` decides, once,
+which draws are their whole pool), the index of every term whose every set
+enumerates, and, built once per dtype on first use, the incidence
+matrices, gather weights and divisors.  ``_resolve`` (an ``lru_cache`` of
+64) maps the shape, patch dims, granularities, budgets and terms to the
+read-only cuts and that layout; a call that samples computes only its
+sampled terms' indices.  No cache key holds a seed, so none grows with the
 training step.
+
+A teacher that takes no gradient only feeds the forward its phi vector, and
+a gradient check relates the same teacher in each of its 2N+1 calls.  So a
+whole layout (every asked term every set's full enumeration) keeps a
+one-entry memo of a constant teacher's phi vector, keyed by the cuts, the
+dtype and shape, and the source's bytes (by equality).  It misses on any
+other teacher, a teacher changed in place included; a teacher that takes a
+gradient and a layout that samples bypass it, and the student is always
+related afresh.  A hit gives the bytes of a fresh pass.
 
 Tuples i<j(<k) are lexicographic ranks unranked through the combinatorial
 number system: a budget draws that many distinct ranks uniformly from the
@@ -73,7 +72,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, inf
 from typing import Optional, Union
 
@@ -165,67 +164,68 @@ def _blocks(sizes) -> tuple:
     return tuple(zip((0,) + stops[:-1], stops))
 
 
-@functools.lru_cache(maxsize=64)
-def _d_layout(counts: tuple, batch: int) -> tuple:
-    """Where sets of these item counts sit in a pass's concatenated d: each
-    set's (start, stop), and each entry's slot in the concatenated per-image
-    means, set * batch + image."""
-    blocks = _blocks([comb(c, 2) * batch for c in counts])
-    slot = np.concatenate([np.arange(stop - start) % batch + k * batch
-                           for k, (start, stop) in enumerate(blocks)])
-    slot.setflags(write=False)
-    return blocks, slot
+class _Layout:
+    """Where a pass over sets of these item counts, at this batch and with
+    these asked terms, puts everything: all it derives without the images'
+    values or the seed, read-only but for the memo and the constants.
 
-
-def _term(tuples: list, counts: tuple, batch: int) -> tuple:
-    """One term's layout for per-set [T, arity] tuple arrays of sets of these
-    item counts: the d entries each tuple reads (``_tuple_index``, offset to its
-    set's block of the concatenated d) and each set's (start, stop) in the
-    term's phi.  Pairs give (P, Q, blocks), Q each pair's mean slot;
-    triples give (T, blocks), T each triple's (ij, ik, jk) entries."""
-    d_blocks, slot = _d_layout(counts, batch)
-    index = np.concatenate([_tuple_index(t, c, batch) + start
-                            for t, c, (start, _) in zip(tuples, counts, d_blocks)])
-    blocks = _blocks([len(t) * batch for t in tuples])
-    if tuples[0].shape[1] == 2:
-        pairs = index[:, 0]
-        return pairs, slot[pairs], blocks
-    return index, blocks
-
-
-@functools.lru_cache(maxsize=64)
-def _pool_term(counts: tuple, arity: int, batch: int) -> tuple:
-    """``_term`` of every set's full enumeration, read-only."""
-    term = _term([_tuple_pool(c, arity) for c in counts], counts, batch)
-    for index in term[:-1]:
-        index.setflags(write=False)
-    return term
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """One pass's content sets laid end to end.
-
-    ``counts`` holds each set's item count per image, ``blocks`` each set's
-    (start, stop) in the concatenated d and ``slot`` each d entry's
-    per-image mean slot (``_d_layout``); ``pairs`` and ``triples`` are the
-    terms' ``_term`` layouts, None for a term not computed.  ``whole`` marks
-    ``_pool_plan``'s cached plans, whose every term is every set's whole
-    pool; only such a plan keeps ``memo``, the one-entry teacher memo
-    (``_teacher``).  ``constants`` builds what a pass derives from the plan
-    alone once per dtype and keeps it with the plan, so a cached plan builds
-    it once.
+    ``asked`` holds each asked term's (arity, budget), pairs (the distance,
+    term 0) before triples (the angle, term 1), and ``terms`` their term
+    numbers.  ``blocks`` is each set's (start, stop) in the concatenated d
+    and ``slot`` each d entry's per-image mean slot, set * batch + image.
+    Each term holds, per set, its tuple count times the batch: the whole pool
+    when the set's draw enumerates (``_enumerates``, the one test of it),
+    else the budget.  ``term_spans`` is each term's (start, stop) in the one
+    phi vector and ``spans`` each set's block of each term, term by term.
+    ``pools`` is the (pairs, triples) index of every term whose every set
+    enumerates, None for a term that samples or was not asked for; ``whole``
+    is set when every asked term's is there, and only then is ``memo``, the
+    one-entry teacher memo (``_teacher``), filled.  ``constants`` builds
+    what a pass in one dtype reads, once per dtype.
     """
 
-    counts: tuple
-    batch: int
-    blocks: tuple
-    slot: np.ndarray
-    pairs: Optional[tuple]
-    triples: Optional[tuple]
-    whole: bool = False
-    memo: list = field(default_factory=list, compare=False, repr=False)
-    _constants: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, counts: tuple, batch: int, asked: tuple):
+        self.counts, self.batch, self.asked = counts, batch, asked
+        self.terms = [arity - 2 for arity, _ in asked]
+        self.blocks = _blocks([comb(c, 2) * batch for c in counts])
+        self.slot = np.concatenate([np.arange(stop - start) % batch + k * batch
+                                    for k, (start, stop) in enumerate(self.blocks)])
+        self.slot.setflags(write=False)
+        enumerates = [[_enumerates(c, arity, budget) for c in counts] for arity, budget in asked]
+        sizes = [[(comb(c, arity) if whole else budget) * batch for c, whole in zip(counts, wholes)]
+                 for (arity, budget), wholes in zip(asked, enumerates)]
+        self.term_spans = _blocks([sum(term) for term in sizes])
+        self.spans = [(base + start, base + stop) for (base, _), term in zip(self.term_spans, sizes)
+                      for start, stop in _blocks(term)]
+        pools = {arity: self.index([_tuple_pool(c, arity) for c in counts])
+                 for (arity, _), wholes in zip(asked, enumerates) if all(wholes)}
+        for index in itertools.chain(*pools.values()):
+            index.setflags(write=False)
+        self.pools = pools.get(2), pools.get(3)
+        self.whole = all(map(all, enumerates))
+        self.memo = []
+        self._constants = {}
+
+    def index(self, tuples: list) -> tuple:
+        """One term's index for per-set [T, arity] tuple arrays: the d entries
+        each tuple reads (``_tuple_index``, offset to its set's block of d).
+        Pairs give (P, Q), Q each pair's mean slot; triples give (T,), T each
+        triple's (ij, ik, jk) entries."""
+        index = np.concatenate([_tuple_index(t, c, self.batch) + start
+                                for t, c, (start, _) in zip(tuples, self.counts, self.blocks)])
+        if tuples[0].shape[1] == 2:
+            pairs = index[:, 0]
+            return pairs, self.slot[pairs]
+        return (index,)
+
+    def indices(self, draws: list) -> tuple:
+        """(pairs, triples) of one call from each asked term's per-set draws;
+        a term whose every set enumerates reads its cached pool's."""
+        out = list(self.pools)
+        for term, tuples in zip(self.terms, draws):
+            if out[term] is None:
+                out[term] = self.index(tuples)
+        return tuple(out)
 
     def constants(self, dtype: np.dtype) -> "_Constants":
         found = self._constants.get(dtype)
@@ -235,33 +235,25 @@ class _Plan:
 
 
 class _Constants:
-    """What a pass in one dtype derives from its plan alone, all read-only:
-    each set's incidence matrix A and its transpose, the unit and cosine
-    gather weights, each set's pair count per image (the divisor of its
-    per-image distance sums), and the layout of the one phi vector: the
-    terms computed (0 distance, 1 angle), each one's (start, stop) in it,
-    each set's block of each term (``spans``, term by term), the tuple count
-    of each such block and each entry's block size (the divisors of the
-    Huber sums and of their adjoint).  Every count is held in the dtype, so
-    a division by it does not promote."""
+    """What a pass in one dtype reads from its layout, all read-only: each
+    set's incidence matrix A and its transpose, the unit and cosine gather
+    weights, each set's pair count per image (the divisor of its per-image
+    distance sums), and the tuple count of each of the layout's ``spans``
+    and of each phi entry's span (the divisors of the Huber sums and of
+    their adjoint).  Every count is held in the dtype, so a division by it
+    does not promote."""
 
-    __slots__ = ("incidence", "incidence_t", "one", "cosine", "pair_counts", "terms",
-                 "term_spans", "spans", "tuple_counts", "divisors")
+    __slots__ = ("incidence", "incidence_t", "one", "cosine", "pair_counts", "tuple_counts",
+                 "divisors")
 
-    def __init__(self, plan: _Plan, dtype: np.dtype):
-        self.incidence = [_incidence(count, dtype).data for count in plan.counts]
+    def __init__(self, layout: _Layout, dtype: np.dtype):
+        self.incidence = [_incidence(count, dtype).data for count in layout.counts]
         self.incidence_t = [a.swapaxes(-1, -2) for a in self.incidence]
         self.one = np.asarray(_ONE, dtype=dtype)
         self.cosine = np.asarray(_COSINE, dtype=dtype)
-        self.pair_counts = np.asarray([(stop - start) // plan.batch for start, stop in plan.blocks],
-                                      dtype=dtype).repeat(plan.batch)
-        laid = [(term, layout[-1]) for term, layout in enumerate((plan.pairs, plan.triples))
-                if layout is not None]
-        self.terms = [term for term, _ in laid]
-        self.term_spans = _blocks([blocks[-1][1] for _, blocks in laid])
-        self.spans = [(base + start, base + stop) for (base, _), (_, blocks)
-                      in zip(self.term_spans, laid) for start, stop in blocks]
-        sizes = [stop - start for start, stop in self.spans]
+        self.pair_counts = np.asarray([comb(c, 2) for c in layout.counts],
+                                      dtype=dtype).repeat(layout.batch)
+        sizes = [stop - start for start, stop in layout.spans]
         self.tuple_counts = np.asarray(sizes, dtype=dtype)
         self.divisors = self.tuple_counts.repeat(sizes)
         for vec in (self.one, self.cosine, self.pair_counts, self.tuple_counts, self.divisors):
@@ -269,30 +261,10 @@ class _Constants:
 
 
 @functools.lru_cache(maxsize=64)
-def _pool_plan(counts: tuple, batch: int, distance: bool, angle: bool) -> _Plan:
-    """The one plan of sets of these item counts whose asked-for terms are
-    every set's whole pool."""
-    return _Plan(counts, batch, *_d_layout(counts, batch),
-                 _pool_term(counts, 2, batch) if distance else None,
-                 _pool_term(counts, 3, batch) if angle else None, whole=True)
-
-
-def _plan(counts: tuple, batch: int, pairs: Optional[list], triples: Optional[list]) -> _Plan:
-    """The plan of sets of these item counts and per-set tuple arrays (None:
-    no such term).  A term whose every set is fully enumerated is cached, and
-    so is a plan whose every term is (``_pool_plan``)."""
-    whole = [tuples is None or all(len(t) == comb(c, t.shape[1]) for t, c in zip(tuples, counts))
-             for tuples in (pairs, triples)]
-    if all(whole):
-        return _pool_plan(counts, batch, pairs is not None, triples is not None)
-
-    def term(tuples, full):
-        if tuples is None:
-            return None
-        return _pool_term(counts, tuples[0].shape[1], batch) if full else _term(tuples, counts, batch)
-
-    return _Plan(counts, batch, *_d_layout(counts, batch), term(pairs, whole[0]),
-                 term(triples, whole[1]))
+def _layout(counts: tuple, batch: int, asked: tuple) -> _Layout:
+    """The one layout of sets of these item counts at this batch, each asked
+    term an (arity, budget)."""
+    return _Layout(counts, batch, asked)
 
 
 def _as_items(x: ItemsLike) -> Tensor:
@@ -311,7 +283,8 @@ _COSINE = (-0.5, 0.5, -0.5)      # (d2_ik - d2_ij - d2_jk) / 2 over columns (ij,
 class _Side:
     """One source's structures over every content set of a pass, and their adjoints.
 
-    ``xs`` holds one item stack [count, B*D] per set.  Only R = A @ X, the
+    ``xs`` holds one item stack [count, B*D] per set, ``index`` the call's
+    (pairs, triples) index (``_Layout.indices``).  Only R = A @ X, the
     row sums of squares and the per-image means of d are taken per set; every
     other step runs once on the sets' concatenated vectors.  ``grad`` replays
     the adjoints of the composed graph (matmul, r*r, sum, sqrt, mean, clamps,
@@ -319,10 +292,11 @@ class _Side:
     every sum is added in the same order and the bytes match.
     """
 
-    def __init__(self, xs: list, plan: _Plan):
-        batch = plan.batch
-        self.plan = plan
-        self.constants = constants = plan.constants(xs[0].dtype)
+    def __init__(self, xs: list, layout: _Layout, index: tuple):
+        batch = layout.batch
+        self.layout, self.index = layout, index
+        pairs, triples = index
+        self.constants = constants = layout.constants(xs[0].dtype)
         self.r = [a @ x for a, x in zip(constants.incidence, xs)]     # rows: exact x_i - x_j
         self.widths = [x.shape[1] // batch for x in xs]
         sq = np.concatenate([np.add.reduce((r * r).reshape(-1, width), axis=1)
@@ -331,13 +305,13 @@ class _Side:
         # phi_d then phi_a in one vector, phi[0] and phi[1] views of it
         self.vec = vec = np.empty(constants.divisors.size, dtype=d.dtype)
         self.phi = [None, None]
-        for term, (start, stop) in zip(constants.terms, constants.term_spans):
+        for term, (start, stop) in zip(layout.terms, layout.term_spans):
             self.phi[term] = vec[start:stop]
-        if plan.pairs is not None:
-            pairs, slots, _ = plan.pairs
+        if pairs is not None:
+            pairs, slots = pairs
             # each set's per-image distance sums, then one division by the pair counts
             sums = np.empty(constants.pair_counts.size, dtype=d.dtype)
-            for k, (start, stop) in enumerate(plan.blocks):
+            for k, (start, stop) in enumerate(layout.blocks):
                 np.add.reduce(d[start:stop].reshape(-1, batch), axis=0,
                               out=sums[k * batch:(k + 1) * batch])
             self.mean = sums / constants.pair_counts
@@ -345,8 +319,8 @@ class _Side:
             # a unit-weight gather is plain indexing: 1.0 * v is v, bit for bit
             self.g1, self.g2 = d[pairs], self.inv_mu[slots]
             np.multiply(self.g1, self.g2, out=self.phi[0])
-        if plan.triples is not None:
-            triples = plan.triples[0]
+        if triples is not None:
+            triples = triples[0]
             self.inv = 1.0 / np.maximum(d, EPSILON)
             self.gs = _gather(sq, triples, constants.cosine)
             gik = self.inv[triples[:, ::2]]                 # inv at i and at k, one index
@@ -357,33 +331,33 @@ class _Side:
     def grad(self, g_phi_d: Optional[np.ndarray], g_phi_a: Optional[np.ndarray]) -> np.ndarray:
         """The gradient of the concatenated row sums of squares from those of
         phi_d and phi_a (None: that term's graph was not reached)."""
-        d, size, plan, constants = self.d, self.d.size, self.plan, self.constants
+        d, size, constants = self.d, self.d.size, self.constants
         one = constants.one
         # terms are added in the composed graph's reverse creation order: into
         # d the angle's clamp, the pair gather, then the mean; into sq the
         # cosine gather, then the sqrt
         g_d = g_sq = None
         if g_phi_a is not None:
-            triples = plan.triples[0]
+            triples = self.index[1][0]
             g_m1 = g_phi_a * self.gk
             g_inv = _scatter(g_phi_a * self.m1, triples[:, 2], one, size)
             g_inv += _scatter(g_m1 * self.gs, triples[:, 0], one, size)
             g_sq = _scatter(g_m1 * self.gi, triples, constants.cosine, size)
             g_d = -g_inv * self.inv * self.inv * (d >= EPSILON)
         if g_phi_d is not None:
-            pairs, slots, _ = plan.pairs
+            pairs, slots = self.index[0]
             g_inv_mu = _scatter(g_phi_d * self.g1, slots, one, self.mean.size)
             g_pair = _scatter(g_phi_d * self.g2, pairs, one, size)
             g_d = g_pair if g_d is None else g_d + g_pair
             g_mean = -g_inv_mu * self.inv_mu * self.inv_mu * (self.mean >= EPSILON)
             # each set's mean over its own pair count, then to its image's entries
-            g_d = g_d + (g_mean / constants.pair_counts)[plan.slot]
+            g_d = g_d + (g_mean / constants.pair_counts)[self.layout.slot]
         g_root = g_d / (2.0 * np.maximum(d, EPSILON))
         return g_root if g_sq is None else g_sq + g_root
 
     def item_grad(self, k: int, g_sq: np.ndarray) -> np.ndarray:
         """Set k's gradient of X = [count, B*D] from that of the concatenated sq."""
-        start, stop = self.plan.blocks[k]
+        start, stop = self.layout.blocks[k]
         r = self.r[k]
         g_r = (g_sq[start:stop, None] * r.reshape(-1, self.widths[k])).reshape(r.shape)
         g_r = g_r + g_r                                     # r * r: g*r to each operand
@@ -401,39 +375,40 @@ def _pick(vec: Tensor, k: int, reached: list) -> Tensor:
     return _result(vec.data[k:k + 1].reshape(()), "pick", (vec,), back)
 
 
-def _side(src: Tensor, cuts: list, plan: _Plan) -> _Side:
+def _side(src: Tensor, cuts: list, layout: _Layout, index: tuple) -> _Side:
     """One source's ``_Side``, each content set cut straight to [count, B*D]."""
     return _Side([src.data if cut is None else slicing.cut(src.data, cut, (count, -1))
-                  for cut, count in zip(cuts, plan.counts)], plan)
+                  for cut, count in zip(cuts, layout.counts)], layout, index)
 
 
-def _teacher(t: Tensor, cuts: list, plan: _Plan) -> tuple:
+def _teacher(t: Tensor, cuts: list, layout: _Layout, index: tuple) -> tuple:
     """The teacher's (phi vector, side): its side only when it takes a gradient.
 
-    A teacher that takes none under a whole-pool plan is served from that
-    plan's one-entry memo of its phi vector when the cuts, dtype, shape and
+    A teacher that takes none under a whole layout is served from that
+    layout's one-entry memo of its phi vector when the cuts, dtype, shape and
     bytes are equal, as for every call of a gradient check; any other teacher
-    is a miss and replaces the entry.  A sampled plan is made per call and
-    never stores one."""
-    if t.requires_grad or not plan.whole:
-        side = _side(t, cuts, plan)
+    is a miss and replaces the entry.  A layout that samples never stores
+    one."""
+    if t.requires_grad or not layout.whole:
+        side = _side(t, cuts, layout, index)
         return side.vec, side if t.requires_grad else None
     key, data = (tuple(cuts), t.dtype, t.shape), t.data.tobytes()
-    memo = plan.memo
+    memo = layout.memo
     if not memo or memo[0] != key or memo[1] != data:
-        phi = _side(t, cuts, plan).vec
+        phi = _side(t, cuts, layout, index).vec
         phi.setflags(write=False)
         memo[:] = key, data, phi
     return memo[2], None
 
 
-def _relate(t: Tensor, s: Tensor, cuts: list, plan: _Plan) -> tuple:
+def _relate(t: Tensor, s: Tensor, cuts: list, layout: _Layout, index: tuple) -> tuple:
     """(distance term, angle term) of the teacher/student sources, each a 0-d
     pick of one autodiff node; None for an absent term.
 
     ``cuts`` holds one slicing layout per content set, by which ``slicing.cut``
     and ``uncut`` take a source to that set's item stack and back (None: the
-    source is the item stack), and ``plan`` lays the sets end to end.  Each
+    source is the item stack); ``layout`` lays the sets end to end and
+    ``index`` holds the call's tuples (``_Layout.indices``).  Each
     side is one ``_Side`` pass over all the sets, the teacher's memoised
     (``_teacher``).  The teacher-student differences and their Huber values
     are taken once on the one phi vector; each set's Huber mean is taken on
@@ -444,20 +419,20 @@ def _relate(t: Tensor, s: Tensor, cuts: list, plan: _Plan) -> tuple:
     per-set image gradients from the last set to the first, student before
     teacher.
     """
-    t_phi, t_side = _teacher(t, cuts, plan)
-    s_side = _side(s, cuts, plan)
+    t_phi, t_side = _teacher(t, cuts, layout, index)
+    s_side = _side(s, cuts, layout, index)
     diff = t_phi - s_side.vec
     penalty = _huber(diff)
-    constants = plan.constants(diff.dtype)
+    constants = layout.constants(diff.dtype)
     sums = np.empty(constants.tuple_counts.size, dtype=diff.dtype)
-    for k, (start, stop) in enumerate(constants.spans):
+    for k, (start, stop) in enumerate(layout.spans):
         sums[k] = np.add.reduce(penalty[start:stop])
-    means = (sums / constants.tuple_counts).reshape(len(constants.terms), -1)
+    means = (sums / constants.tuple_counts).reshape(len(layout.terms), -1)
     vec = functools.reduce(operator.add, means.T)         # each term, set by set
     picks = [None, None]
     if not (t.requires_grad or s.requires_grad):
         _check_finite(vec, "result of relations")
-        for k, term in enumerate(constants.terms):
+        for k, term in enumerate(layout.terms):
             picks[term] = Tensor(vec[k])
         return tuple(picks)
     # the backward reads only the sides whose source took a gradient when made
@@ -465,17 +440,17 @@ def _relate(t: Tensor, s: Tensor, cuts: list, plan: _Plan) -> tuple:
 
     def back(g):
         # each set's mean adjoint, over its own tuple count, then the Huber slope
-        g_mean = g.repeat([stop - start for start, stop in constants.term_spans]) \
+        g_mean = g.repeat([stop - start for start, stop in layout.term_spans]) \
             / constants.divisors
         slope = _huber_slope(diff)
         g_phi = (g_mean * slope, -g_mean * slope)   # per side, every term's
-        spans = [span if reached[k] else None for k, span in enumerate(constants.term_spans)]
+        spans = [span if reached[k] else None for k, span in enumerate(layout.term_spans)]
         g_sq = [None, None]                         # per side: that of the concatenated sq
         for which, (side, src) in enumerate(zip(sides, (t, s))):
             if side is not None and src.requires_grad:
                 g_side = g_phi[which].astype(src.dtype, copy=False)
                 g_terms = [None, None]              # None: that term was not reached
-                for term, span in zip(constants.terms, spans):
+                for term, span in zip(layout.terms, spans):
                     if span is not None:
                         g_terms[term] = g_side[span[0]:span[1]]
                 g_sq[which] = side.grad(*g_terms)
@@ -488,9 +463,9 @@ def _relate(t: Tensor, s: Tensor, cuts: list, plan: _Plan) -> tuple:
                 g_x = g_x if cuts[k] is None else slicing.uncut(g_x, cuts[k])
                 src._accumulate(g_x.reshape(src.shape))
 
-    reached = [False] * len(constants.terms)
+    reached = [False] * len(layout.terms)
     node = _result(vec, "relations", (t, s), back)
-    for k, term in enumerate(constants.terms):
+    for k, term in enumerate(layout.terms):
         picks[term] = _pick(node, k, reached)
     return tuple(picks)
 
@@ -503,7 +478,8 @@ def pairwise_distances(item_set: ItemsLike) -> DistanceStructure:
     if n < 2:
         raise ValueError(f"pairwise_distances needs >= 2 items, got {n}")
     pi, pj = _tuple_pool(n, 2).T
-    side = _Side([items.data], _plan((n,), 1, [_tuple_pool(n, 2)], None))
+    layout = _layout((n,), 1, ((2, None),))
+    side = _Side([items.data], layout, layout.pools)
     d = side.d
     mat = np.zeros((n, n), dtype=d.dtype)
     mat[pi, pj] = d
@@ -528,7 +504,8 @@ def phi_a(vi, vj, vk) -> Tensor:
     if not (vi.shape == vj.shape == vk.shape) or vi.ndim != 1:
         raise ValueError(f"phi_a needs three equal-length vectors, got "
                          f"{vi.shape}, {vj.shape}, {vk.shape}")
-    side = _Side([np.stack([vi, vj, vk])], _plan((3,), 1, None, [_tuple_pool(3, 3)]))
+    layout = _layout((3,), 1, ((3, None),))
+    side = _Side([np.stack([vi, vj, vk])], layout, layout.pools)
     return Tensor(side.phi[1].reshape(()))
 
 
@@ -618,8 +595,9 @@ def rkd_distance_loss(teacher_items: ItemsLike, student_items: ItemsLike,
     """
     t, s = _as_items(teacher_items), _as_items(student_items)
     n = _check_sides(t, s, 2)
-    pairs = sample_tuples(n, 2, cfg.pair_budget, cfg.seed)
-    return _relate(t, s, [None], _plan((n,), 1, [pairs], None))[0]
+    layout = _layout((n,), 1, ((2, cfg.pair_budget),))
+    index = layout.indices([[sample_tuples(n, 2, cfg.pair_budget, cfg.seed)]])
+    return _relate(t, s, [None], layout, index)[0]
 
 
 def rkd_angle_loss(teacher_items: ItemsLike, student_items: ItemsLike,
@@ -632,8 +610,9 @@ def rkd_angle_loss(teacher_items: ItemsLike, student_items: ItemsLike,
     """
     t, s = _as_items(teacher_items), _as_items(student_items)
     n = _check_sides(t, s, 3)
-    triples = sample_tuples(n, 3, cfg.triplet_budget, cfg.seed)
-    return _relate(t, s, [None], _plan((n,), 1, None, [triples]))[1]
+    layout = _layout((n,), 1, ((3, cfg.triplet_budget),))
+    index = layout.indices([[sample_tuples(n, 3, cfg.triplet_budget, cfg.seed)]])
+    return _relate(t, s, [None], layout, index)[1]
 
 
 # -- content-level losses -------------------------------------------------------
@@ -658,16 +637,12 @@ def _draw(count: int, arity: int, budget: Optional[int], base: int, granularity:
 def _resolve(shape: tuple, n: int, m: int, grans: tuple, pair_budget: Optional[int],
              triplet_budget: Optional[int], distance: bool, angle: bool) -> tuple:
     """What ``crd_terms`` derives from its arguments other than the images'
-    values and the seed: (cuts, batch, counts, plan), one read-only slicing
-    layout per granularity, the images per source, each set's item count and,
-    when every asked-for draw is its whole pool, the ``_pool_plan`` (else
-    None: the draws sample, per call)."""
+    values and the seed: (cuts, layout), one read-only slicing layout per
+    granularity and the ``_layout`` of their sets at the images per source."""
     cuts = tuple(slicing.layout(shape, g, (n, m) if g == PATCH else None) for g in grans)
     batch = cuts[0][0][0]
-    counts = tuple(cut[2][0] // batch for cut in cuts)
-    asked = [(2, pair_budget)] * distance + [(3, triplet_budget)] * angle
-    whole = all(_enumerates(c, arity, budget) for c in counts for arity, budget in asked)
-    return cuts, batch, counts, _pool_plan(counts, batch, distance, angle) if whole else None
+    asked = ((2, pair_budget),) * distance + ((3, triplet_budget),) * angle
+    return cuts, _layout(tuple(cut[2][0] // batch for cut in cuts), batch, asked)
 
 
 def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
@@ -686,15 +661,14 @@ def crd_terms(teacher_img: Tensor, student_img: Tensor, n: int, m: int,
     grans = cfg.enabled_granularities()
     if not grans:
         raise ValueError("no content granularity enabled: nothing to relate")
-    cuts, batch, counts, plan = _resolve(teacher_img.shape, n, m, grans, cfg.pair_budget,
-                                         cfg.triplet_budget, distance, angle)
-    if plan is None:
-        def draws(arity, budget):
-            return [_draw(c, arity, budget, cfg.seed, g) for c, g in zip(counts, grans)]
-
-        plan = _plan(counts, batch, draws(2, cfg.pair_budget) if distance else None,
-                     draws(3, cfg.triplet_budget) if angle else None)
-    return _relate(teacher_img, student_img, cuts, plan)
+    cuts, layout = _resolve(teacher_img.shape, n, m, grans, cfg.pair_budget,
+                            cfg.triplet_budget, distance, angle)
+    index = layout.pools
+    if not layout.whole:        # every asked term is drawn, its whole pools included
+        index = layout.indices([[_draw(c, arity, budget, cfg.seed, g)
+                                 for c, g in zip(layout.counts, grans)]
+                                for arity, budget in layout.asked])
+    return _relate(teacher_img, student_img, cuts, layout, index)
 
 
 def crd_combine(crd_d: Tensor, crd_a: Optional[Tensor], cfg: RelationConfig) -> Tensor:

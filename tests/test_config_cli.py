@@ -59,6 +59,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"line 2.*nonsense"):
             parse_config(p)
 
+    @pytest.mark.parametrize("key, value", [("seed", "2"), ("relation_seed", "2"),
+                                            ("lambda_a", "1.5"), ("triplet_budget", "0"),
+                                            ("use_rows", "true")])
+    def test_a_key_set_twice_names_both_lines(self, tmp_path, key, value):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{key} = 1\nepochs = 3\n# again\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"^line 4: key '{key}' repeats line 1$"):
+            parse_config(p)
+
     def test_bad_value_names_line_and_key(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("# comment\nlr0 = fast\n")
@@ -435,14 +444,37 @@ class TestCliTrainEval:
                                      "lambda_a = nan"])
     def test_train_rejects_a_bad_config_before_writing(self, tiny_cfg_file, tmp_path,
                                                         capsys, bad):
+        key = bad.split()[0]
+        # the bad line replaces the tiny config's own line of its key, if any:
+        # a key set twice is an error of its own
+        kept = [ln for ln in tiny_cfg_file.read_text().splitlines() if ln.split()[0] != key]
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(tiny_cfg_file.read_text() + bad + "\n")
+        cfg.write_text("\n".join(kept + [bad]) + "\n")
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--task", "invert",
                      "--out", str(out)]) == 1
-        key = bad.split()[0]
         assert capsys.readouterr().err.startswith(f"error: {key} ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_key_set_twice_exits_1_before_writing(self, tiny_cfg_file, tmp_path, capsys,
+                                                     command):
+        text = tiny_cfg_file.read_text()
+        first = text.splitlines().index("seed = 5") + 1
+        run = tmp_path / "run"
+        if command == "train":
+            cfg = tmp_path / "twice.cfg"
+            argv = ["train", "--config", str(cfg), "--task", "invert", "--out", str(run)]
+        else:
+            run.mkdir()
+            cfg = run / "config.cfg"
+            argv = ["eval", "--run", str(run), "--task", "invert"]
+        cfg.write_text(text + "seed = 6\n")
+        assert main(argv) == 1
+        lineno = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == f"error: line {lineno}: key 'seed' repeats line {first}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == \
+            (["twice.cfg"] if command == "train" else ["config.cfg", "run"])
 
     @pytest.mark.parametrize("bad, message", [
         ("lambda_per 2", "expected 'key = value', got 'lambda_per 2'"),
@@ -701,6 +733,16 @@ class TestCliSlice:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    def test_a_patch_that_does_not_split_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "img.crdt"
+        tensor_io.save_tensor(src, np.zeros((3, 32, 32), dtype=np.float32))
+        out = tmp_path / "s"
+        # columns and rows split; 5x5 patches do not
+        assert main(["slice", "--input", str(src), "--out", str(out), "--patch", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: split_patches: height 32 not divisible by patch height 5\n"
+        assert not out.exists()
+
 
 class TestCliGradcheck:
     def test_passes_on_default_settings(self, capsys):
@@ -824,9 +866,9 @@ class TestCliBench:
         real_loss = cli.crd_loss
 
         class Counted(relations._Side):
-            def __init__(self, xs, plan):
+            def __init__(self, xs, *args):
                 passes[0] += 1
-                super().__init__(xs, plan)
+                super().__init__(xs, *args)
 
         def counted_loss(teacher, student, *args):
             before = passes[0]

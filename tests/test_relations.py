@@ -162,7 +162,8 @@ class TestPairwiseDistances:
     def test_pair_values_are_the_relation_pass_distances(self, dtype, wrap):
         items = np.random.default_rng(5).normal(size=(7, 9)).astype(dtype)
         got = pairwise_distances(wrap(items)).pair_values.data
-        side = relations._Side([items], relations._plan((7,), 1, None, None))
+        layout = relations._layout((7,), 1, ())
+        side = relations._Side([items], layout, layout.pools)
         assert got.dtype == dtype
         assert got.tobytes() == side.d.tobytes()
         composed = sqrt_guarded(composed_pair_sq(Tensor(items), 1), 1e-12)
@@ -221,8 +222,9 @@ class TestPhiA:
     def test_is_the_relation_pass_angle(self, dtype):
         stack = np.random.default_rng(6).normal(size=(3, 8)).astype(dtype)
         got = phi_a(*(Tensor(v) for v in stack)).data
-        plan = relations._plan((3,), 1, None, [np.array([[0, 1, 2]])])
-        want = relations._Side([stack], plan).phi[1]
+        layout = relations._layout((3,), 1, ((3, None),))
+        index = None, layout.index([np.array([[0, 1, 2]])])
+        want = relations._Side([stack], layout, index).phi[1]
         assert got.shape == () and got.dtype == dtype
         assert got.tobytes() == want.tobytes()
 
@@ -534,8 +536,26 @@ class TestOnePass:
         for cfg in configs[2:]:                 # 300 steps' seeds, full and sampled draws
             crd_terms(img, img, 4, 4, cfg)
         assert {name: fn.cache_info().currsize for name, fn in caches.items()} == sizes
-        assert "_pool_term" in caches and "_resolve" in caches
-        assert "_granularity_seed" not in caches
+        assert set(caches) == {"_resolve", "_layout", "_incidence", "_tuple_pool", "_binomials"}
+
+    def test_a_sampled_config_builds_its_constants_once_per_dtype(self, monkeypatch):
+        built = []
+
+        class Counted(relations._Constants):
+            def __init__(self, layout, dtype):
+                built.append(np.dtype(dtype))
+                super().__init__(layout, dtype)
+
+        monkeypatch.setattr(relations, "_Constants", Counted)
+        relations._resolve.cache_clear()
+        relations._layout.cache_clear()
+        data = np.random.default_rng(38).uniform(-1, 1, (2, 3, 8, 12))
+        for dtype in (np.float32, np.float64):
+            s = Tensor(data.astype(dtype), requires_grad=True)
+            for seed in range(300):             # 300 steps' seeds, every draw sampled
+                cfg = RelationConfig(pair_budget=15, triplet_budget=20, seed=seed)
+                backward(crd_loss(Tensor(data[::-1].astype(dtype)), s, 4, 4, cfg))
+        assert built == [np.dtype(np.float32), np.dtype(np.float64)]
 
     @pytest.mark.parametrize("cfg", [FULL, RelationConfig(pair_budget=30, triplet_budget=40, seed=6)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -544,15 +564,15 @@ class TestOnePass:
         t_data, s_data = rng.uniform(-1, 1, (2, 2, 3, 8, 12)).astype(dtype)
 
         def run():
-            # relate the teacher afresh too: empty the memo of the whole-pool plan
-            relations._pool_plan((12, 8, 6), 2, True, True).memo.clear()
+            # relate the teacher afresh too: empty the memo of the whole layout
+            relations._layout((12, 8, 6), 2, ((2, None), (3, None))).memo.clear()
             s = Tensor(s_data.copy(), requires_grad=True)
             loss = crd_loss(Tensor(t_data.copy()), s, 4, 4, cfg)
             backward(loss)
             return loss.data.tobytes(), s.grad.tobytes()
 
         relations._resolve.cache_clear()
-        relations._pool_plan.cache_clear()      # and a whole-pool plan builds its constants anew
+        relations._layout.cache_clear()         # and a layout builds its constants anew
         miss = run()
         assert relations._resolve.cache_info()[:2] == (0, 1)       # hits, misses
         assert run() == miss
@@ -565,27 +585,28 @@ class TestOnePass:
 
 @pytest.fixture
 def side_passes(monkeypatch):
-    """Counts the relation pass's _Side passes, starting from fresh plans with
+    """Counts the relation pass's _Side passes, starting from fresh layouts with
     empty teacher memos."""
     passes = []
 
     class Counted(relations._Side):
-        def __init__(self, xs, plan):
+        def __init__(self, xs, *args):
             passes.append(xs[0].dtype)
-            super().__init__(xs, plan)
+            super().__init__(xs, *args)
 
     monkeypatch.setattr(relations, "_Side", Counted)
     relations._resolve.cache_clear()
-    relations._pool_plan.cache_clear()
+    relations._layout.cache_clear()
     return passes
 
 
-def _whole_plan(shape, distance=True, angle=True):
-    """The cached whole-pool plan crd_terms relates a source of this shape under,
-    4x4 patches and every granularity."""
-    plan = relations._resolve(shape, 4, 4, slicing.GRANULARITIES, None, None, distance, angle)[3]
-    assert plan.whole
-    return plan
+def _whole_layout(shape, distance=True, angle=True):
+    """The cached whole layout crd_terms relates a source of this shape under,
+    4x4 patches, every granularity and full enumeration."""
+    layout = relations._resolve(shape, 4, 4, slicing.GRANULARITIES, None, None, distance,
+                                angle)[1]
+    assert layout.whole
+    return layout
 
 
 class TestTeacherMemo:
@@ -616,7 +637,7 @@ class TestTeacherMemo:
         del side_passes[:]
         hit = self.grad_and_value(Tensor(t.copy()), second)     # another tensor, the same bytes
         assert len(side_passes) == 1
-        _whole_plan(shape).memo.clear()
+        _whole_layout(shape).memo.clear()
         assert self.grad_and_value(Tensor(t), second) == hit
         assert len(side_passes) == 3
 
@@ -629,14 +650,14 @@ class TestTeacherMemo:
         del side_passes[:]
         changed = self.grad_and_value(teacher, student)
         assert len(side_passes) == 2
-        _whole_plan((1, 8, 8)).memo.clear()
+        _whole_layout((1, 8, 8)).memo.clear()
         assert self.grad_and_value(teacher, student) == changed
 
     def test_a_teacher_taking_a_gradient_is_never_served(self, side_passes):
         rng = np.random.default_rng(53)
         t, s = rng.uniform(-1, 1, (2, 1, 8, 8))
         self.grad_and_value(Tensor(t), s)
-        memo = _whole_plan((1, 8, 8)).memo
+        memo = _whole_layout((1, 8, 8)).memo
         entry = list(memo)
         got = []
         for _ in range(2):
@@ -649,60 +670,62 @@ class TestTeacherMemo:
         # the teacher's gradient is the student's with the sides swapped
         assert got[0] == self.grad_and_value(Tensor(s), t)[1]
 
-    def test_a_sampled_plan_stores_nothing(self, side_passes, monkeypatch):
-        plans = []
+    def test_a_sampled_layout_stores_nothing(self, side_passes, monkeypatch):
+        layouts = []
         real = relations._relate
-        monkeypatch.setattr(relations, "_relate",
-                            lambda t, s, cuts, plan: plans.append(plan) or real(t, s, cuts, plan))
+        monkeypatch.setattr(relations, "_relate", lambda t, s, cuts, layout, index:
+                            layouts.append(layout) or real(t, s, cuts, layout, index))
         rng = np.random.default_rng(54)
         t, s = rng.uniform(-1, 1, (2, 1, 8, 8))
         sampled = RelationConfig(seed=3, pair_budget=None, triplet_budget=30)
         for _ in range(2):
             self.grad_and_value(Tensor(t), s, sampled)
         assert len(side_passes) == 4
-        assert [(plan.whole, plan.memo) for plan in plans] == [(False, [])] * 2
+        assert [(layout.whole, layout.memo) for layout in layouts] == [(False, [])] * 2
+        assert layouts[0] is layouts[1]         # cached, though its draws are per call
         self.grad_and_value(Tensor(t), s)
-        memo = _whole_plan((1, 8, 8)).memo
+        memo = _whole_layout((1, 8, 8)).memo
         entry = list(memo)
         self.grad_and_value(Tensor(t), s, sampled)
-        assert plans[-1].memo == [] and memo[:2] == entry[:2] and memo[2] is entry[2]
+        assert layouts[-1].memo == [] and memo[:2] == entry[:2] and memo[2] is entry[2]
 
-    def test_two_whole_plans_used_in_turn_each_keep_their_own_entry(self, side_passes):
+    def test_two_whole_layouts_used_in_turn_each_keep_their_own_entry(self, side_passes):
         rng = np.random.default_rng(55)
         t, s = rng.uniform(-1, 1, (2, 1, 8, 8))
-        # the distance and the angle loss relate under two plans, each with its own memo
+        # the distance and the angle loss relate under two layouts, each with its own memo
         for _ in range(3):
             crd_distance_loss(Tensor(t), Tensor(s), 4, 4, self.FULL)
             crd_angle_loss(Tensor(t), Tensor(s), 4, 4, self.FULL)
         assert len(side_passes) == 2 + 2 + 4          # each teacher once, every student
         for distance, angle in ((True, False), (False, True)):
-            plan = _whole_plan((1, 8, 8), distance, angle)
-            key, data, phi = plan.memo
+            layout = _whole_layout((1, 8, 8), distance, angle)
+            key, data, phi = layout.memo
             assert key == (relations._resolve((1, 8, 8), 4, 4, slicing.GRANULARITIES, None, None,
                                               distance, angle)[0], t.dtype, t.shape)
             assert data == t.tobytes()
-            fresh = relations._Side([slicing.cut(t, cut, (cut[2][0], -1)) for cut in key[0]], plan)
+            fresh = relations._Side([slicing.cut(t, cut, (cut[2][0], -1)) for cut in key[0]],
+                                    layout, layout.pools)
             # the one phi vector only: no r, no sq, no side
             assert isinstance(phi, np.ndarray) and not phi.flags.writeable
             assert phi.tobytes() == fresh.vec.tobytes()
 
-    def test_one_entry_per_plan(self, side_passes):
+    def test_one_entry_per_layout(self, side_passes):
         rng = np.random.default_rng(56)
         a, b, s = rng.uniform(-1, 1, (3, 1, 8, 8))
         for t in (a, b, a):
             self.grad_and_value(Tensor(t), s)
         assert len(side_passes) == 6             # one entry: a, then b, then a again all miss
-        assert _whole_plan((1, 8, 8)).memo[1] == a.tobytes()
+        assert _whole_layout((1, 8, 8)).memo[1] == a.tobytes()
 
     def test_no_mutable_module_global(self, side_passes):
-        # the memo lives on the plans: a memoised call rebinds no name of the
+        # the memo lives on the layouts: a memoised call rebinds no name of the
         # module, and no module-level value is a container it could fill
         before = dict(vars(relations))
         rng = np.random.default_rng(57)
         t, s = rng.uniform(-1, 1, (2, 1, 8, 8))
         for student in (s, t):
             self.grad_and_value(Tensor(t), student)
-        assert len(side_passes) == 3 and _whole_plan((1, 8, 8)).memo
+        assert len(side_passes) == 3 and _whole_layout((1, 8, 8)).memo
         assert vars(relations).keys() == before.keys()
         assert all(vars(relations)[name] is value for name, value in before.items())
         assert not [name for name, value in before.items() if not name.startswith("__")
@@ -896,8 +919,10 @@ class TestOneNodeMatchesComposedGraph:
                                  relations._granularity_seed(cfg.seed, c.granularity, 3))
                    for c in sets]
         assert [c.count for c in sets] == [12, 8, 6]
-        plan = relations._plan(tuple(c.count for c in sets), 2, pairs, triples)
-        side = relations._Side([c.items.data.reshape(c.count, -1) for c in sets], plan)
+        layout = relations._layout(tuple(c.count for c in sets), 2,
+                                   ((2, cfg.pair_budget), (3, cfg.triplet_budget)))
+        side = relations._Side([c.items.data.reshape(c.count, -1) for c in sets], layout,
+                               layout.indices([pairs, triples]))
         eps = relations.EPSILON
         for k, c in enumerate(sets):
             pair_idx = relations._tuple_index(pairs[k], c.count, 2)
@@ -911,10 +936,9 @@ class TestOneNodeMatchesComposedGraph:
                     gather_sum(d, pair_idx, _ONE) * gather_sum(inv_mu, pair_idx % 2, _ONE),
                     gather_sum(sq, triple_idx, _COSINE) * gather_sum(inv, triple_idx[:, :1], _ONE)
                     * gather_sum(inv, triple_idx[:, 2:], _ONE)]
-            (d0, d1), (p0, p1), (t0, t1) = (plan.blocks[k], plan.pairs[-1][k],
-                                            plan.triples[-1][k])
-            got = [side.d[d0:d1], side.mean[2 * k:2 * k + 2], side.phi[0][p0:p1],
-                   side.phi[1][t0:t1]]
+            (d0, d1), (p0, p1), (t0, t1) = (layout.blocks[k], layout.spans[k],
+                                            layout.spans[len(sets) + k])
+            got = [side.d[d0:d1], side.mean[2 * k:2 * k + 2], side.vec[p0:p1], side.vec[t0:t1]]
             assert [g.tobytes() for g in got] == [w.data.tobytes() for w in want], c.granularity
 
     def test_finite_differences_at_the_gradcheck_defaults(self):
